@@ -235,8 +235,81 @@ GOLDEN_SIMULATE_CSV = (
     "0.5310044064107189,0.028529325012983442\n"
 )
 
+# `measure` on 1200 records over 10 outcomes and 9 declared signals, of
+# which s8 never occurs: with smoothing 0 its column is empty in the point
+# estimate and in every resample.
+GOLDEN_MEASURE_JSON = (
+    '{\n'
+    '  "eff": 0.6320024945128028,\n'
+    '  "eff_q": 0.6213449257951271,\n'
+    '  "h_x": 3.317978054139107,\n'
+    '  "h_x_given_y": 2.096970406954651,\n'
+    '  "h_q": 3.3748894050614235,\n'
+    '  "g_max": 1.221007647184456,\n'
+    '  "g_max_q": 1.2779189981067725,\n'
+    '  "predictability_gap": 1.221007647184456,\n'
+    '  "mispricing_gap": 0.05691135092231647,\n'
+    '  "info_set": "strong",\n'
+    '  "ci_low": 0.6236460734201626,\n'
+    '  "ci_high": 0.6345395682177185,\n'
+    '  "n_samples": 1200,\n'
+    '  "smoothing": 0.5,\n'
+    '  "resamples": 200,\n'
+    '  "seed": 3,\n'
+    '  "small_sample": false,\n'
+    '  "eff_q_ci_low": 0.6107816365905053,\n'
+    '  "eff_q_ci_high": 0.6249248518600615\n'
+    '}\n'
+)
+GOLDEN_MEASURE_CSV = (
+    "key,value\n"
+    "eff,0.583781880927202\n"
+    "h_x,3.3176759466298327\n"
+    "h_x_given_y,1.936799104430499\n"
+    "g_max,1.3808768421993336\n"
+    "predictability_gap,1.3808768421993336\n"
+    "info_set,strong\n"
+    "ci_low,0.5748721467690124\n"
+    "ci_high,0.5865435523461711\n"
+    "n_samples,1200\n"
+    "smoothing,0.0\n"
+    "resamples,200\n"
+    "seed,3\n"
+    "small_sample,False\n"
+)
+
+
+@pytest.fixture
+def wide_samples_csv(tmp_path):
+    path = tmp_path / "wide.csv"
+    rows = ["# signals: " + ",".join(f"s{j}" for j in range(9)), "signal,outcome"]
+    for i in range(1200):
+        x = (i * 7 + i // 13) % 10
+        rows.append(f"s{(x + (i // 10) % 3) % 8},x{x}")
+    write_samples(path, rows)
+    return path
+
 
 class TestGoldenOutputs:
+    def test_measure_json_with_quotes_bytes(self, wide_samples_csv, tmp_path, capsys):
+        quotes = tmp_path / "wide_quotes.csv"
+        q = ["0.05", "0.15"] + ["0.1"] * 8
+        write_samples(quotes, ["label,q"] + [f"x{k},{v}" for k, v in enumerate(q)])
+        code = main(
+            ["measure", "--in", str(wide_samples_csv), "--quotes", str(quotes),
+             "--resamples", "200", "--seed", "3"]
+        )
+        assert code == 0
+        assert capsys.readouterr().out == GOLDEN_MEASURE_JSON
+
+    def test_measure_csv_bytes(self, wide_samples_csv, capsys):
+        code = main(
+            ["measure", "--in", str(wide_samples_csv), "--smoothing", "0",
+             "--resamples", "200", "--seed", "3", "--format", "csv"]
+        )
+        assert code == 0
+        assert capsys.readouterr().out == GOLDEN_MEASURE_CSV
+
     def test_figure_csv_bytes(self, tmp_path, capsys):
         assert main(
             ["figures", "--which", "1", "--out-dir", str(tmp_path), "--points", "9"]
