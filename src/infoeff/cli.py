@@ -21,19 +21,17 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from . import coin as coin_mod
-from .efficiency import STRONG, efficiency_with_quotes
+from .efficiency import STRONG, _as_quote_distribution, efficiency_with_quotes
 from .errors import (
     DomainViolation,
     EmptyInput,
     InfoEffError,
     LabelMismatch,
-    NegativeWeight,
     ParseError,
-    QuoteSumNotOne,
 )
 from .estimation import estimate_efficiency, read_samples
 from .kelly import MarketParams, kelly_growth_target, kelly_strategy, simulate
-from .probability import SUM_TOL, Distribution
+from .probability import Distribution
 from .svg import line_chart
 
 DEFAULT_SEED = 1729  # fixed default; reproducibility by default
@@ -93,7 +91,7 @@ def _render_flat(report: dict, fmt: str) -> str:
 def _read_quote_sidecar(path: str, outcome_labels: tuple[str, ...]) -> Distribution:
     """Parse a `label,q` sidecar and align it with the outcome alphabet."""
     values: dict[str, float] = {}
-    with open(path, encoding="utf-8") as handle:
+    with open(path, encoding="utf-8-sig") as handle:
         header_seen = False
         for line_no, raw in enumerate(handle, start=1):
             line = raw.strip()
@@ -123,17 +121,11 @@ def _read_quote_sidecar(path: str, outcome_labels: tuple[str, ...]) -> Distribut
         raise LabelMismatch(
             f"quote labels do not match outcome alphabet: missing {missing}, extra {extra}"
         )
-    vec = [values[lbl] for lbl in outcome_labels]
-    if any(q < 0.0 for q in vec):
-        raise NegativeWeight(f"negative quote probability in {path}")
-    total = sum(vec)
-    if abs(total - 1.0) > SUM_TOL:
-        raise QuoteSumNotOne(f"quotes sum to {total!r}, not 1 within {SUM_TOL}")
-    return Distribution(outcome_labels, vec)
+    return _as_quote_distribution([values[lbl] for lbl in outcome_labels], outcome_labels)
 
 
 def cmd_measure(config: RunConfig) -> int:
-    with open(config.input_path, encoding="utf-8") as handle:
+    with open(config.input_path, encoding="utf-8-sig") as handle:
         samples = read_samples(handle)
     quotes = None
     if config.quotes_path is not None:

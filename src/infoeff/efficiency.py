@@ -22,9 +22,9 @@ import numpy as np
 
 from .errors import (
     DegenerateSystem,
+    DomainViolation,
     LabelMismatch,
     MarginalMismatch,
-    NegativeWeight,
     NumericalInconsistency,
     QuoteSumNotOne,
 )
@@ -122,15 +122,14 @@ def efficiency(joint: JointSystem, info_set: str = STRONG) -> EfficiencyReport:
 
 
 def _as_quote_distribution(quotes, labels) -> Distribution:
+    """The quote validator: a Distribution whose sum violation is QuoteSumNotOne."""
     if isinstance(quotes, Distribution):
         return quotes
     q = np.asarray(quotes, dtype=float)
     if q.ndim != 1 or len(q) != len(labels):
         raise LabelMismatch(f"{len(labels)} outcomes but {q.shape} quotes")
-    if np.any(q < 0.0):
-        raise NegativeWeight(f"quote vector has a negative entry: {q.tolist()}")
     total = float(np.sum(q))
-    if abs(total - 1.0) > SUM_TOL:
+    if not abs(total - 1.0) <= SUM_TOL:
         raise QuoteSumNotOne(
             f"quotes sum to {total!r}, not 1 within {SUM_TOL} (no-cost constraint)"
         )
@@ -182,7 +181,7 @@ def compare_info_sets(
     different information sets.
     """
     if not entries:
-        raise ValueError("compare_info_sets needs at least one (label, joint) entry")
+        raise DomainViolation("compare_info_sets needs at least one (label, joint) entry")
     reference = marginal_outcome(entries[0][1])
     for label, joint in entries:
         p_x = marginal_outcome(joint)

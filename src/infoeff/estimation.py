@@ -1,5 +1,9 @@
 """Empirical efficiency from sampled (signal, outcome) records.
 
+Records are tallied straight into the outcome x signal count table, the
+sufficient statistic of every estimator here: memory grows with the
+number of cells, not of records.
+
 The estimator is the plug-in (maximum likelihood) joint with optional
 additive smoothing, default 0.5 (Jeffreys-style): cell = (count + s) /
 (N + s*|X|*|Y|). Plug-in entropy biases low at small N, so efficiency can
@@ -10,10 +14,9 @@ Uncertainty comes from a seeded 95% percentile bootstrap (default 1000
 resamples). Resampling records with replacement is performed as one
 multinomial draw over the empirical cell counts per resample — the
 bootstrap statistic depends on the records only through the contingency
-table, so the two are distributionally identical and the multinomial form
-is orders of magnitude faster. Resample r uses its own RNG stream derived
-from (seed, r), so results are reproducible and order-deterministic no
-matter how resamples would be scheduled.
+table, so the two are distributionally identical. Resample r uses its own
+RNG stream derived from (seed, r), so results are reproducible no matter
+how resamples are grouped into the blocks the batched kernels evaluate.
 
 Input CSV format: mandatory header line ``signal,outcome``; one record per
 line; labels are arbitrary non-empty tokens without commas; comment lines
@@ -35,54 +38,57 @@ from .errors import (
     DegenerateSystem,
     DomainViolation,
     EmptyInput,
+    LabelMismatch,
     ParseError,
     ResamplesBelowMinimum,
 )
-from .measures import (
-    _conditional_entropy_from_matrix,
-    _cross_entropy_from_probs,
-    _entropy_from_probs,
-)
-from .probability import Distribution, JointSystem, _check_labels
+from .measures import _conditional_entropies, _neg_sum_plog2q
+from .probability import Distribution, JointSystem, _check_labels, _frozen_array
 
 MIN_RESAMPLES = 100
 DEFAULT_SMOOTHING = 0.5
 DEFAULT_RESAMPLES = 1000
+BLOCK_CELLS = 2**16  # per bootstrap block; bounds memory whatever the resamples
 
 HEADER = ("signal", "outcome")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SampleSet:
-    """Observed (signal, outcome) records plus their alphabets.
+    """Contingency table of observed records plus its alphabets.
 
-    Alphabets may be declared wider than the observed support (so smoothing
-    can spread mass over unseen cells). Optional quote metadata rides along
-    for efficiency-with-quotes estimation.
+    `table[i, j]` counts the records with outcome `outcome_labels[i]` and
+    signal `signal_labels[j]`. Alphabets may be declared wider than the
+    observed support (so smoothing can spread mass over unseen cells).
     """
 
-    records: tuple[tuple[str, str], ...]
+    table: np.ndarray
     signal_labels: tuple[str, ...]
     outcome_labels: tuple[str, ...]
-    quotes: Distribution | None = None
 
     def __post_init__(self):
-        if not self.records:
+        signals = _check_labels(self.signal_labels, "signal")
+        outcomes = _check_labels(self.outcome_labels, "outcome")
+        table = _frozen_array(self.table)
+        if table.shape != (len(outcomes), len(signals)):
+            raise LabelMismatch(
+                f"count table shape {table.shape} does not match "
+                f"{len(outcomes)} outcomes x {len(signals)} signals"
+            )
+        if not np.all(np.isfinite(table) & (table >= 0.0) & (table == np.floor(table))):
+            raise DomainViolation("counts must be finite nonnegative integers")
+        if np.sum(table) == 0.0:
             raise EmptyInput("sample set has no records")
-        _check_labels(self.signal_labels, "signal")
-        _check_labels(self.outcome_labels, "outcome")
+        object.__setattr__(self, "table", table)
+        object.__setattr__(self, "signal_labels", signals)
+        object.__setattr__(self, "outcome_labels", outcomes)
 
     def __len__(self) -> int:
-        return len(self.records)
+        return int(np.sum(self.table))
 
     def counts(self) -> np.ndarray:
         """Contingency table of raw counts, outcomes x signals."""
-        x_index = {lbl: i for i, lbl in enumerate(self.outcome_labels)}
-        y_index = {lbl: j for j, lbl in enumerate(self.signal_labels)}
-        table = np.zeros((len(self.outcome_labels), len(self.signal_labels)))
-        for signal, outcome in self.records:
-            table[x_index[outcome], y_index[signal]] += 1.0
-        return table
+        return self.table
 
 
 @dataclass(frozen=True)
@@ -124,7 +130,7 @@ def read_samples(source: Iterable[str]) -> SampleSet:
     ParseError with the offending line/column, or EmptyInput when the header
     is present but no records follow.
     """
-    rows: list[tuple[int, str, str]] = []
+    tally: dict[tuple[str, str], list[int]] = {}  # (signal, outcome) -> [first line, count]
     declared: dict[str, tuple[str, ...]] = {}
     header_seen = False
     line_no = 0
@@ -153,28 +159,29 @@ def read_samples(source: Iterable[str]) -> SampleSet:
             raise ParseError(line_no, 1, "empty signal label")
         if outcome == "":
             raise ParseError(line_no, 2, "empty outcome label")
-        rows.append((line_no, signal, outcome))
+        tally.setdefault((signal, outcome), [line_no, 0])[1] += 1
 
     if not header_seen:
         raise ParseError(1, 1, "missing header line 'signal,outcome'")
-    if not rows:
+    if not tally:
         raise EmptyInput(f"no records after the header (line {line_no or 1})")
 
-    signal_labels = declared.get("signals") or tuple(sorted({s for _, s, _ in rows}))
-    outcome_labels = declared.get("outcomes") or tuple(sorted({o for _, _, o in rows}))
-    signal_set, outcome_set = set(signal_labels), set(outcome_labels)
-    for rec_line, signal, outcome in rows:
-        if signal not in signal_set:
-            raise ParseError(rec_line, 1, f"signal {signal!r} not in declared alphabet")
-        if outcome not in outcome_set:
-            raise ParseError(rec_line, 2, f"outcome {outcome!r} not in declared alphabet")
-    return SampleSet(
-        tuple((s, o) for _, s, o in rows), signal_labels, outcome_labels
-    )
+    signal_labels = declared.get("signals") or tuple(sorted({s for s, _ in tally}))
+    outcome_labels = declared.get("outcomes") or tuple(sorted({o for _, o in tally}))
+    y_index = {lbl: j for j, lbl in enumerate(signal_labels)}
+    x_index = {lbl: i for i, lbl in enumerate(outcome_labels)}
+    table = np.zeros((len(outcome_labels), len(signal_labels)))
+    for (signal, outcome), (line, count) in tally.items():  # in order of first occurrence
+        if signal not in y_index:
+            raise ParseError(line, 1, f"signal {signal!r} not in declared alphabet")
+        if outcome not in x_index:
+            raise ParseError(line, 2, f"outcome {outcome!r} not in declared alphabet")
+        table[x_index[outcome], y_index[signal]] = count
+    return SampleSet(table, signal_labels, outcome_labels)
 
 
 def _smoothed_joint(counts: np.ndarray, n: int, smoothing: float) -> np.ndarray:
-    return (counts + smoothing) / (n + smoothing * counts.size)
+    return (counts + smoothing) / (n + smoothing * (counts.shape[-2] * counts.shape[-1]))
 
 
 def estimate_joint(samples: SampleSet, smoothing: float = DEFAULT_SMOOTHING) -> JointSystem:
@@ -189,19 +196,29 @@ def estimate_joint(samples: SampleSet, smoothing: float = DEFAULT_SMOOTHING) -> 
     return JointSystem(samples.outcome_labels, samples.signal_labels, joint)
 
 
-def _eff_pair_from_joint(
-    joint: np.ndarray, q: np.ndarray | None
-) -> tuple[float, float | None]:
-    """(eff, eff_q) from a raw joint matrix; NaN where the ratio is 0/0."""
-    p_x = np.sum(joint, axis=1)
-    h_x = _entropy_from_probs(p_x)
-    h_xy = _conditional_entropy_from_matrix(joint)
-    eff = h_xy / h_x if h_x > 0.0 else float("nan")
-    eff_q = None
-    if q is not None:
-        h_q = _cross_entropy_from_probs(p_x, q)
-        eff_q = h_xy / h_q if h_q > 0.0 else float("nan")
-    return eff, eff_q
+def _bootstrap(
+    counts: np.ndarray, n: int, smoothing: float, q: np.ndarray | None, resamples: int, seed: int
+) -> tuple[np.ndarray, np.ndarray | None]:
+    """Efficiency (and quote efficiency) of each resample; NaN where 0/0."""
+    p_flat = (counts / n).reshape(-1)
+    per_block = max(1, BLOCK_CELLS // counts.size)
+    effs = np.empty(resamples)
+    effs_q = np.empty(resamples) if q is not None else None
+    for start in range(0, resamples, per_block):
+        block = slice(start, min(start + per_block, resamples))
+        draws = np.stack([
+            np.random.default_rng(np.random.SeedSequence((seed, r))).multinomial(n, p_flat)
+            for r in range(block.start, block.stop)
+        ])
+        joints = _smoothed_joint(draws.reshape(-1, *counts.shape).astype(float), n, smoothing)
+        p_x = np.sum(joints, axis=-1)
+        h_xy = _conditional_entropies(joints)
+        h_x = _neg_sum_plog2q(p_x, p_x)
+        effs[block] = h_xy / np.where(h_x > 0.0, h_x, np.nan)
+        if effs_q is not None:
+            h_q = _neg_sum_plog2q(p_x, np.broadcast_to(q, p_x.shape))
+            effs_q[block] = h_xy / np.where(h_q > 0.0, h_q, np.nan)
+    return effs, effs_q
 
 
 def _percentile_ci(values: np.ndarray, point: float) -> tuple[float, float]:
@@ -225,10 +242,9 @@ def estimate_efficiency(
 ) -> EstimateReport:
     """Point efficiency estimate with a seeded 95% percentile-bootstrap CI.
 
-    `quotes` (or `samples.quotes` as a fallback) switches on the
-    quote-efficiency fields. Raises DegenerateSystem when the estimated
-    outcome marginal has zero entropy, and ResamplesBelowMinimum when
-    `resamples` < 100.
+    `quotes` switches on the quote-efficiency fields. Raises
+    DegenerateSystem when the estimated outcome marginal has zero entropy,
+    and ResamplesBelowMinimum when `resamples` < 100.
     """
     if resamples < MIN_RESAMPLES:
         raise ResamplesBelowMinimum(
@@ -236,8 +252,6 @@ def estimate_efficiency(
         )
     if seed < 0:
         raise DomainViolation("seed must be nonnegative")
-    if quotes is None:
-        quotes = samples.quotes
 
     joint = estimate_joint(samples, smoothing)
     if quotes is not None:
@@ -258,17 +272,7 @@ def estimate_efficiency(
         )
 
     q_vec = quotes.probs if quotes is not None else None
-    p_flat = (counts / n).reshape(-1)
-    effs = np.empty(resamples)
-    effs_q = np.empty(resamples) if quotes is not None else None
-    for r in range(resamples):
-        rng = np.random.default_rng(np.random.SeedSequence((seed, r)))
-        resampled = rng.multinomial(n, p_flat).reshape(counts.shape)
-        joint_r = _smoothed_joint(resampled.astype(float), n, smoothing)
-        eff_r, eff_q_r = _eff_pair_from_joint(joint_r, q_vec)
-        effs[r] = eff_r
-        if effs_q is not None:
-            effs_q[r] = eff_q_r
+    effs, effs_q = _bootstrap(counts, n, smoothing, q_vec, resamples, seed)
 
     assert point.eff is not None
     ci_low, ci_high = _percentile_ci(effs, point.eff)

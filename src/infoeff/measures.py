@@ -34,42 +34,44 @@ def clamp_nonneg(value: float, what: str) -> float:
     return value
 
 
-def _entropy_from_probs(p: np.ndarray) -> float:
-    mask = p > 0.0
-    terms = np.zeros_like(p)
-    terms[mask] = p[mask] * np.log2(p[mask])
-    return float(-np.sum(terms))
+def _neg_sum_plog2q(p: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """-sum p * log2 q over the last axis, with 0 * log2 q = 0.
 
-
-def _cross_entropy_from_probs(p: np.ndarray, q: np.ndarray) -> float:
+    The one entropy kernel: H(p) is (p, p), the cross-entropy H(q) is
+    (p, q). p and q have the same shape; leading axes are a batch.
+    """
     mask = p > 0.0
     terms = np.zeros_like(p)
     terms[mask] = p[mask] * np.log2(q[mask])
-    return float(-np.sum(terms))
+    return -np.sum(terms, axis=-1)
 
 
-def _conditional_entropy_from_matrix(joint: np.ndarray) -> float:
-    # -sum_y p(y) sum_x p(x|y) log2 p(x|y); zero-probability signals
-    # contribute nothing. Accumulated signal by signal so that degenerate
-    # slices stay bit-exact against the marginal entropy.
+def _conditional_entropies(joint: np.ndarray) -> np.ndarray:
+    """H(X|Y) of each joint in a stack shaped (..., X, Y).
+
+    Every sum runs along a contiguous last axis, and signals accumulate
+    one by one from +0.0, so degenerate slices stay bit-exact against the
+    marginal entropy.
+    """
+    columns = np.ascontiguousarray(np.swapaxes(joint, -1, -2))
+    p_y = np.sum(columns, axis=-1)
+    # A zero-probability column is all zeros, so dividing it by 1 keeps it so.
+    cond = columns / np.where(p_y > 0.0, p_y, 1.0)[..., None]
+    terms = p_y * _neg_sum_plog2q(cond, cond)
     total = 0.0
-    for j in range(joint.shape[1]):
-        column = joint[:, j]
-        p_y = float(np.sum(column))
-        if p_y <= 0.0:
-            continue
-        total += p_y * _entropy_from_probs(column / p_y)
+    for term in np.moveaxis(terms, -1, 0):
+        total = total + term
     return total
 
 
 def entropy(dist: Distribution) -> float:
     """H(X) = -sum_x p(x) log2 p(x), in bits."""
-    return _entropy_from_probs(dist.probs)
+    return float(_neg_sum_plog2q(dist.probs, dist.probs))
 
 
 def conditional_entropy(joint: JointSystem) -> float:
     """H(X|Y) = -sum_y p(y) sum_x p(x|y) log2 p(x|y), in bits."""
-    return _conditional_entropy_from_matrix(joint.joint)
+    return float(_conditional_entropies(joint.joint))
 
 
 def mutual_information(joint: JointSystem) -> float:
@@ -90,7 +92,7 @@ def cross_entropy(p: Distribution, q: Distribution) -> float:
         raise UnsupportedOutcome(
             "q(x) = 0 for an outcome with p(x) > 0: cross-entropy is infinite"
         )
-    return _cross_entropy_from_probs(p.probs, q.probs)
+    return float(_neg_sum_plog2q(p.probs, q.probs))
 
 
 def quote_entropy(p: Distribution, alphas: Sequence[float]) -> float:
@@ -108,6 +110,4 @@ def quote_entropy(p: Distribution, alphas: Sequence[float]) -> float:
         raise NonpositiveQuote(
             f"quote must be positive on every supported outcome, got {a.tolist()}"
         )
-    terms = np.zeros_like(p.probs)
-    terms[mask] = p.probs[mask] * np.log2(a[mask])
-    return float(np.sum(terms))
+    return float(-_neg_sum_plog2q(p.probs, a))

@@ -50,7 +50,7 @@ def _check_prob_vector(p: np.ndarray, what: str) -> None:
     if np.any(p < 0.0):
         raise NegativeWeight(f"{what} has a negative entry: {p.tolist()}")
     total = float(np.sum(p))
-    if abs(total - 1.0) > SUM_TOL:
+    if not abs(total - 1.0) <= SUM_TOL:  # written so that NaN and inf fail it too
         raise SumNotOne(f"{what} sums to {total!r}, not 1 within {SUM_TOL}")
 
 
@@ -64,8 +64,8 @@ def _frozen_array(values) -> np.ndarray:
 class Distribution:
     """A probability vector over an ordered, unique outcome alphabet.
 
-    Invariants: probs >= 0, sum(probs) = 1 within 1e-9, labels unique and
-    non-empty. Construct via `make_distribution` / `normalize` or directly.
+    Invariants: finite probs >= 0 summing to 1 within 1e-9, labels unique
+    and non-empty. Construct via `make_distribution` / `normalize` or directly.
     """
 
     labels: Labels
@@ -128,7 +128,7 @@ class Channel:
 class JointSystem:
     """Joint distribution p(outcome, signal), row-major by outcome.
 
-    Invariants: all cells >= 0, total sum = 1 within 1e-9. When built by
+    Invariants: finite cells >= 0, total sum = 1 within 1e-9. When built by
     `joint_from_prior_channel`, marginalizing the signals out reproduces the
     prior to within 1e-12.
     """
@@ -149,7 +149,7 @@ class JointSystem:
         if np.any(joint < 0.0):
             raise NegativeWeight("joint has a negative cell")
         total = float(np.sum(joint))
-        if abs(total - 1.0) > SUM_TOL:
+        if not abs(total - 1.0) <= SUM_TOL:
             raise SumNotOne(f"joint sums to {total!r}, not 1 within {SUM_TOL}")
         object.__setattr__(self, "outcome_labels", outcomes)
         object.__setattr__(self, "signal_labels", signals)

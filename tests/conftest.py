@@ -5,7 +5,7 @@ from infoeff import Channel, Distribution, SampleSet, make_distribution
 
 
 def draw_records(prior: Distribution, channel: Channel, n: int, seed: int) -> SampleSet:
-    """Synthetic (signal, outcome) records from a known generator."""
+    """Count table of synthetic (signal, outcome) records from a known generator."""
     rng = np.random.default_rng(seed)
     xs = np.searchsorted(np.cumsum(prior.probs), rng.random(n), side="right")
     xs = np.minimum(xs, len(prior) - 1)
@@ -19,10 +19,9 @@ def draw_records(prior: Distribution, channel: Channel, n: int, seed: int) -> Sa
         ys[chosen] = np.minimum(
             np.searchsorted(cum, u[chosen], side="right"), len(cum) - 1
         )
-    records = tuple(
-        (channel.output_labels[j], prior.labels[i]) for i, j in zip(xs, ys)
-    )
-    return SampleSet(records, channel.output_labels, prior.labels)
+    table = np.zeros((len(prior), len(channel.output_labels)))
+    np.add.at(table, (xs, ys), 1.0)
+    return SampleSet(table, channel.output_labels, prior.labels)
 
 
 @pytest.fixture

@@ -77,6 +77,27 @@ class TestMeasure:
         assert main(["measure", "--in", str(samples_csv), "--quotes", str(bad)]) == 3
         assert "QuoteSumNotOne" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("bad", ["nan", "inf"])
+    def test_non_finite_quote_exit_3(self, samples_csv, tmp_path, capsys, bad):
+        path = tmp_path / "bad_quotes.csv"
+        write_samples(path, ["label,q", f"h,{bad}", "t,0.5"])
+        assert main(["measure", "--in", str(samples_csv), "--quotes", str(path)]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "QuoteSumNotOne" in captured.err
+
+    def test_utf8_bom_accepted(self, samples_csv, quotes_csv, tmp_path, capsys):
+        plain = ["measure", "--in", str(samples_csv), "--quotes", str(quotes_csv),
+                 "--resamples", "200"]
+        assert main(plain) == 0
+        expected = capsys.readouterr().out
+        for path in (samples_csv, quotes_csv):
+            bom = tmp_path / f"bom_{path.name}"
+            bom.write_bytes(b"\xef\xbb\xbf" + path.read_bytes())
+            args = [str(bom) if a == str(path) else a for a in plain]
+            assert main(args) == 0
+            assert capsys.readouterr().out == expected
+
 
 class TestCoin:
     def test_fair_predictable(self, capsys):

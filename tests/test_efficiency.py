@@ -7,6 +7,7 @@ from infoeff import (
     WEAK,
     Channel,
     DegenerateSystem,
+    DomainViolation,
     JointSystem,
     MarginalMismatch,
     QuoteSumNotOne,
@@ -153,8 +154,9 @@ class TestCompareInfoSets:
             compare_info_sets([(WEAK, INDEPENDENT_FAIR), (STRONG, other)])
 
     def test_empty_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(DomainViolation) as err:
             compare_info_sets([])
+        assert isinstance(err.value, ValueError)
 
 
 class TestRefinementMonotonicity:

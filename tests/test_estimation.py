@@ -5,11 +5,13 @@ import pytest
 
 import oracles
 from conftest import draw_records
+from infoeff import estimation
 from infoeff import (
     Channel,
     DegenerateSystem,
     DomainViolation,
     EmptyInput,
+    LabelMismatch,
     ParseError,
     ResamplesBelowMinimum,
     SampleSet,
@@ -29,7 +31,7 @@ class TestReadSamples:
     def test_single_record(self):
         samples = read_samples(sample_csv("signal,outcome\nh,h\n"))
         assert len(samples) == 1
-        assert samples.records == (("h", "h"),)
+        assert samples.counts().tolist() == [[1.0]]
         assert samples.signal_labels == ("h",)
         assert samples.outcome_labels == ("h",)
 
@@ -50,9 +52,10 @@ class TestReadSamples:
         assert "line" in str(err.value)
 
     def test_alphabets_sorted_when_inferred(self):
-        samples = read_samples(sample_csv("signal,outcome\nb,t\na,h\nb,h\n"))
+        samples = read_samples(sample_csv("signal,outcome\nb,t\na,h\nb,t\nb,h\nb,t\n"))
         assert samples.signal_labels == ("a", "b")
         assert samples.outcome_labels == ("h", "t")
+        assert samples.counts().tolist() == [[1.0, 1.0], [0.0, 3.0]]
 
     def test_directives_declare_alphabets(self):
         text = "# outcomes: h,t\n# signals: hi,lo\nsignal,outcome\nhi,h\n"
@@ -61,10 +64,16 @@ class TestReadSamples:
         assert samples.signal_labels == ("hi", "lo")
 
     def test_label_outside_declared_alphabet(self):
-        text = "# outcomes: h,t\nsignal,outcome\ns,x\n"
-        with pytest.raises(ParseError) as err:
-            read_samples(sample_csv(text))
-        assert err.value.line == 3
+        # The error points at the first bad record, also when the directive
+        # comes after the records.
+        for text, line, column in [
+            ("# outcomes: h,t\nsignal,outcome\ns,x\n", 3, 2),
+            ("signal,outcome\na,h\nb,x\nc,h\nb,x\n# outcomes: h,t\n", 3, 2),
+            ("signal,outcome\na,h\nb,h\na,x\n# outcomes: h,t\n# signals: a\n", 3, 1),
+        ]:
+            with pytest.raises(ParseError) as err:
+                read_samples(sample_csv(text))
+            assert (err.value.line, err.value.column) == (line, column)
 
     def test_comments_and_blank_lines_skipped(self):
         text = "# a comment\nsignal,outcome\n\nh,t\n# another\nt,h\n"
@@ -89,11 +98,31 @@ class TestReadSamples:
 
 
 def counts_sample_set(counts, signal_labels, outcome_labels) -> SampleSet:
-    records = []
-    for i, outcome in enumerate(outcome_labels):
-        for j, signal in enumerate(signal_labels):
-            records.extend([(signal, outcome)] * counts[i][j])
-    return SampleSet(tuple(records), tuple(signal_labels), tuple(outcome_labels))
+    return SampleSet(counts, tuple(signal_labels), tuple(outcome_labels))
+
+
+class TestSampleSet:
+    @pytest.mark.parametrize(
+        ("table", "error"),
+        [
+            ([[1, 2]], LabelMismatch),
+            ([[1], [2]], LabelMismatch),
+            ([[1, -1], [1, 1]], DomainViolation),
+            ([[1, 0.5], [1, 1]], DomainViolation),
+            ([[1, float("nan")], [1, 1]], DomainViolation),
+            ([[1, float("inf")], [1, 1]], DomainViolation),
+            ([[0, 0], [0, 0]], EmptyInput),
+        ],
+    )
+    def test_invalid_table_rejected(self, table, error):
+        with pytest.raises(error):
+            SampleSet(table, ("a", "b"), ("x", "y"))
+
+    def test_table_is_frozen(self):
+        samples = SampleSet([[1, 2], [3, 4]], ("a", "b"), ("x", "y"))
+        assert len(samples) == 10
+        with pytest.raises(ValueError):
+            samples.counts()[0, 0] = 5.0
 
 
 class TestEstimateJoint:
@@ -159,6 +188,15 @@ class TestEstimateEfficiency:
         c = estimate_efficiency(samples, resamples=300, seed=10)
         assert (a.ci_low, a.ci_high) != (c.ci_low, c.ci_high)
 
+    def test_bootstrap_independent_of_block_size(self, monkeypatch):
+        samples = draw_records(FAIR_PRIOR, ACC_09, 2000, seed=4)
+        quotes = make_distribution(samples.outcome_labels, (0.3, 0.7))
+        whole = estimate_efficiency(samples, quotes=quotes, resamples=300, seed=9)
+        # 1 resample per block, then 7 per block with a partial last block.
+        for cells in (1, 7 * samples.counts().size):
+            monkeypatch.setattr(estimation, "BLOCK_CELLS", cells)
+            assert estimate_efficiency(samples, quotes=quotes, resamples=300, seed=9) == whole
+
     def test_quote_fields(self):
         samples = draw_records(FAIR_PRIOR, INDEPENDENT, 5000, seed=5)
         quotes = make_distribution(samples.outcome_labels, (0.05, 0.95))
@@ -167,7 +205,7 @@ class TestEstimateEfficiency:
         assert report.eff_q_ci_low <= report.point.eff_q <= report.eff_q_ci_high
 
     def test_degenerate_marginal(self):
-        samples = SampleSet((("s", "h"), ("s", "h")), ("s",), ("h",))
+        samples = SampleSet([[2]], ("s",), ("h",))
         with pytest.raises(DegenerateSystem):
             estimate_efficiency(samples, resamples=100, seed=0)
 

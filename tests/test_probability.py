@@ -7,6 +7,7 @@ from infoeff import (
     Channel,
     DuplicateLabel,
     EmptyAlphabet,
+    JointSystem,
     LabelMismatch,
     NegativeWeight,
     SumNotOne,
@@ -38,6 +39,15 @@ class TestMakeDistribution:
     def test_negative_weight(self):
         with pytest.raises(NegativeWeight):
             make_distribution(["h", "t"], [1.1, -0.1])
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    def test_non_finite_rejected(self, bad):
+        with pytest.raises(SumNotOne):
+            make_distribution(["h", "t"], [bad, 0.5])
+        with pytest.raises(SumNotOne):
+            Channel(("a",), ("u", "v"), [[bad, 0.5]])
+        with pytest.raises(SumNotOne):
+            JointSystem(("h", "t"), ("u",), [[bad], [0.5]])
 
     def test_duplicate_label(self):
         with pytest.raises(DuplicateLabel):
