@@ -9,7 +9,7 @@ Subcommands:
 Every run is fully determined by its flags: all randomness flows from
 --seed (default DEFAULT_SEED, a fixed constant, never time-based), so the
 same invocation produces byte-identical output. Exit codes: 0 ok, 2 parse
-error, 3 domain error, 4 I/O error.
+error, 3 domain error, 4 I/O error, 5 out of memory.
 """
 
 from __future__ import annotations
@@ -17,6 +17,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+import warnings
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -39,6 +40,7 @@ EXIT_OK = 0
 EXIT_PARSE = 2
 EXIT_DOMAIN = 3
 EXIT_IO = 4
+EXIT_RESOURCE = 5
 
 FIGURES = {
     1: ("eff_vs_accuracy", "signal accuracy p(y|x)", "efficiency Eff(X|Y)"),
@@ -130,14 +132,18 @@ def cmd_measure(config: RunConfig) -> int:
     quotes = None
     if config.quotes_path is not None:
         quotes = _read_quote_sidecar(config.quotes_path, samples.outcome_labels)
-    report = estimate_efficiency(
-        samples,
-        smoothing=config.smoothing,
-        quotes=quotes,
-        resamples=config.resamples,
-        seed=config.seed,
-        info_set=config.info_set,
-    )
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always", UserWarning)
+        report = estimate_efficiency(
+            samples,
+            smoothing=config.smoothing,
+            quotes=quotes,
+            resamples=config.resamples,
+            seed=config.seed,
+            info_set=config.info_set,
+        )
+    for warning in caught:  # one line each, without the source location
+        sys.stderr.write(f"warning: {warning.message}\n")
     flat = report.point.as_dict()
     flat.update(
         ci_low=report.ci_low,
@@ -339,6 +345,9 @@ def run(config: RunConfig) -> int:
     except OSError as exc:
         sys.stderr.write(f"error: {type(exc).__name__}: {exc}\n")
         return EXIT_IO
+    except MemoryError as exc:
+        sys.stderr.write(f"error: {type(exc).__name__}: {exc}\n")
+        return EXIT_RESOURCE
 
 
 def config_from_args(argv: list[str] | None = None) -> RunConfig:

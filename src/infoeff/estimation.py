@@ -1,8 +1,10 @@
 """Empirical efficiency from sampled (signal, outcome) records.
 
 Records are tallied straight into the outcome x signal count table, the
-sufficient statistic of every estimator here: memory grows with the
-number of cells, not of records.
+sufficient statistic of every estimator here. The lines after the header
+are read in bounded chunks of CHUNK_LINES and counted per distinct raw
+line, and each distinct line is parsed once, so parsing memory depends on
+the number of cells plus one chunk, not on the number of records.
 
 The estimator is the plug-in (maximum likelihood) joint with optional
 additive smoothing, default 0.5 (Jeffreys-style): cell = (count + s) /
@@ -27,7 +29,9 @@ the sorted observed labels.
 
 from __future__ import annotations
 
+import itertools
 import warnings
+from collections import Counter
 from collections.abc import Iterable
 from dataclasses import dataclass
 
@@ -49,6 +53,7 @@ MIN_RESAMPLES = 100
 DEFAULT_SMOOTHING = 0.5
 DEFAULT_RESAMPLES = 1000
 BLOCK_CELLS = 2**16  # per bootstrap block; bounds memory whatever the resamples
+CHUNK_LINES = 2**16  # lines tallied at a time; bounds parse memory whatever the records
 
 HEADER = ("signal", "outcome")
 
@@ -112,15 +117,40 @@ class EstimateReport:
     eff_q_ci_high: float | None = None
 
 
-def _parse_directive(body: str, line_no: int) -> tuple[str, tuple[str, ...]] | None:
-    head, sep, rest = body.partition(":")
-    key = head.strip().lower()
-    if not sep or key not in ("signals", "outcomes"):
-        return None
-    labels = tuple(tok.strip() for tok in rest.split(","))
-    if any(lbl == "" for lbl in labels):
-        raise ParseError(line_no, 1, f"empty label in '{key}' directive")
-    return key, labels
+def _parse_line(raw: str, in_header: bool) -> tuple[str, object]:
+    """Parse one raw line into (kind, value); `in_header` while the header is due.
+
+    kind is "skip" (blank or plain comment), "directive" (value: key,
+    labels), "header", "record" (value: signal, outcome) or "error"
+    (value: column, reason). The line number is the caller's to add.
+    """
+    line = raw.strip()
+    if line == "":
+        return "skip", None
+    if line.startswith("#"):
+        head, sep, rest = line.lstrip("#").partition(":")
+        key = head.strip().lower()
+        if not sep or key not in ("signals", "outcomes"):
+            return "skip", None
+        labels = tuple(tok.strip() for tok in rest.split(","))
+        if "" in labels:
+            return "error", (1, f"empty label in '{key}' directive")
+        return "directive", (key, labels)
+    fields = [f.strip() for f in line.split(",")]
+    if in_header:
+        if len(fields) != 2:
+            return "error", (1, "header must have exactly 2 columns")
+        for col, (got, want) in enumerate(zip(fields, HEADER), start=1):
+            if got != want:
+                return "error", (col, f"unknown column {got!r} (expected {want!r})")
+        return "header", None
+    if len(fields) != 2:
+        return "error", (1, f"expected 2 fields, got {len(fields)}")
+    if fields[0] == "":
+        return "error", (1, "empty signal label")
+    if fields[1] == "":
+        return "error", (2, "empty outcome label")
+    return "record", (fields[0], fields[1])
 
 
 def read_samples(source: Iterable[str]) -> SampleSet:
@@ -130,41 +160,51 @@ def read_samples(source: Iterable[str]) -> SampleSet:
     ParseError with the offending line/column, or EmptyInput when the header
     is present but no records follow.
     """
-    tally: dict[tuple[str, str], list[int]] = {}  # (signal, outcome) -> [first line, count]
+    lines = iter(source)
     declared: dict[str, tuple[str, ...]] = {}
-    header_seen = False
     line_no = 0
-    for line_no, raw in enumerate(source, start=1):
-        line = raw.strip()
-        if line == "":
-            continue
-        if line.startswith("#"):
-            directive = _parse_directive(line.lstrip("#"), line_no)
-            if directive is not None:
-                declared[directive[0]] = directive[1]
-            continue
-        fields = [f.strip() for f in line.split(",")]
-        if not header_seen:
-            if len(fields) != 2:
-                raise ParseError(line_no, 1, "header must have exactly 2 columns")
-            for col, (got, want) in enumerate(zip(fields, HEADER), start=1):
-                if got != want:
-                    raise ParseError(line_no, col, f"unknown column {got!r} (expected {want!r})")
-            header_seen = True
-            continue
-        if len(fields) != 2:
-            raise ParseError(line_no, 1, f"expected 2 fields, got {len(fields)}")
-        signal, outcome = fields
-        if signal == "":
-            raise ParseError(line_no, 1, "empty signal label")
-        if outcome == "":
-            raise ParseError(line_no, 2, "empty outcome label")
-        tally.setdefault((signal, outcome), [line_no, 0])[1] += 1
-
-    if not header_seen:
+    for line_no, raw in enumerate(lines, start=1):
+        kind, value = _parse_line(raw, in_header=True)
+        if kind == "error":
+            raise ParseError(line_no, *value)
+        if kind == "directive":
+            declared[value[0]] = value[1]
+        elif kind == "header":
+            break
+    else:
         raise ParseError(1, 1, "missing header line 'signal,outcome'")
+
+    tally: dict[tuple[str, str], list[int]] = {}  # (signal, outcome) -> [first line, count]
+    parsed: dict[str, tuple[str, object]] = {}  # raw line -> its _parse_line result
+    while chunk := list(itertools.islice(lines, CHUNK_LINES)):
+        # Counter keeps first-occurrence order, so the first error met is the
+        # first bad line, and each chunk.index scan resumes where the last
+        # one stopped: line numbers cost one pass over the chunk at most.
+        pos = 0
+        directives: dict[str, tuple[str, tuple[str, ...]]] = {}
+        for raw, count in Counter(chunk).items():
+            if raw not in parsed:
+                parsed[raw] = _parse_line(raw, in_header=False)
+            kind, value = parsed[raw]
+            if kind == "record":
+                if value in tally:
+                    tally[value][1] += count
+                else:
+                    pos = chunk.index(raw, pos)
+                    tally[value] = [line_no + pos + 1, count]
+            elif kind == "directive":
+                directives[raw] = value
+            elif kind == "error":
+                raise ParseError(line_no + chunk.index(raw, pos) + 1, *value)
+        if directives:  # applied in file order, so the last one wins
+            last = {raw: i for i, raw in enumerate(chunk) if raw in directives}
+            declared.update(directives[raw] for raw in sorted(directives, key=last.get))
+        line_no += len(chunk)
+        if len(parsed) > len(tally) + CHUNK_LINES:  # many spellings of the same cells
+            parsed.clear()  # keeps memory O(cells + CHUNK_LINES)
+
     if not tally:
-        raise EmptyInput(f"no records after the header (line {line_no or 1})")
+        raise EmptyInput(f"no records after the header (line {line_no})")
 
     signal_labels = declared.get("signals") or tuple(sorted({s for s, _ in tally}))
     outcome_labels = declared.get("outcomes") or tuple(sorted({o for _, o in tally}))

@@ -68,6 +68,58 @@ def expected_growth(joint, alphas, allocations) -> float:
     return total
 
 
+def parse_samples(lines):
+    """Line-by-line reference parse of a (signal, outcome) samples CSV.
+
+    Returns (counts, signal_labels, outcome_labels), with counts mapping
+    each (signal, outcome) pair to its number of records, or a triple for
+    the first problem: ("ParseError", line, column), or ("EmptyInput",
+    number of lines read, None) when no record follows the header.
+    """
+    counts, first_line, declared = {}, {}, {}
+    header_seen = False
+    line_no = 0
+    for line_no, raw in enumerate(lines, start=1):
+        line = raw.strip()
+        if line == "":
+            continue
+        if line.startswith("#"):
+            key, colon, rest = line.lstrip("#").partition(":")
+            key = key.strip().lower()
+            if colon and key in ("signals", "outcomes"):
+                labels = tuple(tok.strip() for tok in rest.split(","))
+                if "" in labels:
+                    return ("ParseError", line_no, 1)
+                declared[key] = labels
+            continue
+        fields = [f.strip() for f in line.split(",")]
+        if not header_seen:
+            if fields != ["signal", "outcome"]:
+                column = 2 if len(fields) == 2 and fields[0] == "signal" else 1
+                return ("ParseError", line_no, column)
+            header_seen = True
+            continue
+        if len(fields) != 2 or fields[0] == "":
+            return ("ParseError", line_no, 1)
+        if fields[1] == "":
+            return ("ParseError", line_no, 2)
+        pair = (fields[0], fields[1])
+        counts[pair] = counts.get(pair, 0) + 1
+        first_line.setdefault(pair, line_no)
+    if not header_seen:
+        return ("ParseError", 1, 1)
+    if not counts:
+        return ("EmptyInput", line_no, None)
+    signals = declared.get("signals") or tuple(sorted({s for s, _ in counts}))
+    outcomes = declared.get("outcomes") or tuple(sorted({o for _, o in counts}))
+    for (signal, outcome), line in sorted(first_line.items(), key=lambda item: item[1]):
+        if signal not in signals:
+            return ("ParseError", line, 1)
+        if outcome not in outcomes:
+            return ("ParseError", line, 2)
+    return counts, signals, outcomes
+
+
 # Frozen expected values (computed with the functions above, then pinned).
 FROZEN_HB_09 = 0.4689955935892811          # binary_entropy(0.9)
 FROZEN_HB_055 = 0.9927744539878083         # binary_entropy(0.55)

@@ -3,6 +3,7 @@ import json
 import pytest
 
 import oracles
+from infoeff import cli
 from infoeff.cli import main
 
 
@@ -97,6 +98,26 @@ class TestMeasure:
             args = [str(bom) if a == str(path) else a for a in plain]
             assert main(args) == 0
             assert capsys.readouterr().out == expected
+
+    def test_small_sample_warning_is_one_line(self, tmp_path, capsys):
+        path = tmp_path / "small.csv"
+        write_samples(path, ["signal,outcome", "h,h", "t,t", "h,t"])
+        assert main(["measure", "--in", str(path), "--resamples", "100"]) == 0
+        captured = capsys.readouterr()
+        assert json.loads(captured.out)["small_sample"] is True
+        assert captured.err == (
+            "warning: only 3 samples for 4 cells; plug-in efficiency biases low at small N\n"
+        )
+
+    def test_memory_error_exit_5(self, samples_csv, monkeypatch, capsys):
+        def exhausted(config):
+            raise MemoryError("cannot allocate")
+
+        monkeypatch.setitem(cli.COMMANDS, "measure", exhausted)
+        assert main(["measure", "--in", str(samples_csv)]) == 5
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: MemoryError: cannot allocate\n"
 
 
 class TestCoin:

@@ -1,4 +1,6 @@
 import io
+import random
+import re
 
 import numpy as np
 import pytest
@@ -95,6 +97,86 @@ class TestReadSamples:
         ]
         samples = read_samples(sample_csv("\n".join(lines)))
         assert len(samples) == 100_000
+
+
+def parsed(text: str):
+    """read_samples' result in the terms of oracles.parse_samples."""
+    try:
+        samples = read_samples(sample_csv(text))
+    except ParseError as err:
+        return ("ParseError", err.line, err.column)
+    except EmptyInput as err:
+        return ("EmptyInput", int(re.search(r"\(line (\d+)\)", str(err)).group(1)), None)
+    table = samples.counts()
+    counts = {
+        (signal, outcome): int(table[i, j])
+        for i, outcome in enumerate(samples.outcome_labels)
+        for j, signal in enumerate(samples.signal_labels)
+        if table[i, j]
+    }
+    return counts, samples.signal_labels, samples.outcome_labels
+
+
+def random_sample_text(rng: random.Random) -> str:
+    def line():
+        roll = rng.random()
+        if roll < 0.08:
+            return rng.choice(["", "  ", "# note", "#"])
+        if roll < 0.14:
+            key, pool = rng.choice([("signals", ["a", " b", "c", "d"]),
+                                    (" Outcomes ", ["h", "t", "u"])])
+            labels = rng.sample(pool, rng.randint(2, len(pool)))
+            return f"#{key}:" + ",".join(labels + [""] * (rng.random() < 0.1))
+        if roll < 0.17:
+            return rng.choice(["signal,outcome", "a,h,t", ",h", "a,", "a"])
+        return f"{rng.choice(['a', 'b', ' a', 'c '])},{rng.choice(['h', 't', 'h '])}"
+
+    head = rng.sample(["", "# note", "# signals: a,b,c,d", "#outcomes: t,h,u"], rng.randint(0, 2))
+    headers = ["signal,outcome"] * 8 + ["signal,result", "signal", " signal , outcome "]
+    head.append(rng.choice(headers))
+    body = [line() for _ in range(rng.randint(0, 20))]
+    return "".join(text + rng.choice(["\n", "\r\n"]) for text in head + body)
+
+
+GOOD = ["a,h", "b,t", "a,t", "b,h", "a,h"] * 3
+PARSER_CASES = [
+    "signal,outcome\nsignal,outcome\nh,t\n",  # a second header line is a record
+    # Conflicting directives; the last one wins, also when an earlier line repeats it.
+    "# signals: b,a\nsignal,outcome\na,h\n# signals: a\nb,h\n# signals: a,b,c\n",
+    "# signals: a,b\nsignal,outcome\na,h\n# signals: b,a\nb,h\n# signals: a,b\nb,h\n",
+    "signal,outcome\na,h\n#outcomes: h,t\na,t\n# Outcomes : t,h\na,h\n#outcomes: h,t\n",
+    "signal,outcome\na,h\n a ,h\na, h\n\ta,h \na,h\n",  # whitespace variants of one cell
+    "signal,outcome\r\na,h\r\n\r\nb,t\r\n   \r\na,h\nb,t\r\n",  # CRLF and blank lines
+    "# comment\nsignal,outcome\n\n# no records\n\n",  # EmptyInput names the last line
+    "signal,outcome\n",
+    "signal,outcome\n" + "a,h\n" * 9 + "c,h\n" + "a,h\n" * 9 + "# signals: a\n",
+] + [
+    # A bad line at every position, so it is the first or the last line of a
+    # chunk for each chunk size tested.
+    "signal,outcome\n" + "\n".join(GOOD[:pos] + [bad] + GOOD[pos:]) + "\n"
+    for bad in ("a,h,t", "a,", ",h", "# signals: a,")
+    for pos in range(len(GOOD) + 1)
+]
+
+
+class TestReadSamplesAgainstOracle:
+    @pytest.mark.parametrize("chunk_lines", [1, 2, 7, estimation.CHUNK_LINES])
+    def test_matches_line_by_line_reference(self, chunk_lines, monkeypatch):
+        monkeypatch.setattr(estimation, "CHUNK_LINES", chunk_lines)
+        rng = random.Random(20)
+        texts = PARSER_CASES + [random_sample_text(rng) for _ in range(400)]
+        for text in texts:
+            assert parsed(text) == oracles.parse_samples(sample_csv(text)), text
+
+    def test_reference_cases_hit_each_outcome(self):
+        results = [oracles.parse_samples(sample_csv(text)) for text in PARSER_CASES]
+        assert results[0][0] == {("signal", "outcome"): 1, ("h", "t"): 1}
+        assert [r[1] for r in results[1:3]] == [("a", "b", "c"), ("a", "b")]
+        assert results[3][2] == ("h", "t")
+        assert results[4][0] == {("a", "h"): 5}
+        assert results[5][0] == {("a", "h"): 2, ("b", "t"): 2}
+        assert results[6:9] == [("EmptyInput", 5, None), ("EmptyInput", 1, None),
+                                ("ParseError", 11, 1)]
 
 
 def counts_sample_set(counts, signal_labels, outcome_labels) -> SampleSet:

@@ -1,7 +1,8 @@
 """Property-based tests of the information-theoretic invariants.
 
 Strategies build distributions/channels by normalizing positive weight
-vectors, which guarantees validity by construction.
+vectors, which guarantees validity by construction; a separate strategy
+mixes NaN and infinities into such vectors to check that they are refused.
 """
 
 import math
@@ -14,6 +15,8 @@ from hypothesis import strategies as st
 from infoeff import (
     Channel,
     Distribution,
+    InfoEffError,
+    JointSystem,
     compose_channels,
     conditional_entropy,
     cross_entropy,
@@ -21,6 +24,7 @@ from infoeff import (
     efficiency_with_quotes,
     entropy,
     joint_from_prior_channel,
+    make_distribution,
     marginal_outcome,
     mutual_information,
     normalize,
@@ -56,6 +60,17 @@ def channels(draw, input_labels, min_outputs=2, max_outputs=5):
     matrix = np.asarray(rows)
     matrix = matrix / matrix.sum(axis=1, keepdims=True)
     return Channel(input_labels, out_labels, matrix)
+
+
+@st.composite
+def weights_with_non_finite(draw, n):
+    """Probabilities summing to 1, with some entries (maybe none) made nan or +-inf."""
+    weights = draw(st.lists(positive_weight, min_size=n, max_size=n))
+    total = sum(weights)
+    weights = [w / total for w in weights]
+    for i in draw(st.lists(st.integers(min_value=0, max_value=n - 1), max_size=n)):
+        weights[i] = draw(st.sampled_from([math.nan, math.inf, -math.inf]))
+    return weights
 
 
 @st.composite
@@ -156,3 +171,25 @@ def test_garbling_monotonicity(pc, data):
     h_fine = conditional_entropy(joint_from_prior_channel(prior, fine))
     h_coarse = conditional_entropy(joint_from_prior_channel(prior, coarse))
     assert h_fine <= h_coarse + 1e-12
+
+
+@given(st.data())
+def test_non_finite_weights_never_validate(data):
+    # Each constructor either yields finite probabilities or raises.
+    n_x = data.draw(st.integers(min_value=1, max_value=4))
+    n_y = data.draw(st.integers(min_value=1, max_value=4))
+    xs = tuple(f"x{i}" for i in range(n_x))
+    ys = tuple(f"y{j}" for j in range(n_y))
+    probs = data.draw(weights_with_non_finite(n_x))
+    rows = [data.draw(weights_with_non_finite(n_y)) for _ in xs]
+    cells = np.reshape(data.draw(weights_with_non_finite(n_x * n_y)), (n_x, n_y))
+    for build in (
+        lambda: make_distribution(xs, probs).probs,
+        lambda: Channel(xs, ys, rows).rows,
+        lambda: JointSystem(xs, ys, cells).joint,
+    ):
+        try:
+            values = build()
+        except InfoEffError:
+            continue
+        assert np.all(np.isfinite(values))
