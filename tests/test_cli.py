@@ -277,6 +277,56 @@ GOLDEN_SIMULATE_CSV = (
     "0.5310044064107189,0.028529325012983442\n"
 )
 
+# `simulate` over 100003 rounds, which no power-of-two chunk size divides.
+GOLDEN_SIMULATE_JSON_3RUNS = (
+    '{\n'
+    '  "p_tail": 0.4,\n'
+    '  "accuracy": 0.8,\n'
+    '  "q_tail": 0.3,\n'
+    '  "rounds": 100003,\n'
+    '  "seed": 11,\n'
+    '  "runs": 3,\n'
+    '  "target_bits_per_round": 0.30023897324436233,\n'
+    '  "run_results": [\n'
+    '    {\n'
+    '      "run_index": 0,\n'
+    '      "final_log2_wealth": 29709.923692565088,\n'
+    '      "mean_growth": 0.2970903242159244,\n'
+    '      "abs_error": 0.003148649028437922,\n'
+    '      "bankrupt_round": null\n'
+    '    },\n'
+    '    {\n'
+    '      "run_index": 1,\n'
+    '      "final_log2_wealth": 29978.39198691304,\n'
+    '      "mean_growth": 0.29977492662133176,\n'
+    '      "abs_error": 0.0004640466230305673,\n'
+    '      "bankrupt_round": null\n'
+    '    },\n'
+    '    {\n'
+    '      "run_index": 2,\n'
+    '      "final_log2_wealth": 29347.320190280956,\n'
+    '      "mean_growth": 0.2934643979708704,\n'
+    '      "abs_error": 0.006774575273491901,\n'
+    '      "bankrupt_round": null\n'
+    '    }\n'
+    '  ],\n'
+    '  "aggregate_mean_growth": 0.2967765496027089,\n'
+    '  "aggregate_abs_error": 0.003462423641653445\n'
+    '}\n'
+)
+GOLDEN_TRAJECTORY_CSV = (
+    "round,log2_wealth\n"
+    "1,-2.5849625007211565\n"
+    "12501,7073.4737242565025\n"
+    "25001,14164.156473533225\n"
+    "37501,21137.00613527316\n"
+    "50002,28096.173084469097\n"
+    "62502,35158.643796182536\n"
+    "75002,42239.9054828648\n"
+    "87502,49003.80174445984\n"
+    "100003,56003.44238116309\n"
+)
+
 # `measure` on 1200 records over 10 outcomes and 9 declared signals, of
 # which s8 never occurs: with smoothing 0 its column is empty in the point
 # estimate and in every resample.
@@ -365,6 +415,26 @@ class TestGoldenOutputs:
         )
         assert code == 0
         assert capsys.readouterr().out == GOLDEN_SIMULATE_CSV
+
+    def test_simulate_json_three_runs_bytes(self, capsys):
+        code = main(
+            ["simulate", "--p-tail", "0.4", "--accuracy", "0.8", "--q-tail", "0.3",
+             "--rounds", "100003", "--runs", "3", "--seed", "11"]
+        )
+        assert code == 0
+        assert capsys.readouterr().out == GOLDEN_SIMULATE_JSON_3RUNS
+
+    def test_simulate_trajectory_csv_bytes(self, tmp_path, capsys):
+        traj = tmp_path / "trajectory.csv"
+        code = main(
+            ["simulate", "--accuracy", "0.9", "--q-tail", "0.6", "--rounds", "100003",
+             "--seed", "5", "--trajectory-out", str(traj), "--trajectory-points", "9"]
+        )
+        assert code == 0
+        assert json.loads(capsys.readouterr().out)["run_results"][0][
+            "final_log2_wealth"
+        ] == 56003.44238116309
+        assert traj.read_text(encoding="utf-8") == GOLDEN_TRAJECTORY_CSV
 
 
 class TestCoinConsistencyGrid:

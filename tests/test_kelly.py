@@ -171,6 +171,61 @@ class TestSimulate:
         assert np.median(errors_large) < np.median(errors_small)
 
 
+def three_by_four_market() -> MarketParams:
+    prior = make_distribution(("a", "b", "c"), (0.5, 0.3, 0.2))
+    channel = Channel(
+        prior.labels,
+        ("w", "x", "y", "z"),
+        [[0.4, 0.3, 0.2, 0.1], [0.1, 0.2, 0.3, 0.4], [0.25, 0.25, 0.25, 0.25]],
+    )
+    quotes = make_distribution(prior.labels, (0.4, 0.4, 0.2))
+    return MarketParams(prior, channel, quotes)
+
+
+def golden_runs():
+    """(name, simulate thunk) pairs whose results are pinned byte for byte."""
+    market = three_by_four_market()
+    strat = kelly_strategy(market.prior, market.channel)
+    rare_tail = coin_market(0.05, 0.5, 0.5)
+    all_in_head = Distribution(("h", "t"), (1.0, 0.0))
+    reckless = BettingStrategy({"h": all_in_head, "t": all_in_head})
+    return [
+        ("3x4", lambda: simulate(
+            market, strat, rounds=20011, seed=13, run_index=2, trajectory_points=6
+        )),
+        ("bankrupt", lambda: simulate(
+            rare_tail, reckless, rounds=1000, seed=12, trajectory_points=5
+        )),
+    ]
+
+
+# Byte-exact golden results: any change here is a behavioral change and
+# must be deliberate.
+GOLDEN_SIMULATE_REPR = {
+    "3x4": (
+        "SimulationResult(rounds=20011, seed=13, run_index=2, "
+        "final_log2_wealth=3202.5152062455572, mean_growth=0.16003773955552233, "
+        "trajectory_sample=((1, 0.05889368905356829), (4003, 677.4305589999407), "
+        "(8005, 1288.3523753383972), (12007, 1936.663622944804), "
+        "(16009, 2556.217178268878), (20011, 3202.5152062455572)), "
+        "bankrupt_round=None)"
+    ),
+    "bankrupt": (
+        "SimulationResult(rounds=1000, seed=12, run_index=0, "
+        "final_log2_wealth=-inf, mean_growth=-inf, "
+        "trajectory_sample=((1, 1.0), (250, -inf), (500, -inf), (750, -inf), "
+        "(1000, -inf)), bankrupt_round=74)"
+    ),
+}
+
+
+class TestGoldenSimulate:
+    @pytest.mark.parametrize("name", sorted(GOLDEN_SIMULATE_REPR))
+    def test_repr_bytes(self, name):
+        run = dict(golden_runs())[name]
+        assert repr(run()) == GOLDEN_SIMULATE_REPR[name]
+
+
 class TestExpectedGrowth:
     def test_matches_direct_sum_oracle(self):
         rng = np.random.default_rng(31)
