@@ -198,8 +198,14 @@ def cmd_simulate(config: RunConfig) -> int:
     market = MarketParams(prior, channel, quotes)
     strategy = kelly_strategy(prior, channel)
     target = kelly_growth_target(market)
+    if config.runs < 1:
+        raise DomainViolation(f"--runs must be >= 1, got {config.runs}")
     if config.trajectory_out is not None and config.runs != 1:
         raise DomainViolation("--trajectory-out requires --runs 1")
+    if config.trajectory_out is not None and config.trajectory_points < 1:
+        raise DomainViolation(
+            f"--trajectory-points must be >= 1, got {config.trajectory_points}"
+        )
 
     results = []
     for run_index in range(config.runs):

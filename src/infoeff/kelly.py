@@ -13,7 +13,16 @@ real).
 
 RNG: NumPy PCG64, seeded through SeedSequence((seed, run_index)) so each
 run owns an independent, reproducible stream. Identical (params, strategy,
-rounds, seed, run_index) reproduce the result bit-for-bit.
+rounds, seed, run_index) reproduce the result bit-for-bit. A run reads that
+stream as two halves of `rounds` doubles each: the outcome uniforms first,
+then the signal uniforms. The signal half is read by a second PCG64 on the
+same SeedSequence, jumped ahead by `rounds` draws with `.advance` (O'Neill
+2014), so both halves are consumed together, chunk by chunk, with the same
+doubles as a single pass. Rounds are simulated in chunks of
+SIM_CHUNK_ROUNDS; the log wealth is a cumulative sum that carries the
+previous chunk's total into the first element of the next, so the addition
+stays sequential and every bit matches a whole-run sum. Memory does not
+grow with `rounds`.
 """
 
 from __future__ import annotations
@@ -38,6 +47,8 @@ from .probability import (
     bayes_posterior,
     joint_from_prior_channel,
 )
+
+SIM_CHUNK_ROUNDS = 2**14  # rounds per chunk: simulate's memory is O(chunk)
 
 
 @dataclass(frozen=True, eq=False)
@@ -163,45 +174,60 @@ def simulate(
     if seed < 0 or run_index < 0:
         raise DomainViolation("seed and run_index must be nonnegative")
     log2_pay = _log2_payout_matrix(market, strategy)
+    flat_pay = log2_pay.ravel()
+    n_outcomes = log2_pay.shape[1]
+    # An index is the number of cumulative edges <= u, last edge dropped:
+    # min(searchsorted(cum, u, "right"), n - 1), integer for integer.
+    outcome_edges = np.cumsum(market.prior.probs)[:-1]
+    signal_edges = np.cumsum(market.channel.rows, axis=1)[:, :-1].T.copy()
 
-    rng = np.random.default_rng(np.random.SeedSequence((seed, run_index)))
-    cum_prior = np.cumsum(market.prior.probs)
-    xs = np.searchsorted(cum_prior, rng.random(rounds), side="right")
-    xs = np.minimum(xs, len(cum_prior) - 1)
-    u_signal = rng.random(rounds)
-    ys = np.empty(rounds, dtype=np.intp)
-    for i in range(len(market.prior)):
-        chosen = xs == i
-        if not np.any(chosen):
-            continue
-        cum_row = np.cumsum(market.channel.rows[i])
-        ys[chosen] = np.minimum(
-            np.searchsorted(cum_row, u_signal[chosen], side="right"),
-            len(cum_row) - 1,
-        )
+    seq = np.random.SeedSequence((seed, run_index))
+    outcome_rng = np.random.Generator(np.random.PCG64(seq))
+    signal_rng = np.random.Generator(np.random.PCG64(seq).advance(rounds))
 
-    per_round = log2_pay[ys, xs]
-    bankrupt_round = None
-    ruined = np.isneginf(per_round)
-    if np.any(ruined):
-        bankrupt_round = int(np.argmax(ruined)) + 1
-    log2_wealth = np.cumsum(per_round)
-    final = float(log2_wealth[-1])
-    mean = final / rounds
-
-    trajectory = None
+    sample_rounds = np.empty(0, dtype=int)
     if trajectory_points > 0:
-        idx = np.unique(
+        # The rounds of a whole-run linspace, not the chunk boundaries.
+        sample_rounds = np.unique(
             np.linspace(1, rounds, min(trajectory_points, rounds)).astype(int)
         )
-        trajectory = tuple((int(i), float(log2_wealth[i - 1])) for i in idx)
+    samples = []
+    taken = 0
+    log2_final = 0.0
+    bankrupt_round = None
+    for start in range(0, rounds, SIM_CHUNK_ROUNDS):
+        size = min(SIM_CHUNK_ROUNDS, rounds - start)
+        u_outcome = outcome_rng.random(size)
+        u_signal = signal_rng.random(size)
+        xs = np.zeros(size, dtype=np.intp)
+        for edge in outcome_edges:
+            xs += edge <= u_outcome
+        cells = np.zeros(size, dtype=np.intp)
+        for edges in signal_edges:
+            cells += edges.take(xs) <= u_signal
+        cells *= n_outcomes
+        cells += xs
 
+        per_round = flat_pay.take(cells)
+        per_round[0] += log2_final
+        log2_wealth = np.cumsum(per_round)
+        log2_final = float(log2_wealth[-1])
+        # No cell is +inf, so the sum turns -inf exactly at the first ruin.
+        if bankrupt_round is None and np.isneginf(log2_final):
+            bankrupt_round = start + int(np.argmax(np.isneginf(log2_wealth))) + 1
+
+        stop = int(np.searchsorted(sample_rounds, start + size, side="right"))
+        picked = sample_rounds[taken:stop]
+        samples += zip(picked.tolist(), log2_wealth[picked - start - 1].tolist())
+        taken = stop
+
+    trajectory = tuple(samples) if trajectory_points > 0 else None
     return SimulationResult(
         rounds=rounds,
         seed=seed,
         run_index=run_index,
-        final_log2_wealth=final,
-        mean_growth=mean,
+        final_log2_wealth=log2_final,
+        mean_growth=log2_final / rounds,
         trajectory_sample=trajectory,
         bankrupt_round=bankrupt_round,
     )

@@ -203,6 +203,29 @@ class TestSimulate:
         )
         assert code == 3
 
+    @pytest.mark.parametrize("runs", ["0", "-2"])
+    def test_runs_below_one_exit_3(self, capsys, runs):
+        code = main(["simulate", "--accuracy", "0.9", "--rounds", "100", "--runs", runs])
+        assert code == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: DomainViolation: --runs must be >= 1, got {runs}\n"
+
+    @pytest.mark.parametrize("points", ["0", "-1"])
+    def test_trajectory_points_below_one_exit_3(self, tmp_path, capsys, points):
+        traj = tmp_path / "t.csv"
+        code = main(
+            ["simulate", "--accuracy", "0.9", "--rounds", "100",
+             "--trajectory-out", str(traj), "--trajectory-points", points]
+        )
+        assert code == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            f"error: DomainViolation: --trajectory-points must be >= 1, got {points}\n"
+        )
+        assert not traj.exists()
+
 
 class TestFigures:
     def test_all_csvs_written(self, tmp_path, capsys):

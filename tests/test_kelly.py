@@ -1,7 +1,10 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 import oracles
+from infoeff import kelly
 from infoeff import (
     BettingStrategy,
     Channel,
@@ -224,6 +227,31 @@ class TestGoldenSimulate:
     def test_repr_bytes(self, name):
         run = dict(golden_runs())[name]
         assert repr(run()) == GOLDEN_SIMULATE_REPR[name]
+
+    @pytest.mark.parametrize("chunk", [1, 7, 4096, 10**6])
+    def test_independent_of_chunk_size(self, monkeypatch, chunk):
+        # Chunk size 1 and 7 put the ruin at round 74 in a later chunk, and
+        # 10**6 runs every pinned simulation as a single chunk.
+        monkeypatch.setattr(kelly, "SIM_CHUNK_ROUNDS", chunk)
+        for name, run in golden_runs():
+            assert repr(run()) == GOLDEN_SIMULATE_REPR[name]
+
+    def test_memory_does_not_grow_with_rounds(self):
+        market = coin_market(0.5, 0.9, 0.4)
+        strat = kelly_strategy(market.prior, market.channel)
+        simulate(market, strat, rounds=100, seed=1)
+        peaks = []
+        for rounds in (10**6, 2 * 10**6):
+            tracemalloc.start()
+            try:
+                simulate(market, strat, rounds=rounds, seed=1, trajectory_points=500)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        # One chunk of per-round arrays is about 1 MB; a whole-run array of
+        # 2e6 doubles alone would be 16 MB.
+        assert peaks[1] < 4 * 2**20
+        assert peaks[1] < peaks[0] + 2**18
 
 
 class TestExpectedGrowth:
