@@ -393,6 +393,54 @@ GOLDEN_MEASURE_CSV = (
     "small_sample,False\n"
 )
 
+# `coin` on the fair-coin, worthless-signal slice, where every closed form
+# applies, and at a biased point, where only H(X) has one.
+GOLDEN_COIN_FAIR_WORTHLESS_JSON = (
+    '{\n'
+    '  "p_tail": 0.5,\n'
+    '  "accuracy": 0.5,\n'
+    '  "q_tail": 0.3,\n'
+    '  "eff": 1.0,\n'
+    '  "eff_q": 0.8882813964018167,\n'
+    '  "h_x": 1.0,\n'
+    '  "h_x_given_y": 1.0,\n'
+    '  "h_q": 1.1257693834979823,\n'
+    '  "g_max": 0.0,\n'
+    '  "g_max_q": 0.12576938349798228,\n'
+    '  "predictability_gap": 0.0,\n'
+    '  "mispricing_gap": 0.12576938349798228,\n'
+    '  "info_set": "strong",\n'
+    '  "closed_form_h_x": 1.0,\n'
+    '  "delta_h_x": 0.0,\n'
+    '  "closed_form_eff": 1.0,\n'
+    '  "delta_eff": 0.0,\n'
+    '  "closed_form_h_q": 1.1257693834979823,\n'
+    '  "delta_h_q": 0.0,\n'
+    '  "closed_form_eff_q": 0.8882813964018167,\n'
+    '  "delta_eff_q": 0.0,\n'
+    '  "consistency_delta": 0.0\n'
+    '}\n'
+)
+GOLDEN_COIN_BIASED_CSV = (
+    "key,value\n"
+    "p_tail,0.3\n"
+    "accuracy,0.8\n"
+    "q_tail,0.45\n"
+    "eff,0.7320817365241727\n"
+    "eff_q,0.6795997445811393\n"
+    "h_x,0.8812908992306927\n"
+    "h_x_given_y,0.6451769718917553\n"
+    "h_q,0.9493484614085606\n"
+    "g_max,0.23611392733893743\n"
+    "g_max_q,0.3041714895168053\n"
+    "predictability_gap,0.23611392733893743\n"
+    "mispricing_gap,0.06805756217786785\n"
+    "info_set,strong\n"
+    "closed_form_h_x,0.8812908992306927\n"
+    "delta_h_x,0.0\n"
+    "consistency_delta,0.0\n"
+)
+
 
 @pytest.fixture
 def wide_samples_csv(tmp_path):
@@ -458,6 +506,19 @@ class TestGoldenOutputs:
             "final_log2_wealth"
         ] == 56003.44238116309
         assert traj.read_text(encoding="utf-8") == GOLDEN_TRAJECTORY_CSV
+
+    def test_coin_json_fair_worthless_bytes(self, capsys):
+        code = main(["coin", "--p-tail", "0.5", "--accuracy", "0.5", "--q-tail", "0.3"])
+        assert code == 0
+        assert capsys.readouterr().out == GOLDEN_COIN_FAIR_WORTHLESS_JSON
+
+    def test_coin_csv_biased_bytes(self, capsys):
+        code = main(
+            ["coin", "--p-tail", "0.3", "--accuracy", "0.8", "--q-tail", "0.45",
+             "--format", "csv"]
+        )
+        assert code == 0
+        assert capsys.readouterr().out == GOLDEN_COIN_BIASED_CSV
 
 
 class TestCoinConsistencyGrid:
