@@ -8,13 +8,15 @@ Subcommands:
 
 Every run is fully determined by its flags: all randomness flows from
 --seed (default DEFAULT_SEED, a fixed constant, never time-based), so the
-same invocation produces byte-identical output. Exit codes: 0 ok, 2 parse
-error, 3 domain error, 4 I/O error, 5 out of memory.
+same invocation produces byte-identical output. Exit codes: 0 ok, 1
+internal error (any other unexpected exception), 2 parse error, 3 domain
+error, 4 I/O error, 5 out of memory.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 import warnings
@@ -37,6 +39,7 @@ from .svg import line_chart
 
 DEFAULT_SEED = 1729  # fixed default; reproducibility by default
 EXIT_OK = 0
+EXIT_INTERNAL = 1
 EXIT_PARSE = 2
 EXIT_DOMAIN = 3
 EXIT_IO = 4
@@ -285,6 +288,7 @@ def cmd_figures(config: RunConfig) -> int:
     return EXIT_OK
 
 
+@functools.cache  # one parser per process, shared by every call: never mutate it
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="infoeff",
@@ -354,6 +358,9 @@ def run(config: RunConfig) -> int:
     except MemoryError as exc:
         sys.stderr.write(f"error: {type(exc).__name__}: {exc}\n")
         return EXIT_RESOURCE
+    except Exception as exc:  # a bug, still reported as one line rather than a traceback
+        sys.stderr.write(f"error: {type(exc).__name__}: {exc}\n")
+        return EXIT_INTERNAL
 
 
 def config_from_args(argv: list[str] | None = None) -> RunConfig:

@@ -45,6 +45,7 @@ class EfficiencyReport:
     Quote-dependent fields (h_q, eff_q, g_max_q, mispricing_gap) are None
     when no quotes were supplied. `eff` is None only in the corner where
     quotes are supplied and H(X) = 0 (the plain ratio is 0/0 there).
+    `info_set` must be a non-empty label (DomainViolation otherwise).
     """
 
     h_x: float
@@ -57,6 +58,10 @@ class EfficiencyReport:
     eff_q: float | None = None
     g_max_q: float | None = None
     mispricing_gap: float | None = None
+
+    def __post_init__(self):
+        if self.info_set == "":
+            raise DomainViolation("info-set label must be non-empty")
 
     def as_dict(self) -> dict:
         """Flat dict with snake_case keys; absent quote fields are omitted."""

@@ -30,6 +30,7 @@ the sorted observed labels.
 from __future__ import annotations
 
 import itertools
+import math
 import warnings
 from collections import Counter
 from collections.abc import Iterable
@@ -228,10 +229,11 @@ def estimate_joint(samples: SampleSet, smoothing: float = DEFAULT_SMOOTHING) -> 
     """Plug-in joint estimate with additive smoothing.
 
     cell(x, y) = (count(x, y) + smoothing) / (N + smoothing * |X| * |Y|).
-    With smoothing 0 an unobserved cell is exactly 0.
+    With smoothing 0 an unobserved cell is exactly 0. A smoothing that is
+    not finite and >= 0 (NaN, inf) raises DomainViolation.
     """
-    if smoothing < 0.0:
-        raise DomainViolation(f"smoothing must be >= 0, got {smoothing!r}")
+    if not 0.0 <= smoothing < math.inf:  # written so that NaN fails it too
+        raise DomainViolation(f"smoothing must be finite and >= 0, got {smoothing!r}")
     joint = _smoothed_joint(samples.counts(), len(samples), smoothing)
     return JointSystem(samples.outcome_labels, samples.signal_labels, joint)
 

@@ -47,9 +47,9 @@ def _check_labels(labels: Sequence[str], what: str) -> Labels:
 
 
 def _check_prob_vector(p: np.ndarray, what: str) -> None:
-    if np.any(p < 0.0):
+    if (p < 0.0).any():
         raise NegativeWeight(f"{what} has a negative entry: {p.tolist()}")
-    total = float(np.sum(p))
+    total = float(p.sum())
     if not abs(total - 1.0) <= SUM_TOL:  # written so that NaN and inf fail it too
         raise SumNotOne(f"{what} sums to {total!r}, not 1 within {SUM_TOL}")
 
@@ -146,9 +146,9 @@ class JointSystem:
                 f"joint shape {joint.shape} does not match "
                 f"{len(outcomes)} outcomes x {len(signals)} signals"
             )
-        if np.any(joint < 0.0):
+        if (joint < 0.0).any():
             raise NegativeWeight("joint has a negative cell")
-        total = float(np.sum(joint))
+        total = float(joint.sum())
         if not abs(total - 1.0) <= SUM_TOL:
             raise SumNotOne(f"joint sums to {total!r}, not 1 within {SUM_TOL}")
         object.__setattr__(self, "outcome_labels", outcomes)

@@ -109,6 +109,15 @@ class TestMeasure:
             "warning: only 3 samples for 4 cells; plug-in efficiency biases low at small N\n"
         )
 
+    @pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
+    def test_non_finite_smoothing_exit_3(self, samples_csv, capsys, bad):
+        code = main(["measure", "--in", str(samples_csv), f"--smoothing={bad}"])
+        assert code == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: DomainViolation: ")
+        assert "smoothing" in captured.err and captured.err.count("\n") == 1
+
     def test_memory_error_exit_5(self, samples_csv, monkeypatch, capsys):
         def exhausted(config):
             raise MemoryError("cannot allocate")
@@ -144,6 +153,25 @@ class TestCoin:
     def test_domain_violation_exit_3(self, capsys):
         assert main(["coin", "--p-tail", "1.5", "--accuracy", "0.5", "--q-tail", "0.5"]) == 3
         assert "DomainViolation" in capsys.readouterr().err
+
+    def test_empty_info_set_exit_3(self, capsys):
+        code = main(
+            ["coin", "--p-tail", "0.5", "--accuracy", "0.9", "--q-tail", "0.5", "--info-set", ""]
+        )
+        assert code == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: DomainViolation: info-set label must be non-empty\n"
+
+    def test_unexpected_error_exit_1(self, monkeypatch, capsys):
+        def broken(config):
+            raise RuntimeError("unexpected state")
+
+        monkeypatch.setitem(cli.COMMANDS, "coin", broken)
+        assert main(["coin", "--p-tail", "0.5", "--accuracy", "0.9", "--q-tail", "0.5"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: RuntimeError: unexpected state\n"
 
 
 class TestSimulate:
@@ -519,6 +547,38 @@ class TestGoldenOutputs:
         )
         assert code == 0
         assert capsys.readouterr().out == GOLDEN_COIN_BIASED_CSV
+
+
+class TestParserReuse:
+    def test_shared_parser_matches_fresh_parser(self, samples_csv, monkeypatch, capsys):
+        point = ["--p-tail", "0.3", "--accuracy", "0.8", "--q-tail", "0.45"]
+        sequence = [
+            ["coin", *point, "--info-set", "weak"],
+            ["coin", *point],
+            ["coin", *point[:4]],  # --q-tail missing: a parse error
+            ["measure", "--in", str(samples_csv), "--resamples", "200"],
+            ["coin", *point],
+        ]
+
+        def outcome(argv):
+            try:
+                code = main(argv)
+            except SystemExit as exc:
+                code = ("SystemExit", exc.code)
+            captured = capsys.readouterr()
+            return code, captured.out, captured.err
+
+        shared = [outcome(argv) for argv in sequence]
+        assert cli.build_parser() is cli.build_parser()
+        with monkeypatch.context() as patch:
+            patch.setattr(cli, "build_parser", cli.build_parser.__wrapped__)
+            fresh = [outcome(argv) for argv in sequence]
+        assert shared == fresh
+        assert [code for code, _, _ in shared] == [0, 0, ("SystemExit", 2), 0, 0]
+        assert json.loads(shared[0][1])["info_set"] == "weak"
+        assert json.loads(shared[1][1])["info_set"] == "strong"
+        assert "--q-tail" in shared[2][2]
+        assert shared[4] == shared[1]
 
 
 class TestCoinConsistencyGrid:

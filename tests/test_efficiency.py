@@ -159,6 +159,22 @@ class TestCompareInfoSets:
         assert isinstance(err.value, ValueError)
 
 
+class TestInfoSetLabel:
+    def test_empty_label_rejected(self):
+        with pytest.raises(DomainViolation, match="info-set"):
+            efficiency(ACCURACY_09, "")
+        with pytest.raises(DomainViolation, match="info-set"):
+            efficiency_with_quotes(ACCURACY_09, (0.5, 0.5), "")
+        with pytest.raises(DomainViolation, match="info-set"):
+            compare_info_sets([("", ACCURACY_09)])
+
+    def test_custom_label_is_metadata(self):
+        custom = efficiency_with_quotes(ACCURACY_09, (0.4, 0.6), "bogus")
+        assert custom.info_set == "bogus"
+        strong = efficiency_with_quotes(ACCURACY_09, (0.4, 0.6), STRONG)
+        assert {**custom.as_dict(), "info_set": STRONG} == strong.as_dict()
+
+
 class TestRefinementMonotonicity:
     def test_garbling_never_decreases_efficiency(self):
         rng = np.random.default_rng(9)
