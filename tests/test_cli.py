@@ -322,6 +322,17 @@ GOLDEN_FIG1_9PT = (
     "0.875,0.5435644431995964\n"
     "1.0,0.0\n"
 )
+# Figure 3 drops the open-domain endpoints 0 and 1 from its 9-point grid.
+GOLDEN_FIG3_9PT = (
+    "param,value\n"
+    "0.125,0.626439817509864\n"
+    "0.25,0.8281444907572746\n"
+    "0.375,0.9555162266262184\n"
+    "0.5,1.0\n"
+    "0.625,0.9555162266262184\n"
+    "0.75,0.8281444907572746\n"
+    "0.875,0.626439817509864\n"
+)
 GOLDEN_SIMULATE_CSV = (
     "run_index,rounds,seed,final_log2_wealth,mean_growth,target,abs_error\n"
     "0,1000,7,559.5337314237023,0.5595337314237023,"
@@ -501,11 +512,13 @@ class TestGoldenOutputs:
         assert code == 0
         assert capsys.readouterr().out == GOLDEN_MEASURE_CSV
 
-    def test_figure_csv_bytes(self, tmp_path, capsys):
+    @pytest.mark.parametrize("which", ["1", "3"])
+    def test_figure_csv_bytes(self, which, tmp_path, capsys):
+        golden = {"1": GOLDEN_FIG1_9PT, "3": GOLDEN_FIG3_9PT}[which]
         assert main(
-            ["figures", "--which", "1", "--out-dir", str(tmp_path), "--points", "9"]
+            ["figures", "--which", which, "--out-dir", str(tmp_path), "--points", "9"]
         ) == 0
-        assert (tmp_path / "fig1.csv").read_text(encoding="utf-8") == GOLDEN_FIG1_9PT
+        assert (tmp_path / f"fig{which}.csv").read_text(encoding="utf-8") == golden
 
     def test_simulate_csv_bytes(self, capsys):
         code = main(
