@@ -20,7 +20,6 @@ import functools
 import json
 import sys
 import warnings
-from dataclasses import dataclass
 from pathlib import Path
 
 from . import coin as coin_mod
@@ -51,31 +50,6 @@ FIGURES = {
     3: ("eff_vs_q", "anticipated probability q(x='t')", "efficiency Eff_q(X|Y)"),
     4: ("hq_vs_q", "anticipated probability q(x='t')", "entropy H(q) [bits]"),
 }
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    """Everything a run depends on. No hidden state, no environment defaults."""
-
-    subcommand: str
-    input_path: str | None = None
-    quotes_path: str | None = None
-    out: str | None = None
-    out_dir: str = "."
-    format: str = "json"
-    seed: int = DEFAULT_SEED
-    smoothing: float = 0.5
-    resamples: int = 1000
-    info_set: str = STRONG
-    p_tail: float = 0.5
-    accuracy: float = 0.5
-    q_tail: float = 0.5
-    rounds: int = 100_000
-    runs: int = 1
-    trajectory_out: str | None = None
-    trajectory_points: int = 500
-    which: str = "all"
-    points: int = 1001
 
 
 def _write_text(out: str | None, text: str) -> None:
@@ -129,21 +103,21 @@ def _read_quote_sidecar(path: str, outcome_labels: tuple[str, ...]) -> Distribut
     return _as_quote_distribution([values[lbl] for lbl in outcome_labels], outcome_labels)
 
 
-def cmd_measure(config: RunConfig) -> int:
-    with open(config.input_path, encoding="utf-8-sig") as handle:
+def cmd_measure(args: argparse.Namespace) -> int:
+    with open(args.input_path, encoding="utf-8-sig") as handle:
         samples = read_samples(handle)
     quotes = None
-    if config.quotes_path is not None:
-        quotes = _read_quote_sidecar(config.quotes_path, samples.outcome_labels)
+    if args.quotes_path is not None:
+        quotes = _read_quote_sidecar(args.quotes_path, samples.outcome_labels)
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always", UserWarning)
         report = estimate_efficiency(
             samples,
-            smoothing=config.smoothing,
+            smoothing=args.smoothing,
             quotes=quotes,
-            resamples=config.resamples,
-            seed=config.seed,
-            info_set=config.info_set,
+            resamples=args.resamples,
+            seed=args.seed,
+            info_set=args.info_set,
         )
     for warning in caught:  # one line each, without the source location
         sys.stderr.write(f"warning: {warning.message}\n")
@@ -160,14 +134,14 @@ def cmd_measure(config: RunConfig) -> int:
     if report.eff_q_ci_low is not None:
         flat["eff_q_ci_low"] = report.eff_q_ci_low
         flat["eff_q_ci_high"] = report.eff_q_ci_high
-    _write_text(config.out, _render_flat(flat, config.format))
+    _write_text(args.out, _render_flat(flat, args.format))
     return EXIT_OK
 
 
-def cmd_coin(config: RunConfig) -> int:
-    params = coin_mod.CoinGameParams(config.p_tail, config.accuracy, config.q_tail)
+def cmd_coin(args: argparse.Namespace) -> int:
+    params = coin_mod.CoinGameParams(args.p_tail, args.accuracy, args.q_tail)
     joint, quotes = coin_mod.coin_joint(params)
-    report = efficiency_with_quotes(joint, quotes, config.info_set)
+    report = efficiency_with_quotes(joint, quotes, args.info_set)
     flat = {"p_tail": params.p_tail, "accuracy": params.accuracy, "q_tail": params.q_tail}
     flat.update(report.as_dict())
 
@@ -178,7 +152,7 @@ def cmd_coin(config: RunConfig) -> int:
     deltas.append(abs(flat["closed_form_h_x"] - report.h_x))
     flat["delta_h_x"] = deltas[-1]
     if params.p_tail == 0.5:
-        flat["closed_form_eff"] = coin_mod.closed_form_efficiency_fair(params.accuracy)
+        flat["closed_form_eff"] = coin_mod.closed_form_entropy(params.accuracy)
         deltas.append(abs(flat["closed_form_eff"] - report.eff))
         flat["delta_eff"] = deltas[-1]
         flat["closed_form_h_q"] = coin_mod.closed_form_quote_entropy(params.q_tail)
@@ -191,61 +165,61 @@ def cmd_coin(config: RunConfig) -> int:
             deltas.append(abs(flat["closed_form_eff_q"] - report.eff_q))
             flat["delta_eff_q"] = deltas[-1]
     flat["consistency_delta"] = max(deltas)
-    _write_text(config.out, _render_flat(flat, config.format))
+    _write_text(args.out, _render_flat(flat, args.format))
     return EXIT_OK
 
 
-def cmd_simulate(config: RunConfig) -> int:
-    params = coin_mod.CoinGameParams(config.p_tail, config.accuracy, config.q_tail)
+def cmd_simulate(args: argparse.Namespace) -> int:
+    params = coin_mod.CoinGameParams(args.p_tail, args.accuracy, args.q_tail)
     prior, channel, quotes = coin_mod.coin_components(params)
     market = MarketParams(prior, channel, quotes)
     strategy = kelly_strategy(prior, channel)
     target = kelly_growth_target(market)
-    if config.runs < 1:
-        raise DomainViolation(f"--runs must be >= 1, got {config.runs}")
-    if config.trajectory_out is not None and config.runs != 1:
+    if args.runs < 1:
+        raise DomainViolation(f"--runs must be >= 1, got {args.runs}")
+    if args.trajectory_out is not None and args.runs != 1:
         raise DomainViolation("--trajectory-out requires --runs 1")
-    if config.trajectory_out is not None and config.trajectory_points < 1:
+    if args.trajectory_out is not None and args.trajectory_points < 1:
         raise DomainViolation(
-            f"--trajectory-points must be >= 1, got {config.trajectory_points}"
+            f"--trajectory-points must be >= 1, got {args.trajectory_points}"
         )
 
     results = []
-    for run_index in range(config.runs):
-        traj = config.trajectory_points if config.trajectory_out is not None else 0
+    for run_index in range(args.runs):
+        traj = args.trajectory_points if args.trajectory_out is not None else 0
         results.append(
             simulate(
                 market,
                 strategy,
-                rounds=config.rounds,
-                seed=config.seed,
+                rounds=args.rounds,
+                seed=args.seed,
                 run_index=run_index,
                 trajectory_points=traj,
             )
         )
 
-    if config.trajectory_out is not None:
+    if args.trajectory_out is not None:
         lines = ["round,log2_wealth"]
         lines += [f"{r},{w!r}" for r, w in results[0].trajectory_sample]
-        Path(config.trajectory_out).write_text("\n".join(lines) + "\n", encoding="utf-8")
+        Path(args.trajectory_out).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
     aggregate = sum(r.mean_growth for r in results) / len(results)
-    if config.format == "csv":
+    if args.format == "csv":
         lines = ["run_index,rounds,seed,final_log2_wealth,mean_growth,target,abs_error"]
         for r in results:
             lines.append(
                 f"{r.run_index},{r.rounds},{r.seed},{r.final_log2_wealth!r},"
                 f"{r.mean_growth!r},{target!r},{abs(r.mean_growth - target)!r}"
             )
-        _write_text(config.out, "\n".join(lines) + "\n")
+        _write_text(args.out, "\n".join(lines) + "\n")
     else:
         payload = {
             "p_tail": params.p_tail,
             "accuracy": params.accuracy,
             "q_tail": params.q_tail,
-            "rounds": config.rounds,
-            "seed": config.seed,
-            "runs": config.runs,
+            "rounds": args.rounds,
+            "seed": args.seed,
+            "runs": args.runs,
             "target_bits_per_round": target,
             "run_results": [
                 {
@@ -260,25 +234,25 @@ def cmd_simulate(config: RunConfig) -> int:
             "aggregate_mean_growth": aggregate,
             "aggregate_abs_error": abs(aggregate - target),
         }
-        _write_text(config.out, json.dumps(payload, indent=2) + "\n")
+        _write_text(args.out, json.dumps(payload, indent=2) + "\n")
     return EXIT_OK
 
 
-def cmd_figures(config: RunConfig) -> int:
-    if config.which == "all":
+def cmd_figures(args: argparse.Namespace) -> int:
+    if args.which == "all":
         numbers = [1, 2, 3, 4]
     else:
-        numbers = [int(config.which)]
-    out_dir = Path(config.out_dir)
+        numbers = [int(args.which)]
+    out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     for n in numbers:
         curve_id, x_label, y_label = FIGURES[n]
-        table = coin_mod.sweep(curve_id, points=config.points)
+        table = coin_mod.sweep(curve_id, points=args.points)
         csv_path = out_dir / f"fig{n}.csv"
         lines = ["param,value"] + [f"{x!r},{y!r}" for x, y in table]
         csv_path.write_text("\n".join(lines) + "\n", encoding="utf-8")
         sys.stdout.write(f"{csv_path}\n")
-        if config.format == "svg":
+        if args.format == "svg":
             svg_path = out_dir / f"fig{n}.svg"
             svg_path.write_text(
                 line_chart(table, x_label, y_label, title=f"figure {n}"),
@@ -342,10 +316,10 @@ COMMANDS = {
 }
 
 
-def run(config: RunConfig) -> int:
-    """Dispatch a RunConfig, mapping errors to the documented exit codes."""
+def run(args: argparse.Namespace) -> int:
+    """Dispatch parsed arguments, mapping errors to the documented exit codes."""
     try:
-        return COMMANDS[config.subcommand](config)
+        return COMMANDS[args.subcommand](args)
     except (ParseError, EmptyInput) as exc:
         sys.stderr.write(f"error: {type(exc).__name__}: {exc}\n")
         return EXIT_PARSE
@@ -363,14 +337,8 @@ def run(config: RunConfig) -> int:
         return EXIT_INTERNAL
 
 
-def config_from_args(argv: list[str] | None = None) -> RunConfig:
-    args = vars(build_parser().parse_args(argv))
-    fields = {f for f in RunConfig.__dataclass_fields__}
-    return RunConfig(**{k: v for k, v in args.items() if k in fields and v is not None})
-
-
 def main(argv: list[str] | None = None) -> int:
-    return run(config_from_args(argv))
+    return run(build_parser().parse_args(argv))
 
 
 if __name__ == "__main__":

@@ -88,17 +88,8 @@ def closed_form_entropy(p_tail: float) -> float:
     return (p_tail - 1.0) * math.log2(1.0 - p_tail) - p_tail * math.log2(p_tail)
 
 
-def closed_form_efficiency_fair(accuracy: float) -> float:
-    """Efficiency of a fair coin at fair quotes as a function of signal accuracy.
-
-    Equals the binary entropy of the accuracy: 1 at chance level (0.5), 0 at
-    perfect prediction (0 or 1).
-    """
-    if not 0.0 <= accuracy <= 1.0:
-        raise DomainViolation(f"accuracy must be in [0, 1], got {accuracy!r}")
-    if accuracy in (0.0, 1.0):
-        return 0.0
-    return (accuracy - 1.0) * math.log2(1.0 - accuracy) - accuracy * math.log2(accuracy)
+# Eff of a fair coin at fair quotes is the binary entropy of the signal accuracy.
+closed_form_efficiency_fair = closed_form_entropy
 
 
 def closed_form_quote_entropy(q_tail: float) -> float:
@@ -118,15 +109,13 @@ def closed_form_efficiency_unfair_quotes(q_tail: float) -> float:
     Equals 1/H(q) since H(X|Y) = 1 bit; 1 at the fair quote, falling toward
     0 at both endpoints.
     """
-    if not 0.0 < q_tail < 1.0:
-        raise DomainViolation(f"q_tail must be in (0, 1), got {q_tail!r}")
-    return -1.0 / (0.5 * math.log2(q_tail) + 0.5 * math.log2(1.0 - q_tail))
+    return 1.0 / closed_form_quote_entropy(q_tail)
 
 
 # curve id -> (closed form, open domain flag). Open-domain curves exclude
 # the endpoints 0 and 1 from the default grid.
 CURVES = {
-    "eff_vs_accuracy": (closed_form_efficiency_fair, False),
+    "eff_vs_accuracy": (closed_form_entropy, False),
     "entropy_vs_ptail": (closed_form_entropy, False),
     "eff_vs_q": (closed_form_efficiency_unfair_quotes, True),
     "hq_vs_q": (closed_form_quote_entropy, True),

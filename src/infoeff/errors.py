@@ -47,7 +47,7 @@ class UnsupportedOutcome(InfoEffError, ValueError):
 
 
 class NonpositiveQuote(InfoEffError, ValueError):
-    """A payout quote is zero or negative where the outcome has probability."""
+    """A payout quote is not finite and positive where the outcome has probability."""
 
 
 class DegenerateSystem(InfoEffError, ValueError):

@@ -28,7 +28,7 @@ grow with `rounds`.
 from __future__ import annotations
 
 from collections.abc import Mapping
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from types import MappingProxyType
 
 import numpy as np
@@ -57,30 +57,28 @@ class MarketParams:
 
     Quotes are anticipated probabilities q with sum(q) = 1 (enforced by the
     Distribution type); payouts are alpha_x = 1/q_x. Requires q(x) > 0 for
-    every outcome with positive prior probability.
+    every outcome with positive prior probability. `joint` is the validated
+    p(x, y) = prior(x) * channel(y|x), built once here.
     """
 
     prior: Distribution
     channel: Channel
     quotes: Distribution
+    joint: JointSystem = field(init=False, repr=False)
 
     def __post_init__(self):
-        if self.channel.input_labels != self.prior.labels:
-            raise LabelMismatch(
-                f"channel inputs {self.channel.input_labels} != "
-                f"prior labels {self.prior.labels}"
-            )
+        joint = joint_from_prior_channel(self.prior, self.channel)
+        object.__setattr__(self, "joint", joint)
         if self.quotes.labels != self.prior.labels:
             raise LabelMismatch(
                 f"quote labels {self.quotes.labels} != prior labels {self.prior.labels}"
             )
+        # simulate and grid_search_optimal never reach cross_entropy's check,
+        # and without this one the payout matrix would hold +inf cells.
         if np.any((self.prior.probs > 0.0) & (self.quotes.probs == 0.0)):
             raise UnsupportedOutcome(
                 "q(x) = 0 for an outcome with p(x) > 0: payout is undefined"
             )
-
-    def joint(self) -> JointSystem:
-        return joint_from_prior_channel(self.prior, self.channel)
 
 
 @dataclass(frozen=True, eq=False)
@@ -241,7 +239,7 @@ def expected_log2_growth(market: MarketParams, strategy: BettingStrategy) -> flo
     outcome that can occur together with its signal.
     """
     log2_pay = _log2_payout_matrix(market, strategy)
-    joint = market.prior.probs[:, None] * market.channel.rows  # (n_x, n_y)
+    joint = market.joint.joint  # (n_x, n_y)
     mask = joint > 0.0
     if np.any(mask & np.isneginf(log2_pay.T)):
         return float("-inf")
@@ -275,7 +273,7 @@ def grid_search_optimal(
         log2_1mf = np.log2(1.0 - fractions)
     log2_alpha = -np.log2(market.quotes.probs)
 
-    joint = market.prior.probs[:, None] * market.channel.rows
+    joint = market.joint.joint
     total = 0.0
     allocations = {}
     for j, y in enumerate(market.channel.output_labels):
@@ -298,6 +296,6 @@ def kelly_growth_target(market: MarketParams) -> float:
     Convenience wrapper used by the CLI to print the simulation target next
     to the empirical growth.
     """
-    report = efficiency_with_quotes(market.joint(), market.quotes)
+    report = efficiency_with_quotes(market.joint, market.quotes)
     assert report.g_max_q is not None
     return report.g_max_q

@@ -99,15 +99,17 @@ def quote_entropy(p: Distribution, alphas: Sequence[float]) -> float:
     """sum_x p(x) log2 alpha_x for a payout-quote vector, in bits.
 
     Equals cross_entropy(p, q) when alpha_x = 1/q_x. Quotes on
-    zero-probability outcomes are ignored; a nonpositive quote on a
-    supported outcome raises NonpositiveQuote.
+    zero-probability outcomes are ignored; a quote on a supported outcome
+    that is not finite and positive (NaN, inf, 0 or below) raises
+    NonpositiveQuote.
     """
     a = np.asarray(alphas, dtype=float)
     if a.ndim != 1 or len(a) != len(p):
         raise LabelMismatch(f"{len(p)} outcomes but {a.shape} quotes")
-    mask = p.probs > 0.0
-    if np.any(a[mask] <= 0.0):
+    supported = a[p.probs > 0.0]
+    if not (np.isfinite(supported) & (supported > 0.0)).all():
         raise NonpositiveQuote(
-            f"quote must be positive on every supported outcome, got {a.tolist()}"
+            "quote must be finite and positive on every supported outcome, "
+            f"got {a.tolist()}"
         )
     return float(-_neg_sum_plog2q(p.probs, a))

@@ -146,11 +146,7 @@ class JointSystem:
                 f"joint shape {joint.shape} does not match "
                 f"{len(outcomes)} outcomes x {len(signals)} signals"
             )
-        if (joint < 0.0).any():
-            raise NegativeWeight("joint has a negative cell")
-        total = float(joint.sum())
-        if not abs(total - 1.0) <= SUM_TOL:
-            raise SumNotOne(f"joint sums to {total!r}, not 1 within {SUM_TOL}")
+        _check_prob_vector(joint.ravel(), "joint")
         object.__setattr__(self, "outcome_labels", outcomes)
         object.__setattr__(self, "signal_labels", signals)
         object.__setattr__(self, "joint", joint)

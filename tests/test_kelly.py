@@ -13,6 +13,7 @@ from infoeff import (
     DomainViolation,
     LabelMismatch,
     MarketParams,
+    SumNotOne,
     UnsupportedAlphabet,
     UnsupportedOutcome,
     ZeroProbabilitySignal,
@@ -46,8 +47,9 @@ class TestMarketParams:
     def test_label_checks(self):
         prior = make_distribution(("h", "t"), (0.5, 0.5))
         chan = Channel(("a", "b"), ("u", "v"), [[0.5, 0.5], [0.5, 0.5]])
-        with pytest.raises(LabelMismatch):
+        with pytest.raises(LabelMismatch) as excinfo:
             MarketParams(prior, chan, prior)
+        assert str(excinfo.value) == "channel inputs ('a', 'b') != prior labels ('h', 't')"
 
     def test_zero_quote_on_supported_outcome(self):
         prior = make_distribution(("h", "t"), (0.5, 0.5))
@@ -55,6 +57,22 @@ class TestMarketParams:
         quotes = make_distribution(("h", "t"), (1.0, 0.0))
         with pytest.raises(UnsupportedOutcome):
             MarketParams(prior, chan, quotes)
+
+    def test_joint_is_prior_times_channel_bit_for_bit(self):
+        market = random_binary_market(np.random.default_rng(5))
+        expected = market.prior.probs[:, None] * market.channel.rows
+        assert market.joint.joint.tobytes() == expected.tobytes()
+        assert market.joint.outcome_labels == market.prior.labels
+        assert market.joint.signal_labels == market.channel.output_labels
+
+    def test_joint_outside_sum_tolerance_rejected_at_construction(self):
+        # Prior and rows each sum to 1 + 9e-10, inside the 1e-9 tolerance;
+        # their product sums to 1 + 1.8e-9, outside it.
+        eps = 9e-10
+        prior = make_distribution(("h", "t"), (0.5, 0.5 + eps))
+        chan = Channel(("h", "t"), ("h", "t"), [[0.9, 0.1 + eps], [0.2, 0.8 + eps]])
+        with pytest.raises(SumNotOne, match="joint sums to"):
+            MarketParams(prior, chan, prior)
 
 
 class TestKellyStrategy:

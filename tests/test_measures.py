@@ -136,6 +136,14 @@ class TestQuoteEntropy:
         with pytest.raises(NonpositiveQuote):
             quote_entropy(p, [0.0, 2.0])
 
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_quote(self, bad):
+        p = make_distribution(["h", "t"], [0.5, 0.5])
+        with pytest.raises(NonpositiveQuote):
+            quote_entropy(p, [bad, 2.0])
+        # A quote on a zero-probability outcome stays ignored.
+        assert quote_entropy(make_distribution(["h", "t"], [0.0, 1.0]), [bad, 1.0]) == 0.0
+
     def test_reciprocal_identity_random(self):
         rng = np.random.default_rng(23)
         for _ in range(100):
