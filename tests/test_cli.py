@@ -433,7 +433,8 @@ GOLDEN_MEASURE_CSV = (
 )
 
 # `coin` on the fair-coin, worthless-signal slice, where every closed form
-# applies, and at a biased point, where only H(X) has one.
+# applies; on the fair coin with a predictive signal, where all but Eff_q's
+# do; and at a biased point, where only H(X) has one.
 GOLDEN_COIN_FAIR_WORTHLESS_JSON = (
     '{\n'
     '  "p_tail": 0.5,\n'
@@ -457,6 +458,30 @@ GOLDEN_COIN_FAIR_WORTHLESS_JSON = (
     '  "delta_h_q": 0.0,\n'
     '  "closed_form_eff_q": 0.8882813964018167,\n'
     '  "delta_eff_q": 0.0,\n'
+    '  "consistency_delta": 0.0\n'
+    '}\n'
+)
+GOLDEN_COIN_FAIR_PREDICTIVE_JSON = (
+    '{\n'
+    '  "p_tail": 0.5,\n'
+    '  "accuracy": 0.9,\n'
+    '  "q_tail": 0.4,\n'
+    '  "eff": 0.4689955935892811,\n'
+    '  "eff_q": 0.45558019443429243,\n'
+    '  "h_x": 1.0,\n'
+    '  "h_x_given_y": 0.4689955935892811,\n'
+    '  "h_q": 1.0294468445267841,\n'
+    '  "g_max": 0.5310044064107189,\n'
+    '  "g_max_q": 0.560451250937503,\n'
+    '  "predictability_gap": 0.5310044064107189,\n'
+    '  "mispricing_gap": 0.029446844526784144,\n'
+    '  "info_set": "strong",\n'
+    '  "closed_form_h_x": 1.0,\n'
+    '  "delta_h_x": 0.0,\n'
+    '  "closed_form_eff": 0.4689955935892811,\n'
+    '  "delta_eff": 0.0,\n'
+    '  "closed_form_h_q": 1.0294468445267841,\n'
+    '  "delta_h_q": 0.0,\n'
     '  "consistency_delta": 0.0\n'
     '}\n'
 )
@@ -552,6 +577,11 @@ class TestGoldenOutputs:
         code = main(["coin", "--p-tail", "0.5", "--accuracy", "0.5", "--q-tail", "0.3"])
         assert code == 0
         assert capsys.readouterr().out == GOLDEN_COIN_FAIR_WORTHLESS_JSON
+
+    def test_coin_json_fair_predictive_bytes(self, capsys):
+        code = main(["coin", "--p-tail", "0.5", "--accuracy", "0.9", "--q-tail", "0.4"])
+        assert code == 0
+        assert capsys.readouterr().out == GOLDEN_COIN_FAIR_PREDICTIVE_JSON
 
     def test_coin_csv_biased_bytes(self, capsys):
         code = main(
