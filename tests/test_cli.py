@@ -5,6 +5,7 @@ import pytest
 import oracles
 from infoeff import cli
 from infoeff.cli import main
+from infoeff.errors import DomainViolation, EmptyInput, ParseError
 
 
 def write_samples(path, lines):
@@ -172,6 +173,33 @@ class TestCoin:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == "error: RuntimeError: unexpected state\n"
+
+
+    # ParseError is also an InfoEffError and a ValueError, so this pins the
+    # order in which the exit-code table is searched, not only its entries.
+    @pytest.mark.parametrize(
+        "exc, code, err",
+        [
+            (ParseError(3, 2, "bad"), 2, "ParseError: line 3, column 2: bad"),
+            (EmptyInput("no records"), 2, "EmptyInput: no records"),
+            (DomainViolation("out of range"), 3, "DomainViolation: out of range"),
+            (ValueError("bad value"), 3, "ValueError: bad value"),
+            (FileNotFoundError(2, "gone"), 4, "FileNotFoundError: [Errno 2] gone"),
+            (MemoryError("cannot allocate"), 5, "MemoryError: cannot allocate"),
+            (RuntimeError("unexpected state"), 1, "RuntimeError: unexpected state"),
+        ],
+        ids=["ParseError", "EmptyInput", "DomainViolation", "ValueError",
+             "FileNotFoundError", "MemoryError", "RuntimeError"],
+    )
+    def test_exit_code_table(self, monkeypatch, capsys, exc, code, err):
+        def failing(args):
+            raise exc
+
+        monkeypatch.setitem(cli.COMMANDS, "coin", failing)
+        assert main(["coin", "--p-tail", "0.5", "--accuracy", "0.9", "--q-tail", "0.5"]) == code
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {err}\n"
 
 
 class TestSimulate:
