@@ -31,18 +31,27 @@ from .errors import (
     LabelMismatch,
     ParseError,
 )
-from .estimation import estimate_efficiency, read_samples
+from .estimation import (
+    DEFAULT_RESAMPLES,
+    DEFAULT_SMOOTHING,
+    estimate_efficiency,
+    read_samples,
+)
 from .kelly import MarketParams, kelly_growth_target, kelly_strategy, simulate
 from .probability import Distribution
 from .svg import line_chart
 
 DEFAULT_SEED = 1729  # fixed default; reproducibility by default
 EXIT_OK = 0
-EXIT_INTERNAL = 1
-EXIT_PARSE = 2
-EXIT_DOMAIN = 3
-EXIT_IO = 4
-EXIT_RESOURCE = 5
+# Searched in order: ParseError and EmptyInput are also InfoEffErrors and
+# ValueErrors, and any other exception is an internal error.
+EXIT_CODES = (
+    ((ParseError, EmptyInput), 2),
+    ((InfoEffError, ValueError), 3),
+    (OSError, 4),
+    (MemoryError, 5),
+    (Exception, 1),
+)
 
 FIGURES = {
     1: ("eff_vs_accuracy", "signal accuracy p(y|x)", "efficiency Eff(X|Y)"),
@@ -122,18 +131,7 @@ def cmd_measure(args: argparse.Namespace) -> int:
     for warning in caught:  # one line each, without the source location
         sys.stderr.write(f"warning: {warning.message}\n")
     flat = report.point.as_dict()
-    flat.update(
-        ci_low=report.ci_low,
-        ci_high=report.ci_high,
-        n_samples=report.n_samples,
-        smoothing=report.smoothing,
-        resamples=report.resamples,
-        seed=report.seed,
-        small_sample=report.small_sample,
-    )
-    if report.eff_q_ci_low is not None:
-        flat["eff_q_ci_low"] = report.eff_q_ci_low
-        flat["eff_q_ci_high"] = report.eff_q_ci_high
+    flat.update((k, v) for k, v in vars(report).items() if k != "point" and v is not None)
     _write_text(args.out, _render_flat(flat, args.format))
     return EXIT_OK
 
@@ -147,24 +145,18 @@ def cmd_coin(args: argparse.Namespace) -> int:
 
     # Closed forms exist on specific parameter slices; compare wherever one
     # applies and surface the largest disagreement.
-    deltas = []
-    flat["closed_form_h_x"] = coin_mod.closed_form_entropy(params.p_tail)
-    deltas.append(abs(flat["closed_form_h_x"] - report.h_x))
-    flat["delta_h_x"] = deltas[-1]
+    closed_forms = [("h_x", coin_mod.closed_form_entropy(params.p_tail))]
     if params.p_tail == 0.5:
-        flat["closed_form_eff"] = coin_mod.closed_form_entropy(params.accuracy)
-        deltas.append(abs(flat["closed_form_eff"] - report.eff))
-        flat["delta_eff"] = deltas[-1]
-        flat["closed_form_h_q"] = coin_mod.closed_form_quote_entropy(params.q_tail)
-        deltas.append(abs(flat["closed_form_h_q"] - report.h_q))
-        flat["delta_h_q"] = deltas[-1]
+        closed_forms.append(("eff", coin_mod.closed_form_entropy(params.accuracy)))
+        closed_forms.append(("h_q", coin_mod.closed_form_quote_entropy(params.q_tail)))
         if params.accuracy == 0.5:
-            flat["closed_form_eff_q"] = coin_mod.closed_form_efficiency_unfair_quotes(
-                params.q_tail
+            closed_forms.append(
+                ("eff_q", coin_mod.closed_form_efficiency_unfair_quotes(params.q_tail))
             )
-            deltas.append(abs(flat["closed_form_eff_q"] - report.eff_q))
-            flat["delta_eff_q"] = deltas[-1]
-    flat["consistency_delta"] = max(deltas)
+    for key, value in closed_forms:
+        flat[f"closed_form_{key}"] = value
+        flat[f"delta_{key}"] = abs(value - getattr(report, key))
+    flat["consistency_delta"] = max(flat[f"delta_{key}"] for key, _ in closed_forms)
     _write_text(args.out, _render_flat(flat, args.format))
     return EXIT_OK
 
@@ -273,8 +265,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("measure", help="estimate efficiency from a samples CSV")
     p.add_argument("--in", dest="input_path", required=True, help="samples CSV (signal,outcome)")
     p.add_argument("--quotes", dest="quotes_path", help="quote sidecar CSV (label,q)")
-    p.add_argument("--smoothing", type=float, default=0.5)
-    p.add_argument("--resamples", type=int, default=1000)
+    p.add_argument("--smoothing", type=float, default=DEFAULT_SMOOTHING)
+    p.add_argument("--resamples", type=int, default=DEFAULT_RESAMPLES)
     p.add_argument("--seed", type=int, default=DEFAULT_SEED)
     p.add_argument("--info-set", dest="info_set", default=STRONG)
     p.add_argument("--format", choices=["json", "csv"], default="json")
@@ -320,21 +312,9 @@ def run(args: argparse.Namespace) -> int:
     """Dispatch parsed arguments, mapping errors to the documented exit codes."""
     try:
         return COMMANDS[args.subcommand](args)
-    except (ParseError, EmptyInput) as exc:
+    except Exception as exc:  # every failure is one line, never a traceback
         sys.stderr.write(f"error: {type(exc).__name__}: {exc}\n")
-        return EXIT_PARSE
-    except (InfoEffError, ValueError) as exc:
-        sys.stderr.write(f"error: {type(exc).__name__}: {exc}\n")
-        return EXIT_DOMAIN
-    except OSError as exc:
-        sys.stderr.write(f"error: {type(exc).__name__}: {exc}\n")
-        return EXIT_IO
-    except MemoryError as exc:
-        sys.stderr.write(f"error: {type(exc).__name__}: {exc}\n")
-        return EXIT_RESOURCE
-    except Exception as exc:  # a bug, still reported as one line rather than a traceback
-        sys.stderr.write(f"error: {type(exc).__name__}: {exc}\n")
-        return EXIT_INTERNAL
+        return next(code for kinds, code in EXIT_CODES if isinstance(exc, kinds))
 
 
 def main(argv: list[str] | None = None) -> int:

@@ -122,17 +122,11 @@ CURVES = {
 }
 
 
-def sweep(
-    curve_id: str,
-    start: float | None = None,
-    stop: float | None = None,
-    points: int = 1001,
-) -> list[tuple[float, float]]:
+def sweep(curve_id: str, points: int = 1001) -> list[tuple[float, float]]:
     """Sample a closed-form curve on a uniform grid; returns (param, value) rows.
 
-    Default grid: `points` samples of [0, 1] with endpoints included where
-    the curve's domain permits (dropped for the open-domain curves). An
-    explicit range must lie inside the curve's domain (DomainViolation).
+    The grid is `points` samples of [0, 1], with the endpoints dropped for
+    the open-domain curves.
     """
     if curve_id not in CURVES:
         raise DomainViolation(
@@ -141,16 +135,7 @@ def sweep(
     func, open_domain = CURVES[curve_id]
     if points < 2:
         raise DomainViolation(f"grid needs at least 2 points, got {points}")
-    explicit = start is not None or stop is not None
-    lo = 0.0 if start is None else float(start)
-    hi = 1.0 if stop is None else float(stop)
-    if not 0.0 <= lo <= hi <= 1.0:
-        raise DomainViolation(f"range [{lo}, {hi}] is not inside [0, 1]")
-    if open_domain and explicit and (lo <= 0.0 or hi >= 1.0):
-        raise DomainViolation(
-            f"curve {curve_id!r} is defined on the open interval (0, 1)"
-        )
-    grid = np.linspace(lo, hi, points)
-    if open_domain and not explicit:
+    grid = np.linspace(0.0, 1.0, points)
+    if open_domain:
         grid = grid[(grid > 0.0) & (grid < 1.0)]
     return [(float(x), func(float(x))) for x in grid]

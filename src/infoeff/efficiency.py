@@ -38,7 +38,7 @@ SEMI_STRONG = "semi_strong"
 STRONG = "strong"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, kw_only=True)
 class EfficiencyReport:
     """Entropies (bits), efficiency ratios, growth rates, and gap decomposition.
 
@@ -48,16 +48,17 @@ class EfficiencyReport:
     `info_set` must be a non-empty label (DomainViolation otherwise).
     """
 
+    # The field order is the output order of as_dict and of every report.
+    eff: float | None
+    eff_q: float | None = None
     h_x: float
     h_x_given_y: float
-    eff: float | None
-    g_max: float
-    predictability_gap: float
-    info_set: str
     h_q: float | None = None
-    eff_q: float | None = None
+    g_max: float
     g_max_q: float | None = None
+    predictability_gap: float
     mispricing_gap: float | None = None
+    info_set: str
 
     def __post_init__(self):
         if self.info_set == "":
@@ -65,23 +66,7 @@ class EfficiencyReport:
 
     def as_dict(self) -> dict:
         """Flat dict with snake_case keys; absent quote fields are omitted."""
-        out = {}
-        for key in (
-            "eff",
-            "eff_q",
-            "h_x",
-            "h_x_given_y",
-            "h_q",
-            "g_max",
-            "g_max_q",
-            "predictability_gap",
-            "mispricing_gap",
-            "info_set",
-        ):
-            value = getattr(self, key)
-            if value is not None:
-                out[key] = value
-        return out
+        return {k: v for k, v in vars(self).items() if v is not None}
 
 
 def _unit_ratio(numerator: float, denominator: float, what: str) -> float:

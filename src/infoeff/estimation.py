@@ -106,6 +106,7 @@ class EstimateReport:
     (if necessary) to contain the point estimate and clamped to [0, 1].
     """
 
+    # The field order is the output order of the `measure` report.
     point: EfficiencyReport
     ci_low: float
     ci_high: float

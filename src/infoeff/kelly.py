@@ -38,8 +38,8 @@ from .errors import (
     DomainViolation,
     LabelMismatch,
     UnsupportedAlphabet,
-    UnsupportedOutcome,
 )
+from .measures import _check_quotes
 from .probability import (
     Channel,
     Distribution,
@@ -69,16 +69,9 @@ class MarketParams:
     def __post_init__(self):
         joint = joint_from_prior_channel(self.prior, self.channel)
         object.__setattr__(self, "joint", joint)
-        if self.quotes.labels != self.prior.labels:
-            raise LabelMismatch(
-                f"quote labels {self.quotes.labels} != prior labels {self.prior.labels}"
-            )
         # simulate and grid_search_optimal never reach cross_entropy's check,
         # and without this one the payout matrix would hold +inf cells.
-        if np.any((self.prior.probs > 0.0) & (self.quotes.probs == 0.0)):
-            raise UnsupportedOutcome(
-                "q(x) = 0 for an outcome with p(x) > 0: payout is undefined"
-            )
+        _check_quotes(self.prior, self.quotes)
 
 
 @dataclass(frozen=True, eq=False)

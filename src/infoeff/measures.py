@@ -80,18 +80,23 @@ def mutual_information(joint: JointSystem) -> float:
     return clamp_nonneg(value, "mutual information")
 
 
-def cross_entropy(p: Distribution, q: Distribution) -> float:
-    """H(q) = -sum_x p(x) log2 q(x), in bits.
-
-    Requires identical alphabets and q(x) > 0 wherever p(x) > 0;
-    otherwise the cross-entropy is infinite (UnsupportedOutcome).
-    """
+def _check_quotes(p: Distribution, q: Distribution) -> None:
+    """Quotes q must share p's alphabet and be > 0 wherever p(x) > 0."""
     if q.labels != p.labels:
         raise LabelMismatch(f"quote labels {q.labels} != outcome labels {p.labels}")
     if np.any((p.probs > 0.0) & (q.probs == 0.0)):
         raise UnsupportedOutcome(
             "q(x) = 0 for an outcome with p(x) > 0: cross-entropy is infinite"
         )
+
+
+def cross_entropy(p: Distribution, q: Distribution) -> float:
+    """H(q) = -sum_x p(x) log2 q(x), in bits.
+
+    Requires identical alphabets and q(x) > 0 wherever p(x) > 0;
+    otherwise the cross-entropy is infinite (UnsupportedOutcome).
+    """
+    _check_quotes(p, q)
     return float(_neg_sum_plog2q(p.probs, q.probs))
 
 

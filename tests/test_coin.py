@@ -171,10 +171,6 @@ class TestSweep:
         assert 0.0 not in params and 1.0 not in params
         assert len(params) == 999
 
-    def test_explicit_range_outside_open_domain_rejected(self):
-        with pytest.raises(DomainViolation):
-            sweep("eff_vs_q", start=0.0, stop=0.5)
-
     def test_unknown_curve(self):
         with pytest.raises(DomainViolation):
             sweep("nope")

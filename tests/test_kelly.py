@@ -18,6 +18,7 @@ from infoeff import (
     UnsupportedOutcome,
     ZeroProbabilitySignal,
     coin_components,
+    cross_entropy,
     expected_log2_growth,
     grid_search_optimal,
     kelly_growth_target,
@@ -57,6 +58,19 @@ class TestMarketParams:
         quotes = make_distribution(("h", "t"), (1.0, 0.0))
         with pytest.raises(UnsupportedOutcome):
             MarketParams(prior, chan, quotes)
+
+    def test_quote_checks_match_cross_entropy(self):
+        prior = make_distribution(("h", "t"), (0.5, 0.5))
+        chan = Channel(("h", "t"), ("h", "t"), [[0.5, 0.5], [0.5, 0.5]])
+        for quotes, error in [
+            (make_distribution(("a", "b"), (0.5, 0.5)), LabelMismatch),
+            (make_distribution(("h", "t"), (1.0, 0.0)), UnsupportedOutcome),
+        ]:
+            with pytest.raises(error) as expected:
+                cross_entropy(prior, quotes)
+            with pytest.raises(error) as excinfo:
+                MarketParams(prior, chan, quotes)
+            assert str(excinfo.value) == str(expected.value)
 
     def test_joint_is_prior_times_channel_bit_for_bit(self):
         market = random_binary_market(np.random.default_rng(5))
