@@ -1,6 +1,8 @@
 import json
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 import oracles
 from infoeff import cli
@@ -618,6 +620,29 @@ class TestGoldenOutputs:
         )
         assert code == 0
         assert capsys.readouterr().out == GOLDEN_COIN_BIASED_CSV
+
+
+# Text that JSON must escape: quotes, backslashes, control characters and
+# non-ASCII letters and separators.
+json_text = st.one_of(
+    st.text(),
+    st.sampled_from(
+        ['a"b', "back\\slash", "new\nline", "cr\rtab\t", "π ≈ 3.14", "\u2028\x00"]
+    ),
+)
+json_scalars = st.one_of(
+    json_text,
+    st.booleans(),
+    st.integers(),
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.sampled_from([0.0, -0.0, 5e-324, 1e300, -1e300]),
+)
+
+
+class TestRenderFlat:
+    @given(st.dictionaries(json_text, json_scalars, min_size=1))
+    def test_json_equals_indent_2(self, report):
+        assert cli._render_flat(report, "json") == json.dumps(report, indent=2) + "\n"
 
 
 class TestParserReuse:

@@ -332,6 +332,46 @@ class TestExpectedGrowth:
                 assert rival <= bound + 1e-12
 
 
+def grid_search_reference(market: MarketParams, resolution: int):
+    """Per-signal loop over the fraction grid: the search written plainly."""
+    fractions = np.linspace(0.0, 1.0, resolution + 1)
+    with np.errstate(divide="ignore"):
+        log2_f = np.log2(fractions)
+        log2_1mf = np.log2(1.0 - fractions)
+    log2_alpha = -np.log2(market.quotes.probs)
+    joint = market.joint.joint
+    total = 0.0
+    allocations = {}
+    for j, y in enumerate(market.channel.output_labels):
+        p0, p1 = float(joint[0, j]), float(joint[1, j])
+        value = np.zeros_like(fractions)
+        if p0 > 0.0:
+            value += p0 * (log2_f + log2_alpha[0])
+        if p1 > 0.0:
+            value += p1 * (log2_1mf + log2_alpha[1])
+        best = int(np.argmax(value))
+        f = float(fractions[best])
+        allocations[y] = np.array([f, 1.0 - f])
+        total += float(value[best])
+    return allocations, total
+
+
+def markets_with_zero_cells():
+    """Binary markets whose joints hold zero cells, rows or whole signal columns."""
+    for p_tail in (0.0, 0.3, 0.5, 1.0):
+        for accuracy in (0.0, 0.2, 0.5, 0.9, 1.0):
+            for q_tail in (0.05, 0.4, 0.5):
+                yield coin_market(p_tail, accuracy, q_tail)
+    prior = make_distribution(("h", "t"), (0.6, 0.4))
+    quotes = make_distribution(("h", "t"), (0.3, 0.7))
+    for rows in (
+        [[0.7, 0.0, 0.3], [0.0, 0.0, 1.0]],
+        [[0.0, 1.0, 0.0], [0.25, 0.5, 0.25]],
+        [[0.5, 0.5, 0.0], [0.5, 0.5, 0.0]],
+    ):
+        yield MarketParams(prior, Channel(("h", "t"), ("u", "v", "w"), rows), quotes)
+
+
 class TestGridSearch:
     def test_requires_binary_alphabet(self):
         prior = normalize(("a", "b", "c"), (1.0, 1.0, 1.0))
@@ -375,3 +415,14 @@ class TestGridSearch:
                     np.abs(strat.allocations[y].probs - kelly.allocations[y].probs)
                 )
                 assert deviation < 2.0 / resolution
+
+    @pytest.mark.parametrize("resolution", [100, 777, 1000])
+    def test_bitwise_equal_to_per_signal_reference(self, resolution):
+        for market in markets_with_zero_cells():
+            strat, total = grid_search_optimal(market, resolution)
+            allocations, expected = grid_search_reference(market, resolution)
+            assert repr(total) == repr(expected)
+            assert list(strat.allocations) == list(allocations)
+            for y, probs in allocations.items():
+                assert strat.allocations[y].labels == market.prior.labels
+                assert strat.allocations[y].probs.tobytes() == probs.tobytes()

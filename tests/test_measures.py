@@ -1,5 +1,8 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 import oracles
 from infoeff import (
@@ -17,6 +20,7 @@ from infoeff import (
     normalize,
     quote_entropy,
 )
+from infoeff.measures import _neg_sum_plog2q
 
 
 class TestEntropy:
@@ -153,3 +157,47 @@ class TestQuoteEntropy:
             assert quote_entropy(p, 1.0 / q.probs) == pytest.approx(
                 cross_entropy(p, q), abs=1e-12
             )
+
+
+def masked_neg_sum_plog2q(p, q):
+    """Reference kernel: gather the p > 0 cells, scatter their terms into zeros."""
+    mask = p > 0.0
+    terms = np.zeros_like(p)
+    terms[mask] = p[mask] * np.log2(q[mask])
+    return -np.sum(terms, axis=-1)
+
+
+# Zeros of both signs and subnormals beside ordinary probabilities.
+kernel_cells = st.one_of(
+    st.sampled_from([0.0, -0.0, 5e-324, 1e-310, 2.2250738585072014e-308, 1.0]),
+    st.floats(min_value=0.0, max_value=1.0),
+)
+
+
+@st.composite
+def kernel_inputs(draw):
+    shape = draw(hnp.array_shapes(min_dims=1, max_dims=3, max_side=9))
+    p = draw(hnp.arrays(np.float64, shape, elements=kernel_cells))
+    q = draw(hnp.arrays(np.float64, shape, elements=kernel_cells))
+    return p, q
+
+
+class TestKernel:
+    @given(kernel_inputs())
+    @settings(max_examples=300)
+    def test_bitwise_equal_to_masked_reference(self, pq):
+        p, q = pq
+        with np.errstate(divide="ignore"):
+            expected = masked_neg_sum_plog2q(p, q)
+            got = _neg_sum_plog2q(p, q)
+        assert got.dtype == expected.dtype and got.shape == expected.shape
+        assert got.tobytes() == expected.tobytes()
+
+    def test_zero_quote_on_support_stays_infinite(self):
+        p = np.array([[0.5, 0.5], [-0.0, 1.0], [5e-324, 1.0]])
+        q = np.array([[0.0, 1.0], [0.0, 1.0], [0.0, 1.0]])
+        with np.errstate(divide="ignore"):
+            got = _neg_sum_plog2q(p, q)
+        # sum p log2 q is -inf where a supported cell is quoted at 0; a cell
+        # with p = -0.0 contributes +0.0, whatever its quote.
+        assert (-got).tolist() == [-np.inf, 0.0, -np.inf]
