@@ -73,7 +73,10 @@ def _render_flat(report: dict, fmt: str) -> str:
         lines = ["key,value"]
         lines += [f"{k},{v!r}" if isinstance(v, float) else f"{k},{v}" for k, v in report.items()]
         return "\n".join(lines) + "\n"
-    return json.dumps(report, indent=2) + "\n"
+    # The bytes of indent=2 for a non-empty dict of scalars, through the C
+    # encoder: json falls back to its pure-Python encoder for any indent.
+    inner = json.dumps(report, separators=(",\n  ", ": "))
+    return "{\n  " + inner[1:-1] + "\n}\n"
 
 
 def _read_quote_sidecar(path: str, outcome_labels: tuple[str, ...]) -> Distribution:
@@ -235,11 +238,12 @@ def cmd_figures(args: argparse.Namespace) -> int:
         numbers = [1, 2, 3, 4]
     else:
         numbers = [int(args.which)]
+    # Every table first, so that a rejected --points writes no file.
+    tables = {n: coin_mod.sweep(FIGURES[n][0], points=args.points) for n in numbers}
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    for n in numbers:
-        curve_id, x_label, y_label = FIGURES[n]
-        table = coin_mod.sweep(curve_id, points=args.points)
+    for n, table in tables.items():
+        _, x_label, y_label = FIGURES[n]
         csv_path = out_dir / f"fig{n}.csv"
         lines = ["param,value"] + [f"{x!r},{y!r}" for x, y in table]
         csv_path.write_text("\n".join(lines) + "\n", encoding="utf-8")

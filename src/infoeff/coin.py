@@ -126,15 +126,16 @@ def sweep(curve_id: str, points: int = 1001) -> list[tuple[float, float]]:
     """Sample a closed-form curve on a uniform grid; returns (param, value) rows.
 
     The grid is `points` samples of [0, 1], with the endpoints dropped for
-    the open-domain curves.
+    the open-domain curves, which therefore need at least 3 points.
     """
     if curve_id not in CURVES:
         raise DomainViolation(
             f"unknown curve {curve_id!r}; expected one of {sorted(CURVES)}"
         )
     func, open_domain = CURVES[curve_id]
-    if points < 2:
-        raise DomainViolation(f"grid needs at least 2 points, got {points}")
+    minimum = 3 if open_domain else 2  # an open domain keeps no endpoint
+    if points < minimum:
+        raise DomainViolation(f"{curve_id} grid needs at least {minimum} points, got {points}")
     grid = np.linspace(0.0, 1.0, points)
     if open_domain:
         grid = grid[(grid > 0.0) & (grid < 1.0)]

@@ -45,7 +45,9 @@ class EfficiencyReport:
     Quote-dependent fields (h_q, eff_q, g_max_q, mispricing_gap) are None
     when no quotes were supplied. `eff` is None only in the corner where
     quotes are supplied and H(X) = 0 (the plain ratio is 0/0 there).
-    `info_set` must be a non-empty label (DomainViolation otherwise).
+    `info_set` must be a non-empty label free of CSV syntax: a comma, a
+    double quote, CR or LF would forge cells in a CSV report
+    (DomainViolation otherwise).
     """
 
     # The field order is the output order of as_dict and of every report.
@@ -63,6 +65,11 @@ class EfficiencyReport:
     def __post_init__(self):
         if self.info_set == "":
             raise DomainViolation("info-set label must be non-empty")
+        if any(c in self.info_set for c in ',"\r\n'):
+            raise DomainViolation(
+                "info-set label must not contain a comma, a double quote, CR or LF, "
+                f"got {self.info_set!r}"
+            )
 
     def as_dict(self) -> dict:
         """Flat dict with snake_case keys; absent quote fields are omitted."""
@@ -118,7 +125,7 @@ def _as_quote_distribution(quotes, labels) -> Distribution:
     q = np.asarray(quotes, dtype=float)
     if q.ndim != 1 or len(q) != len(labels):
         raise LabelMismatch(f"{len(labels)} outcomes but {q.shape} quotes")
-    total = float(np.sum(q))
+    total = float(q.sum())
     if not abs(total - 1.0) <= SUM_TOL:
         raise QuoteSumNotOne(
             f"quotes sum to {total!r}, not 1 within {SUM_TOL} (no-cost constraint)"

@@ -27,6 +27,7 @@ grow with `rounds`.
 
 from __future__ import annotations
 
+import functools
 from collections.abc import Mapping
 from dataclasses import dataclass, field
 from types import MappingProxyType
@@ -234,9 +235,9 @@ def expected_log2_growth(market: MarketParams, strategy: BettingStrategy) -> flo
     log2_pay = _log2_payout_matrix(market, strategy)
     joint = market.joint.joint  # (n_x, n_y)
     mask = joint > 0.0
-    if np.any(mask & np.isneginf(log2_pay.T)):
+    if (mask & np.isneginf(log2_pay.T)).any():
         return float("-inf")
-    return float(np.sum(joint[mask] * log2_pay.T[mask]))
+    return float((joint[mask] * log2_pay.T[mask]).sum())
 
 
 def grid_search_optimal(
@@ -260,27 +261,36 @@ def grid_search_optimal(
     if resolution < 100:
         raise DomainViolation(f"resolution must be >= 100, got {resolution}")
 
-    fractions = np.linspace(0.0, 1.0, resolution + 1)
-    with np.errstate(divide="ignore"):
-        log2_f = np.log2(fractions)
-        log2_1mf = np.log2(1.0 - fractions)
+    fractions, log2_f, log2_1mf = _grid(resolution)
     log2_alpha = -np.log2(market.quotes.probs)
 
-    joint = market.joint.joint
+    # value[j, i]: expected growth from signal j when staking fractions[i]
+    # on the first outcome. A zero joint cell adds +0.0, never 0 * -inf.
+    p0, p1 = market.joint.joint[:, :, None]
+    value = np.zeros((len(p0), len(fractions)))
+    with np.errstate(invalid="ignore"):
+        value += np.where(p0 > 0.0, p0 * (log2_f + log2_alpha[0]), 0.0)
+        value += np.where(p1 > 0.0, p1 * (log2_1mf + log2_alpha[1]), 0.0)
+    best = value.argmax(axis=1)
+
     total = 0.0
     allocations = {}
     for j, y in enumerate(market.channel.output_labels):
-        p0, p1 = float(joint[0, j]), float(joint[1, j])
-        value = np.zeros_like(fractions)
-        if p0 > 0.0:
-            value += p0 * (log2_f + log2_alpha[0])
-        if p1 > 0.0:
-            value += p1 * (log2_1mf + log2_alpha[1])
-        best = int(np.argmax(value))
-        f = float(fractions[best])
+        f = float(fractions[best[j]])
         allocations[y] = Distribution(market.prior.labels, (f, 1.0 - f))
-        total += float(value[best])
+        total += float(value[j, best[j]])
     return BettingStrategy(allocations), total
+
+
+@functools.cache
+def _grid(resolution: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Read-only (fractions, log2 fractions, log2(1 - fractions)) of a search grid."""
+    fractions = np.linspace(0.0, 1.0, resolution + 1)
+    with np.errstate(divide="ignore"):
+        grid = (fractions, np.log2(fractions), np.log2(1.0 - fractions))
+    for arr in grid:
+        arr.setflags(write=False)
+    return grid
 
 
 def kelly_growth_target(market: MarketParams) -> float:

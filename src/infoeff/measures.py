@@ -41,9 +41,10 @@ def _neg_sum_plog2q(p: np.ndarray, q: np.ndarray) -> np.ndarray:
     (p, q). p and q have the same shape; leading axes are a batch.
     """
     mask = p > 0.0
-    terms = np.zeros_like(p)
-    terms[mask] = p[mask] * np.log2(q[mask])
-    return -np.sum(terms, axis=-1)
+    # Cells with p <= 0 (including -0.0) are never written and stay +0.0.
+    terms = np.log2(q, where=mask, out=np.zeros_like(p))
+    np.multiply(terms, p, out=terms, where=mask)
+    return -terms.sum(axis=-1)
 
 
 def _conditional_entropies(joint: np.ndarray) -> np.ndarray:
@@ -54,7 +55,7 @@ def _conditional_entropies(joint: np.ndarray) -> np.ndarray:
     marginal entropy.
     """
     columns = np.ascontiguousarray(np.swapaxes(joint, -1, -2))
-    p_y = np.sum(columns, axis=-1)
+    p_y = columns.sum(axis=-1)
     # A zero-probability column is all zeros, so dividing it by 1 keeps it so.
     cond = columns / np.where(p_y > 0.0, p_y, 1.0)[..., None]
     terms = p_y * _neg_sum_plog2q(cond, cond)
@@ -84,7 +85,7 @@ def _check_quotes(p: Distribution, q: Distribution) -> None:
     """Quotes q must share p's alphabet and be > 0 wherever p(x) > 0."""
     if q.labels != p.labels:
         raise LabelMismatch(f"quote labels {q.labels} != outcome labels {p.labels}")
-    if np.any((p.probs > 0.0) & (q.probs == 0.0)):
+    if ((p.probs > 0.0) & (q.probs == 0.0)).any():
         raise UnsupportedOutcome(
             "q(x) = 0 for an outcome with p(x) > 0: cross-entropy is infinite"
         )

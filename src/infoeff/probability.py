@@ -36,10 +36,10 @@ Labels = tuple[str, ...]
 
 
 def _check_labels(labels: Sequence[str], what: str) -> Labels:
-    labels = tuple(str(x) for x in labels)
+    labels = tuple(map(str, labels))
     if len(labels) == 0:
         raise EmptyAlphabet(f"{what} alphabet is empty")
-    if any(lbl == "" for lbl in labels):
+    if "" in labels:
         raise EmptyAlphabet(f"{what} alphabet contains an empty label")
     if len(set(labels)) != len(labels):
         raise DuplicateLabel(f"{what} alphabet has duplicate labels: {labels}")
@@ -172,9 +172,9 @@ def normalize(labels: Sequence[str], weights: Sequence[float]) -> Distribution:
     normalize returns it bit-for-bit.
     """
     w = np.asarray(weights, dtype=float)
-    if np.any(w < 0.0):
+    if (w < 0.0).any():
         raise NegativeWeight(f"weights contain a negative entry: {w.tolist()}")
-    s = float(np.sum(w))
+    s = float(w.sum())
     if s <= 0.0:
         raise AllZero("all weights are zero")
     if abs(s - 1.0) <= NORMALIZED_TOL:
@@ -209,7 +209,7 @@ def bayes_posterior(prior: Distribution, channel: Channel, signal: str) -> Distr
         raise LabelMismatch(f"unknown signal label {signal!r}")
     j = channel.output_labels.index(signal)
     cells = prior.probs * channel.rows[:, j]
-    total = float(np.sum(cells))
+    total = float(cells.sum())
     if total <= 0.0:
         raise ZeroProbabilitySignal(
             f"signal {signal!r} has marginal probability 0"
@@ -219,12 +219,12 @@ def bayes_posterior(prior: Distribution, channel: Channel, signal: str) -> Distr
 
 def marginal_signal(joint: JointSystem) -> Distribution:
     """Marginal distribution over signals: p(y) = sum_x p(x, y)."""
-    return Distribution(joint.signal_labels, np.sum(joint.joint, axis=0))
+    return Distribution(joint.signal_labels, joint.joint.sum(axis=0))
 
 
 def marginal_outcome(joint: JointSystem) -> Distribution:
     """Marginal distribution over outcomes: p(x) = sum_y p(x, y)."""
-    return Distribution(joint.outcome_labels, np.sum(joint.joint, axis=1))
+    return Distribution(joint.outcome_labels, joint.joint.sum(axis=1))
 
 
 def compose_channels(first: Channel, second: Channel) -> Channel:

@@ -166,6 +166,19 @@ class TestCoin:
         assert captured.out == ""
         assert captured.err == "error: DomainViolation: info-set label must be non-empty\n"
 
+    def test_csv_syntax_in_info_set_exit_3(self, capsys):
+        code = main(
+            ["coin", "--p-tail", "0.5", "--accuracy", "0.9", "--q-tail", "0.5",
+             "--format", "csv", "--info-set", "a,b\nx,1"]
+        )
+        assert code == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "error: DomainViolation: info-set label must not contain a comma, "
+            "a double quote, CR or LF, got 'a,b\\nx,1'\n"
+        )
+
     def test_unexpected_error_exit_1(self, monkeypatch, capsys):
         def broken(config):
             raise RuntimeError("unexpected state")
@@ -327,6 +340,21 @@ class TestFigures:
         table = [(float(a), float(b)) for a, b in rows]
         worst = min(table, key=lambda r: r[1])
         assert worst == (0.5, 1.0)
+
+    @pytest.mark.parametrize("fmt", ["csv", "svg"])
+    def test_open_domain_below_three_points_writes_nothing(self, tmp_path, capsys, fmt):
+        out_dir = tmp_path / "figs"
+        out_dir.mkdir()
+        code = main(
+            ["figures", "--points", "2", "--format", fmt, "--out-dir", str(out_dir)]
+        )
+        assert code == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "error: DomainViolation: eff_vs_q grid needs at least 3 points, got 2\n"
+        )
+        assert list(out_dir.iterdir()) == []
 
     def test_svg_output(self, tmp_path, capsys):
         code = main(

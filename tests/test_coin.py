@@ -171,6 +171,16 @@ class TestSweep:
         assert 0.0 not in params and 1.0 not in params
         assert len(params) == 999
 
+    def test_open_domain_needs_an_interior_point(self):
+        for curve_id, func in (
+            ("eff_vs_q", closed_form_efficiency_unfair_quotes),
+            ("hq_vs_q", closed_form_quote_entropy),
+        ):
+            with pytest.raises(DomainViolation, match="at least 3 points, got 2"):
+                sweep(curve_id, points=2)
+            assert sweep(curve_id, points=3) == [(0.5, func(0.5))]
+        assert [x for x, _ in sweep("eff_vs_accuracy", points=2)] == [0.0, 1.0]
+
     def test_unknown_curve(self):
         with pytest.raises(DomainViolation):
             sweep("nope")

@@ -168,6 +168,15 @@ class TestInfoSetLabel:
         with pytest.raises(DomainViolation, match="info-set"):
             compare_info_sets([("", ACCURACY_09)])
 
+    @pytest.mark.parametrize("label", ["a,b\nx,1", 'say "hi"', "cr\r", "lf\n", ","])
+    def test_csv_syntax_in_label_rejected(self, label):
+        with pytest.raises(DomainViolation, match="info-set"):
+            efficiency(ACCURACY_09, label)
+        with pytest.raises(DomainViolation, match="info-set"):
+            efficiency_with_quotes(ACCURACY_09, (0.5, 0.5), label)
+        with pytest.raises(DomainViolation, match="info-set"):
+            compare_info_sets([(label, ACCURACY_09)])
+
     def test_custom_label_is_metadata(self):
         custom = efficiency_with_quotes(ACCURACY_09, (0.4, 0.6), "bogus")
         assert custom.info_set == "bogus"
