@@ -61,18 +61,23 @@ FIGURES = {
 }
 
 
-def _write_text(out: str | None, text: str) -> None:
+def _write_text(out: str | Path | None, text: str) -> None:
     if out is None:
         sys.stdout.write(text)
     else:
         Path(out).write_text(text, encoding="utf-8")
 
 
+def _csv(header: str, rows) -> str:
+    """The header line, then one line per row: floats as repr, the rest as str."""
+    lines = [header]
+    lines += [",".join([repr(v) if isinstance(v, float) else str(v) for v in row]) for row in rows]
+    return "\n".join(lines) + "\n"
+
+
 def _render_flat(report: dict, fmt: str) -> str:
     if fmt == "csv":
-        lines = ["key,value"]
-        lines += [f"{k},{v!r}" if isinstance(v, float) else f"{k},{v}" for k, v in report.items()]
-        return "\n".join(lines) + "\n"
+        return _csv("key,value", report.items())
     # The bytes of indent=2 for a non-empty dict of scalars, through the C
     # encoder: json falls back to its pure-Python encoder for any indent.
     inner = json.dumps(report, separators=(",\n  ", ": "))
@@ -194,19 +199,17 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         )
 
     if args.trajectory_out is not None:
-        lines = ["round,log2_wealth"]
-        lines += [f"{r},{w!r}" for r, w in results[0].trajectory_sample]
-        Path(args.trajectory_out).write_text("\n".join(lines) + "\n", encoding="utf-8")
+        _write_text(args.trajectory_out, _csv("round,log2_wealth", results[0].trajectory_sample))
 
     aggregate = sum(r.mean_growth for r in results) / len(results)
     if args.format == "csv":
-        lines = ["run_index,rounds,seed,final_log2_wealth,mean_growth,target,abs_error"]
-        for r in results:
-            lines.append(
-                f"{r.run_index},{r.rounds},{r.seed},{r.final_log2_wealth!r},"
-                f"{r.mean_growth!r},{target!r},{abs(r.mean_growth - target)!r}"
-            )
-        _write_text(args.out, "\n".join(lines) + "\n")
+        rows = [
+            (r.run_index, r.rounds, r.seed, r.final_log2_wealth, r.mean_growth, target,
+             abs(r.mean_growth - target))
+            for r in results
+        ]
+        header = "run_index,rounds,seed,final_log2_wealth,mean_growth,target,abs_error"
+        _write_text(args.out, _csv(header, rows))
     else:
         payload = {
             "p_tail": params.p_tail,
@@ -238,23 +241,19 @@ def cmd_figures(args: argparse.Namespace) -> int:
         numbers = [1, 2, 3, 4]
     else:
         numbers = [int(args.which)]
-    # Every table first, so that a rejected --points writes no file.
+    # Every text first, so that a rejected --points writes no file.
     tables = {n: coin_mod.sweep(FIGURES[n][0], points=args.points) for n in numbers}
-    out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    texts = {}
     for n, table in tables.items():
         _, x_label, y_label = FIGURES[n]
-        csv_path = out_dir / f"fig{n}.csv"
-        lines = ["param,value"] + [f"{x!r},{y!r}" for x, y in table]
-        csv_path.write_text("\n".join(lines) + "\n", encoding="utf-8")
-        sys.stdout.write(f"{csv_path}\n")
+        texts[f"fig{n}.csv"] = _csv("param,value", table)
         if args.format == "svg":
-            svg_path = out_dir / f"fig{n}.svg"
-            svg_path.write_text(
-                line_chart(table, x_label, y_label, title=f"figure {n}"),
-                encoding="utf-8",
-            )
-            sys.stdout.write(f"{svg_path}\n")
+            texts[f"fig{n}.svg"] = line_chart(table, x_label, y_label, title=f"figure {n}")
+    out_dir = Path(args.out_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    for name, text in texts.items():
+        _write_text(out_dir / name, text)
+        sys.stdout.write(f"{out_dir / name}\n")
     return EXIT_OK
 
 

@@ -25,7 +25,6 @@ from .errors import (
     DomainViolation,
     LabelMismatch,
     MarginalMismatch,
-    NumericalInconsistency,
     QuoteSumNotOne,
 )
 from .measures import clamp_nonneg, conditional_entropy, cross_entropy, entropy
@@ -76,25 +75,19 @@ class EfficiencyReport:
         return {k: v for k, v in vars(self).items() if v is not None}
 
 
-def _unit_ratio(numerator: float, denominator: float, what: str) -> float:
-    """numerator/denominator clamped into [0, 1].
+def _fair_fields(joint: JointSystem, p_x: Distribution) -> dict:
+    """The fields every report shares: eff, h_x, h_x_given_y, g_max and the
+    predictability gap.
 
-    Both are entropies (nonnegative, denominator > 0), so the ratio can only
-    leave [0, 1] upward, and only when the numerator exceeds the
-    denominator. An excess within 1e-12 bits is floating-point cancellation
-    and clamps to 1; more than that is a bug (NumericalInconsistency). The
-    guard lives on the bits difference, not the ratio: near-degenerate
-    systems divide by a tiny denominator, which magnifies harmless
-    last-bit noise arbitrarily.
+    Eff follows its gap: 1.0 when H(X) - H(X|Y) clamps to 0 (an excess of
+    H(X|Y) within 1e-12 bits is rounding; more is NumericalInconsistency),
+    else H(X|Y)/H(X), and None when H(X) = 0.
     """
-    if numerator > denominator:
-        if numerator - denominator > 1e-12:
-            raise NumericalInconsistency(
-                f"{what}: numerator {numerator!r} exceeds denominator "
-                f"{denominator!r} by more than 1e-12 bits"
-            )
-        return 1.0
-    return numerator / denominator
+    h_x = entropy(p_x)
+    h_xy = conditional_entropy(joint)
+    gap = clamp_nonneg(h_x - h_xy, "H(X) - H(X|Y)")
+    eff = None if h_x == 0.0 else 1.0 if gap == 0.0 else h_xy / h_x
+    return dict(eff=eff, h_x=h_x, h_x_given_y=h_xy, g_max=gap, predictability_gap=gap)
 
 
 def efficiency(joint: JointSystem, info_set: str = STRONG) -> EfficiencyReport:
@@ -103,19 +96,10 @@ def efficiency(joint: JointSystem, info_set: str = STRONG) -> EfficiencyReport:
     Raises DegenerateSystem when H(X) = 0: the ratio is 0/0 and the measure
     is undefined there; we refuse rather than define it.
     """
-    h_x = entropy(marginal_outcome(joint))
-    if h_x == 0.0:
+    fields = _fair_fields(joint, marginal_outcome(joint))
+    if fields["eff"] is None:
         raise DegenerateSystem("H(X) = 0: efficiency is 0/0 and undefined")
-    h_xy = conditional_entropy(joint)
-    gap = clamp_nonneg(h_x - h_xy, "H(X) - H(X|Y)")
-    return EfficiencyReport(
-        h_x=h_x,
-        h_x_given_y=h_xy,
-        eff=_unit_ratio(h_xy, h_x, "Eff"),
-        g_max=gap,
-        predictability_gap=gap,
-        info_set=info_set,
-    )
+    return EfficiencyReport(**fields, info_set=info_set)
 
 
 def _as_quote_distribution(quotes, labels) -> Distribution:
@@ -148,22 +132,18 @@ def efficiency_with_quotes(
     p_x = marginal_outcome(joint)
     q = _as_quote_distribution(quotes, p_x.labels)
     h_q = cross_entropy(p_x, q)
-    h_x = entropy(p_x)
-    h_xy = conditional_entropy(joint)
     if h_q == 0.0:
         raise DegenerateSystem("H(q) = 0: quote efficiency is 0/0 and undefined")
-    predictability_gap = clamp_nonneg(h_x - h_xy, "H(X) - H(X|Y)")
-    mispricing_gap = clamp_nonneg(h_q - h_x, "H(q) - H(X)")
+    fields = _fair_fields(joint, p_x)
+    h_xy = fields["h_x_given_y"]
+    mispricing_gap = clamp_nonneg(h_q - fields["h_x"], "H(q) - H(X)")
+    g_max_q = clamp_nonneg(h_q - h_xy, "H(q) - H(X|Y)")
     return EfficiencyReport(
-        h_x=h_x,
-        h_x_given_y=h_xy,
-        eff=_unit_ratio(h_xy, h_x, "Eff") if h_x > 0.0 else None,
-        g_max=predictability_gap,
-        predictability_gap=predictability_gap,
+        **fields,
         info_set=info_set,
         h_q=h_q,
-        eff_q=_unit_ratio(h_xy, h_q, "Eff_q"),
-        g_max_q=clamp_nonneg(h_q - h_xy, "H(q) - H(X|Y)"),
+        eff_q=1.0 if g_max_q == 0.0 else h_xy / h_q,
+        g_max_q=g_max_q,
         mispricing_gap=mispricing_gap,
     )
 

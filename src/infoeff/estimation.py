@@ -3,8 +3,9 @@
 Records are tallied straight into the outcome x signal count table, the
 sufficient statistic of every estimator here. The lines after the header
 are read in bounded chunks of CHUNK_LINES and counted per distinct raw
-line, and each distinct line is parsed once, so parsing memory depends on
-the number of cells plus one chunk, not on the number of records.
+line, and each chunk parses each of its distinct lines once, so parsing
+memory depends on the number of cells plus one chunk, not on the number of
+records.
 
 The estimator is the plug-in (maximum likelihood) joint with optional
 additive smoothing, default 0.5 (Jeffreys-style): cell = (count + s) /
@@ -177,7 +178,6 @@ def read_samples(source: Iterable[str]) -> SampleSet:
         raise ParseError(1, 1, "missing header line 'signal,outcome'")
 
     tally: dict[tuple[str, str], list[int]] = {}  # (signal, outcome) -> [first line, count]
-    parsed: dict[str, tuple[str, object]] = {}  # raw line -> its _parse_line result
     while chunk := list(itertools.islice(lines, CHUNK_LINES)):
         # Counter keeps first-occurrence order, so the first error met is the
         # first bad line, and each chunk.index scan resumes where the last
@@ -185,9 +185,7 @@ def read_samples(source: Iterable[str]) -> SampleSet:
         pos = 0
         directives: dict[str, tuple[str, tuple[str, ...]]] = {}
         for raw, count in Counter(chunk).items():
-            if raw not in parsed:
-                parsed[raw] = _parse_line(raw, in_header=False)
-            kind, value = parsed[raw]
+            kind, value = _parse_line(raw, in_header=False)
             if kind == "record":
                 if value in tally:
                     tally[value][1] += count
@@ -202,8 +200,6 @@ def read_samples(source: Iterable[str]) -> SampleSet:
             last = {raw: i for i, raw in enumerate(chunk) if raw in directives}
             declared.update(directives[raw] for raw in sorted(directives, key=last.get))
         line_no += len(chunk)
-        if len(parsed) > len(tally) + CHUNK_LINES:  # many spellings of the same cells
-            parsed.clear()  # keeps memory O(cells + CHUNK_LINES)
 
     if not tally:
         raise EmptyInput(f"no records after the header (line {line_no})")
