@@ -138,11 +138,17 @@ def efficiency_with_quotes(
     h_xy = fields["h_x_given_y"]
     mispricing_gap = clamp_nonneg(h_q - fields["h_x"], "H(q) - H(X)")
     g_max_q = clamp_nonneg(h_q - h_xy, "H(q) - H(X|Y)")
+    # Each ratio follows its gap. At fair quotes (H(q) = H(X) within
+    # rounding) Eff_q is Eff, so it never exceeds it.
+    if mispricing_gap == 0.0:
+        eff_q = fields["eff"]
+    else:
+        eff_q = 1.0 if g_max_q == 0.0 else h_xy / h_q
     return EfficiencyReport(
         **fields,
         info_set=info_set,
         h_q=h_q,
-        eff_q=1.0 if g_max_q == 0.0 else h_xy / h_q,
+        eff_q=eff_q,
         g_max_q=g_max_q,
         mispricing_gap=mispricing_gap,
     )

@@ -32,9 +32,13 @@ def line_chart(
     y_label: str,
     title: str = "",
 ) -> str:
-    """Render (x, y) points as a single polyline with axes and tick labels."""
-    if not points:
-        raise ValueError("line_chart needs at least one point")
+    """Render (x, y) points as a single polyline with axes and tick labels.
+
+    A polyline needs at least 2 points (ValueError otherwise): one point
+    would draw no curve at all.
+    """
+    if len(points) < 2:
+        raise ValueError(f"line_chart needs at least 2 points, got {len(points)}")
     xs = [p[0] for p in points]
     ys = [p[1] for p in points]
     x_lo, x_hi = min(xs), max(xs)

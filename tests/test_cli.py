@@ -90,6 +90,37 @@ class TestMeasure:
         assert captured.out == ""
         assert "QuoteSumNotOne" in captured.err
 
+    @pytest.mark.parametrize(
+        "lines, code, err",
+        [
+            (["lab,q", "h,0.5", "t,0.5"], 2,
+             "ParseError: line 1, column 1: quote sidecar header must be 'label,q'"),
+            (["label,q", "h,0.5,1", "t,0.5"], 2,
+             "ParseError: line 2, column 1: expected 2 fields, got 3"),
+            (["label,q", "h,half", "t,0.5"], 2,
+             "ParseError: line 2, column 2: not a number: 'half'"),
+            (["label,q", "h,0.5", "h,0.5"], 2,
+             "ParseError: line 3, column 1: duplicate quote label 'h'"),
+            (["# no header here"], 2,
+             "ParseError: line 1, column 1: quote sidecar is empty (expected header 'label,q')"),
+            (["label,q", "h,1.0"], 3,
+             "LabelMismatch: quote labels do not match outcome alphabet: "
+             "missing ['t'], extra []"),
+            (["label,q", "h,0.5", "t,0.25", "u,0.25"], 3,
+             "LabelMismatch: quote labels do not match outcome alphabet: "
+             "missing [], extra ['u']"),
+        ],
+        ids=["header", "three-fields", "not-a-number", "duplicate", "comment-only",
+             "missing-label", "extra-label"],
+    )
+    def test_bad_quote_sidecar(self, samples_csv, tmp_path, capsys, lines, code, err):
+        path = tmp_path / "bad_quotes.csv"
+        write_samples(path, lines)
+        assert main(["measure", "--in", str(samples_csv), "--quotes", str(path)]) == code
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {err}\n"
+
     def test_utf8_bom_accepted(self, samples_csv, quotes_csv, tmp_path, capsys):
         plain = ["measure", "--in", str(samples_csv), "--quotes", str(quotes_csv),
                  "--resamples", "200"]
@@ -145,6 +176,14 @@ class TestCoin:
         assert code == 0
         report = json.loads(capsys.readouterr().out)
         assert report["eff_q"] == 1.0
+
+    def test_fair_quotes_eff_q_is_eff(self, capsys):
+        # H(q) falls below H(X) here by rounding only
+        code = main(["coin", "--p-tail", "1e-06", "--accuracy", "0.9", "--q-tail", "1e-06"])
+        assert code == 0
+        report = json.loads(capsys.readouterr().out)
+        assert report["mispricing_gap"] == 0.0
+        assert report["eff_q"] == report["eff"]
 
     def test_mispriced_unpredictable(self, capsys):
         code = main(["coin", "--p-tail", "0.5", "--accuracy", "0.5", "--q-tail", "0.05"])
@@ -355,6 +394,23 @@ class TestFigures:
             "error: DomainViolation: eff_vs_q grid needs at least 3 points, got 2\n"
         )
         assert list(out_dir.iterdir()) == []
+
+    def test_svg_below_two_curve_points_writes_nothing(self, tmp_path, capsys):
+        # 3 points leave one inside the open domain of figures 3 and 4
+        out_dir = tmp_path / "figs"
+        out_dir.mkdir()
+        code = main(
+            ["figures", "--points", "3", "--format", "svg", "--out-dir", str(out_dir)]
+        )
+        assert code == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: ValueError: line_chart needs at least 2 points, got 1\n"
+        assert list(out_dir.iterdir()) == []
+
+    def test_csv_at_three_points(self, tmp_path, capsys):
+        assert main(["figures", "--points", "3", "--out-dir", str(tmp_path)]) == 0
+        assert (tmp_path / "fig3.csv").read_text(encoding="utf-8").count("\n") == 2
 
     def test_svg_output(self, tmp_path, capsys):
         code = main(

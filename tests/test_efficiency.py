@@ -131,6 +131,18 @@ class TestEfficiencyWithQuotes:
             assert 0.0 <= report.eff_q <= 1.0
             assert report.eff_q <= report.eff + 1e-12
 
+    def test_fair_quotes_below_entropy_by_rounding(self):
+        # H(q) = 2.1374242957229248e-05 < H(X) = 2.137424295738942e-05 in
+        # rounding only: the mispricing gap clamps to 0 and Eff_q is Eff
+        p = normalize(("x0", "x1"), [1e-6, 1.0])
+        signals = ("y0", "y1")
+        rows = [normalize(signals, [1, 1]).probs, normalize(signals, [1, 0.5]).probs]
+        chan = Channel(p.labels, signals, rows)
+        report = efficiency_with_quotes(joint_from_prior_channel(p, chan), p)
+        assert report.h_q < report.h_x
+        assert report.mispricing_gap == 0.0
+        assert report.eff_q == report.eff
+
 
 class TestCompareInfoSets:
     def test_weak_vs_strong(self):
