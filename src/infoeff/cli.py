@@ -203,12 +203,9 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 
     aggregate = sum(r.mean_growth for r in results) / len(results)
     if args.format == "csv":
-        rows = [
-            (r.run_index, r.rounds, r.seed, r.final_log2_wealth, r.mean_growth, target,
-             abs(r.mean_growth - target))
-            for r in results
-        ]
         header = "run_index,rounds,seed,final_log2_wealth,mean_growth,target,abs_error"
+        rows = [(r.run_index, r.rounds, r.seed, r.final_log2_wealth, r.mean_growth, target,
+                 abs(r.mean_growth - target)) for r in results]
         _write_text(args.out, _csv(header, rows))
     else:
         payload = {
