@@ -76,8 +76,7 @@ class EfficiencyReport:
 
 
 def _fair_fields(joint: JointSystem, p_x: Distribution) -> dict:
-    """The fields every report shares: eff, h_x, h_x_given_y, g_max and the
-    predictability gap.
+    """The fields both reports share: eff, h_x, h_x_given_y, g_max, predictability_gap.
 
     Eff follows its gap: 1.0 when H(X) - H(X|Y) clamps to 0 (an excess of
     H(X|Y) within 1e-12 bits is rounding; more is NumericalInconsistency),
@@ -97,7 +96,7 @@ def efficiency(joint: JointSystem, info_set: str = STRONG) -> EfficiencyReport:
     is undefined there; we refuse rather than define it.
     """
     fields = _fair_fields(joint, marginal_outcome(joint))
-    if fields["eff"] is None:
+    if fields["h_x"] == 0.0:
         raise DegenerateSystem("H(X) = 0: efficiency is 0/0 and undefined")
     return EfficiencyReport(**fields, info_set=info_set)
 
