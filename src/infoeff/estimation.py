@@ -17,9 +17,11 @@ Uncertainty comes from a seeded 95% percentile bootstrap (default 1000
 resamples). Resampling records with replacement is performed as one
 multinomial draw over the empirical cell counts per resample — the
 bootstrap statistic depends on the records only through the contingency
-table, so the two are distributionally identical. Resample r uses its own
-RNG stream derived from (seed, r), so results are reproducible no matter
-how resamples are grouped into the blocks the batched kernels evaluate.
+table, so the two are distributionally identical. One PCG64 stream,
+seeded by `seed`, draws every resample of an estimate in order, a block
+of resamples per `multinomial` call. numpy draws the rows of a sized call
+one after another, so resample r is the same whatever the block size, and
+the first R resamples of a larger run are the R resamples of a smaller one.
 
 Input CSV format: mandatory header line ``signal,outcome``; one record per
 line; labels are arbitrary non-empty tokens without commas; comment lines
@@ -243,12 +245,10 @@ def _bootstrap(
     per_block = max(1, BLOCK_CELLS // counts.size)
     effs = np.empty(resamples)
     effs_q = np.empty(resamples) if q is not None else None
+    rng = np.random.default_rng(seed)
     for start in range(0, resamples, per_block):
         block = slice(start, min(start + per_block, resamples))
-        draws = np.stack([
-            np.random.default_rng(np.random.SeedSequence((seed, r))).multinomial(n, p_flat)
-            for r in range(block.start, block.stop)
-        ])
+        draws = rng.multinomial(n, p_flat, size=block.stop - block.start)
         joints = _smoothed_joint(draws.reshape(-1, *counts.shape).astype(float), n, smoothing)
         p_x = np.sum(joints, axis=-1)
         h_xy = _conditional_entropies(joints)
