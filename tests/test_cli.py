@@ -518,15 +518,15 @@ GOLDEN_MEASURE_JSON = (
     '  "predictability_gap": 1.221007647184456,\n'
     '  "mispricing_gap": 0.05691135092231647,\n'
     '  "info_set": "strong",\n'
-    '  "ci_low": 0.6236460734201626,\n'
-    '  "ci_high": 0.6345395682177185,\n'
+    '  "ci_low": 0.6243177222209416,\n'
+    '  "ci_high": 0.634123892490158,\n'
     '  "n_samples": 1200,\n'
     '  "smoothing": 0.5,\n'
     '  "resamples": 200,\n'
     '  "seed": 3,\n'
     '  "small_sample": false,\n'
-    '  "eff_q_ci_low": 0.6107816365905053,\n'
-    '  "eff_q_ci_high": 0.6249248518600615\n'
+    '  "eff_q_ci_low": 0.6098160918051216,\n'
+    '  "eff_q_ci_high": 0.6232648254738979\n'
     '}\n'
 )
 GOLDEN_MEASURE_CSV = (
@@ -537,8 +537,8 @@ GOLDEN_MEASURE_CSV = (
     "g_max,1.3808768421993336\n"
     "predictability_gap,1.3808768421993336\n"
     "info_set,strong\n"
-    "ci_low,0.5748721467690124\n"
-    "ci_high,0.5865435523461711\n"
+    "ci_low,0.5756289207604902\n"
+    "ci_high,0.5860671315612767\n"
     "n_samples,1200\n"
     "smoothing,0.0\n"
     "resamples,200\n"
