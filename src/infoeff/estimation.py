@@ -229,11 +229,17 @@ def estimate_joint(samples: SampleSet, smoothing: float = DEFAULT_SMOOTHING) -> 
 
     cell(x, y) = (count(x, y) + smoothing) / (N + smoothing * |X| * |Y|).
     With smoothing 0 an unobserved cell is exactly 0. A smoothing that is
-    not finite and >= 0 (NaN, inf) raises DomainViolation.
+    not finite and >= 0 (NaN, inf), or so large that the denominator
+    overflows, raises DomainViolation.
     """
     if not 0.0 <= smoothing < math.inf:  # written so that NaN fails it too
         raise DomainViolation(f"smoothing must be finite and >= 0, got {smoothing!r}")
-    joint = _smoothed_joint(samples.counts(), len(samples), smoothing)
+    n, cells = len(samples), samples.counts().size
+    if not math.isfinite(n + smoothing * cells):
+        raise DomainViolation(
+            f"smoothing {smoothing!r} overflows the denominator N + smoothing * {cells} cells"
+        )
+    joint = _smoothed_joint(samples.counts(), n, smoothing)
     return JointSystem(samples.outcome_labels, samples.signal_labels, joint)
 
 

@@ -152,6 +152,14 @@ class TestMeasure:
         assert captured.err.startswith("error: DomainViolation: ")
         assert "smoothing" in captured.err and captured.err.count("\n") == 1
 
+    def test_smoothing_that_overflows_exit_3(self, samples_csv, capsys):
+        code = main(["measure", "--in", str(samples_csv), "--smoothing", "5e307"])
+        assert code == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: DomainViolation: ")
+        assert "smoothing" in captured.err and captured.err.count("\n") == 1
+
     def test_memory_error_exit_5(self, samples_csv, monkeypatch, capsys):
         def exhausted(config):
             raise MemoryError("cannot allocate")

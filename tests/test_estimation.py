@@ -238,6 +238,13 @@ class TestEstimateJoint:
         with pytest.raises(DomainViolation):
             estimate_joint(samples, smoothing=-0.5)
 
+    def test_smoothing_that_overflows_the_denominator_rejected(self):
+        samples = counts_sample_set([[1, 2], [3, 4]], ("a", "b"), ("x", "y"))
+        # 4 * 4e307 is finite, so the joint is uniform; 4 * 5e307 is inf.
+        assert np.all(estimate_joint(samples, smoothing=4e307).joint == 0.25)
+        with pytest.raises(DomainViolation, match="smoothing"):
+            estimate_joint(samples, smoothing=5e307)
+
 
 FAIR_PRIOR = make_distribution(("h", "t"), (0.5, 0.5))
 ACC_09 = Channel(("h", "t"), ("h", "t"), [[0.9, 0.1], [0.1, 0.9]])
@@ -278,6 +285,18 @@ class TestEstimateEfficiency:
         for cells in (1, 7 * samples.counts().size):
             monkeypatch.setattr(estimation, "BLOCK_CELLS", cells)
             assert estimate_efficiency(samples, quotes=quotes, resamples=300, seed=9) == whole
+
+    @pytest.mark.parametrize("block_cells", [1, 7 * 4, estimation.BLOCK_CELLS])
+    def test_bootstrap_prefix_of_a_longer_run(self, monkeypatch, block_cells):
+        samples = draw_records(FAIR_PRIOR, ACC_09, 2000, seed=4)
+        counts, n = samples.counts(), len(samples)
+        assert counts.size == 4
+        q = np.array([0.3, 0.7])
+        monkeypatch.setattr(estimation, "BLOCK_CELLS", block_cells)
+        short = estimation._bootstrap(counts, n, 0.5, q, 200, 9)
+        long = estimation._bootstrap(counts, n, 0.5, q, 300, 9)
+        for a, b in zip(short, long):
+            assert a.tobytes() == b[:200].tobytes()
 
     def test_quote_fields(self):
         samples = draw_records(FAIR_PRIOR, INDEPENDENT, 5000, seed=5)
