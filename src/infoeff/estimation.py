@@ -17,11 +17,9 @@ Uncertainty comes from a seeded 95% percentile bootstrap (default 1000
 resamples). Resampling records with replacement is performed as one
 multinomial draw over the empirical cell counts per resample — the
 bootstrap statistic depends on the records only through the contingency
-table, so the two are distributionally identical. One PCG64 stream,
-seeded by `seed`, draws every resample of an estimate in order, a block
-of resamples per `multinomial` call. numpy draws the rows of a sized call
-one after another, so resample r is the same whatever the block size, and
-the first R resamples of a larger run are the R resamples of a smaller one.
+table, so the two are distributionally identical. One RNG stream, seeded
+by `seed`, draws the resamples in order, a block per `multinomial` call; a
+sized call draws its rows in sequence, so no resample depends on the block.
 
 Input CSV format: mandatory header line ``signal,outcome``; one record per
 line; labels are arbitrary non-empty tokens without commas; comment lines
@@ -234,12 +232,12 @@ def estimate_joint(samples: SampleSet, smoothing: float = DEFAULT_SMOOTHING) -> 
     """
     if not 0.0 <= smoothing < math.inf:  # written so that NaN fails it too
         raise DomainViolation(f"smoothing must be finite and >= 0, got {smoothing!r}")
-    n, cells = len(samples), samples.counts().size
-    if not math.isfinite(n + smoothing * cells):
+    counts, n = samples.counts(), len(samples)
+    if not math.isfinite(n + smoothing * counts.size):
         raise DomainViolation(
-            f"smoothing {smoothing!r} overflows the denominator N + smoothing * {cells} cells"
+            f"smoothing {smoothing!r} overflows the denominator N + smoothing * {counts.size} cells"
         )
-    joint = _smoothed_joint(samples.counts(), n, smoothing)
+    joint = _smoothed_joint(counts, n, smoothing)
     return JointSystem(samples.outcome_labels, samples.signal_labels, joint)
 
 
