@@ -79,7 +79,34 @@ class TestMeasure:
         bad = tmp_path / "bad_quotes.csv"
         write_samples(bad, ["label,q", "h,0.5", "t,0.6"])
         assert main(["measure", "--in", str(samples_csv), "--quotes", str(bad)]) == 3
-        assert "QuoteSumNotOne" in capsys.readouterr().err
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "error: QuoteSumNotOne: quotes sum to 1.1, not 1 within 1e-09 (no-cost constraint)\n"
+        )
+
+    @pytest.mark.parametrize(
+        "lines, smoothing, err",
+        [
+            (["label,q", "h,1.5", "t,-0.5"], "0.5",
+             "NegativeWeight: distribution has a negative entry: [1.5, -0.5]"),
+            (["label,q", "h,nan", "t,0.5"], "0.5",
+             "QuoteSumNotOne: quotes sum to nan, not 1 within 1e-09 (no-cost constraint)"),
+            (["label,q", "h,0", "t,1"], "0",
+             "UnsupportedOutcome: q(x) = 0 for an outcome with p(x) > 0: "
+             "cross-entropy is infinite"),
+        ],
+        ids=["negative", "nan", "zero-on-support"],
+    )
+    def test_bad_quote_values_exit_3(self, samples_csv, tmp_path, capsys, lines, smoothing, err):
+        path = tmp_path / "bad_quotes.csv"
+        write_samples(path, lines)
+        args = ["measure", "--in", str(samples_csv), "--quotes", str(path),
+                "--smoothing", smoothing]
+        assert main(args) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {err}\n"
 
     @pytest.mark.parametrize("bad", ["nan", "inf"])
     def test_non_finite_quote_exit_3(self, samples_csv, tmp_path, capsys, bad):

@@ -7,8 +7,10 @@ from infoeff import (
     WEAK,
     Channel,
     DegenerateSystem,
+    Distribution,
     DomainViolation,
     JointSystem,
+    LabelMismatch,
     MarginalMismatch,
     QuoteSumNotOne,
     UnsupportedOutcome,
@@ -82,6 +84,21 @@ class TestEfficiencyWithQuotes:
     def test_unsupported_outcome(self):
         with pytest.raises(UnsupportedOutcome):
             efficiency_with_quotes(INDEPENDENT_FAIR, [0.0, 1.0])
+
+    @pytest.mark.parametrize(
+        "quotes, message",
+        [
+            ([0.2, 0.3, 0.5], "2 outcomes but (3,) quotes"),
+            (np.array([[0.5, 0.5]]), "2 outcomes but (1, 2) quotes"),
+            (Distribution(("t", "h"), [0.4, 0.6]),
+             "quote labels ('t', 'h') != outcome labels ('h', 't')"),
+        ],
+        ids=["three-values", "one-by-two", "reordered-labels"],
+    )
+    def test_quote_shape_and_labels(self, quotes, message):
+        with pytest.raises(LabelMismatch) as excinfo:
+            efficiency_with_quotes(INDEPENDENT_FAIR, quotes)
+        assert str(excinfo.value) == message
 
     def test_degenerate_only_when_hq_zero(self):
         # degenerate p with q = p: H(q) = 0 -> refused

@@ -56,8 +56,11 @@ class TestMarketParams:
         prior = make_distribution(("h", "t"), (0.5, 0.5))
         chan = Channel(("h", "t"), ("h", "t"), [[0.5, 0.5], [0.5, 0.5]])
         quotes = make_distribution(("h", "t"), (1.0, 0.0))
-        with pytest.raises(UnsupportedOutcome):
+        with pytest.raises(UnsupportedOutcome) as excinfo:
             MarketParams(prior, chan, quotes)
+        assert str(excinfo.value) == (
+            "q(x) = 0 for an outcome with p(x) > 0: cross-entropy is infinite"
+        )
 
     def test_quote_checks_match_cross_entropy(self):
         prior = make_distribution(("h", "t"), (0.5, 0.5))
