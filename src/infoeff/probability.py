@@ -164,17 +164,24 @@ def make_distribution(labels: Sequence[str], weights: Sequence[float]) -> Distri
 def normalize(labels: Sequence[str], weights: Sequence[float]) -> Distribution:
     """Build a Distribution proportional to nonnegative `weights`.
 
-    Raises AllZero when no weight is positive and NegativeWeight on any
-    negative entry. Idempotent by construction: a weight vector already
-    summing to 1 at float-rounding precision is taken as-is (dividing by a
-    sum that close to 1 could only shuffle last-place bits), and one
-    division always lands in that regime, so normalizing an output of
-    normalize returns it bit-for-bit.
+    Raises NegativeWeight on any negative entry, SumNotOne on a NaN or
+    infinite weight and AllZero when no weight is positive. Finite weights
+    whose sum overflows are first divided by the largest one. Idempotent by
+    construction: a weight vector already summing to 1 at float-rounding
+    precision is taken as-is (dividing by a sum that close to 1 could only
+    shuffle last-place bits), and one division always lands in that regime,
+    so normalizing an output of normalize returns it bit-for-bit.
     """
     w = np.asarray(weights, dtype=float)
     if (w < 0.0).any():
         raise NegativeWeight(f"weights contain a negative entry: {w.tolist()}")
-    s = float(w.sum())
+    if not np.isfinite(w).all():
+        raise SumNotOne(f"weights must be finite, got {w.tolist()}")
+    with np.errstate(over="ignore"):
+        s = float(w.sum())
+    if s == np.inf:
+        w = w / w.max()
+        s = float(w.sum())
     if s <= 0.0:
         raise AllZero("all weights are zero")
     if abs(s - 1.0) <= NORMALIZED_TOL:
@@ -182,15 +189,19 @@ def normalize(labels: Sequence[str], weights: Sequence[float]) -> Distribution:
     return Distribution(tuple(labels), w / s)
 
 
+def _check_channel_inputs(prior: Distribution, channel: Channel) -> None:
+    if channel.input_labels != prior.labels:
+        raise LabelMismatch(
+            f"channel inputs {channel.input_labels} != prior labels {prior.labels}"
+        )
+
+
 def joint_from_prior_channel(prior: Distribution, channel: Channel) -> JointSystem:
     """Joint p(x, y) = prior(x) * channel(y | x).
 
     Channel input labels must equal the prior labels (LabelMismatch).
     """
-    if channel.input_labels != prior.labels:
-        raise LabelMismatch(
-            f"channel inputs {channel.input_labels} != prior labels {prior.labels}"
-        )
+    _check_channel_inputs(prior, channel)
     joint = prior.probs[:, None] * channel.rows
     return JointSystem(prior.labels, channel.output_labels, joint)
 
@@ -201,10 +212,7 @@ def bayes_posterior(prior: Distribution, channel: Channel, signal: str) -> Distr
     posterior(x) = prior(x) * channel(y|x) / sum_x' prior(x') * channel(y|x').
     Raises ZeroProbabilitySignal when the signal has zero marginal probability.
     """
-    if channel.input_labels != prior.labels:
-        raise LabelMismatch(
-            f"channel inputs {channel.input_labels} != prior labels {prior.labels}"
-        )
+    _check_channel_inputs(prior, channel)
     if signal not in channel.output_labels:
         raise LabelMismatch(f"unknown signal label {signal!r}")
     j = channel.output_labels.index(signal)

@@ -82,6 +82,20 @@ class TestNormalize:
         with pytest.raises(NegativeWeight):
             normalize(["a", "b"], [-1.0, 2.0])
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_finite_weights_whose_sum_overflows(self):
+        d = normalize(["a", "b"], [1e308, 1e308])
+        assert d.probs.tolist() == [0.5, 0.5]
+        d = normalize(["a", "b", "c"], [1.5e308, 0.0, 1.5e308])
+        assert d.probs.tolist() == [0.5, 0.0, 0.5]
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("bad", [float("inf"), float("nan")])
+    def test_non_finite_weight(self, bad):
+        with pytest.raises(SumNotOne) as excinfo:
+            normalize(["a", "b"], [bad, 1.0])
+        assert str(excinfo.value) == f"weights must be finite, got [{bad}, 1.0]"
+
     def test_idempotent_exactly(self):
         rng = np.random.default_rng(42)
         for _ in range(200):
@@ -114,8 +128,9 @@ class TestJointFromPriorChannel:
     def test_label_mismatch(self):
         prior = make_distribution(["x", "y"], [0.5, 0.5])
         chan = Channel(("h", "t"), ("h", "t"), [[0.9, 0.1], [0.1, 0.9]])
-        with pytest.raises(LabelMismatch):
+        with pytest.raises(LabelMismatch) as excinfo:
             joint_from_prior_channel(prior, chan)
+        assert str(excinfo.value) == "channel inputs ('h', 't') != prior labels ('x', 'y')"
 
     def test_marginal_reproduces_prior(self):
         rng = np.random.default_rng(3)
@@ -149,6 +164,12 @@ class TestBayesPosterior:
         chan = Channel(("a", "b"), ("u", "v"), [[1.0, 0.0], [0.0, 1.0]])
         with pytest.raises(ZeroProbabilitySignal):
             bayes_posterior(prior, chan, "v")
+
+    def test_channel_inputs_must_match_prior(self, accuracy_09_channel):
+        prior = make_distribution(["x", "y"], [0.5, 0.5])
+        with pytest.raises(LabelMismatch) as excinfo:
+            bayes_posterior(prior, accuracy_09_channel, "h")
+        assert str(excinfo.value) == "channel inputs ('h', 't') != prior labels ('x', 'y')"
 
     def test_unknown_signal(self, fair_coin_prior, accuracy_09_channel):
         with pytest.raises(LabelMismatch):
