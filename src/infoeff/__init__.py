@@ -38,7 +38,6 @@ from .errors import (
     LabelMismatch,
     MarginalMismatch,
     NegativeWeight,
-    NonpositiveQuote,
     NumericalInconsistency,
     ParseError,
     QuoteSumNotOne,
@@ -70,7 +69,6 @@ from .measures import (
     cross_entropy,
     entropy,
     mutual_information,
-    quote_entropy,
 )
 from .probability import (
     Channel,
@@ -106,7 +104,6 @@ __all__ = [
     "MarginalMismatch",
     "MarketParams",
     "NegativeWeight",
-    "NonpositiveQuote",
     "NumericalInconsistency",
     "ParseError",
     "QuoteSumNotOne",
@@ -146,7 +143,6 @@ __all__ = [
     "marginal_signal",
     "mutual_information",
     "normalize",
-    "quote_entropy",
     "read_samples",
     "simulate",
     "sweep",

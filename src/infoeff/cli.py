@@ -23,7 +23,7 @@ import warnings
 from pathlib import Path
 
 from . import coin as coin_mod
-from .efficiency import STRONG, _as_quote_distribution, efficiency_with_quotes
+from .efficiency import STRONG, efficiency_with_quotes
 from .errors import (
     DomainViolation,
     EmptyInput,
@@ -38,7 +38,6 @@ from .estimation import (
     read_samples,
 )
 from .kelly import MarketParams, kelly_growth_target, kelly_strategy, simulate
-from .probability import Distribution
 from .svg import line_chart
 
 DEFAULT_SEED = 1729  # fixed default; reproducibility by default
@@ -84,8 +83,8 @@ def _render_flat(report: dict, fmt: str) -> str:
     return "{\n  " + inner[1:-1] + "\n}\n"
 
 
-def _read_quote_sidecar(path: str, outcome_labels: tuple[str, ...]) -> Distribution:
-    """Parse a `label,q` sidecar and align it with the outcome alphabet."""
+def _read_quote_sidecar(path: str, outcome_labels: tuple[str, ...]) -> list[float]:
+    """Parse a `label,q` sidecar into its values in the order of `outcome_labels`."""
     values: dict[str, float] = {}
     with open(path, encoding="utf-8-sig") as handle:
         header_seen = False
@@ -117,7 +116,7 @@ def _read_quote_sidecar(path: str, outcome_labels: tuple[str, ...]) -> Distribut
         raise LabelMismatch(
             f"quote labels do not match outcome alphabet: missing {missing}, extra {extra}"
         )
-    return _as_quote_distribution([values[lbl] for lbl in outcome_labels], outcome_labels)
+    return [values[lbl] for lbl in outcome_labels]
 
 
 def cmd_measure(args: argparse.Namespace) -> int:

@@ -20,13 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    DegenerateSystem,
-    DomainViolation,
-    LabelMismatch,
-    MarginalMismatch,
-    QuoteSumNotOne,
-)
+from .errors import DegenerateSystem, DomainViolation, MarginalMismatch
 from .measures import clamp_nonneg, conditional_entropy, cross_entropy, entropy
 from .probability import SUM_TOL, Distribution, JointSystem, marginal_outcome
 
@@ -101,21 +95,6 @@ def efficiency(joint: JointSystem, info_set: str = STRONG) -> EfficiencyReport:
     return EfficiencyReport(**fields, info_set=info_set)
 
 
-def _as_quote_distribution(quotes, labels) -> Distribution:
-    """The quote validator: a Distribution whose sum violation is QuoteSumNotOne."""
-    if isinstance(quotes, Distribution):
-        return quotes
-    q = np.asarray(quotes, dtype=float)
-    if q.ndim != 1 or len(q) != len(labels):
-        raise LabelMismatch(f"{len(labels)} outcomes but {q.shape} quotes")
-    total = float(q.sum())
-    if not abs(total - 1.0) <= SUM_TOL:
-        raise QuoteSumNotOne(
-            f"quotes sum to {total!r}, not 1 within {SUM_TOL} (no-cost constraint)"
-        )
-    return Distribution(labels, q)
-
-
 def efficiency_with_quotes(
     joint: JointSystem,
     quotes: Distribution | Sequence[float],
@@ -129,8 +108,7 @@ def efficiency_with_quotes(
     H(q) = 0, which forces q = p degenerate and Eff_q = 0/0.
     """
     p_x = marginal_outcome(joint)
-    q = _as_quote_distribution(quotes, p_x.labels)
-    h_q = cross_entropy(p_x, q)
+    h_q = cross_entropy(p_x, quotes)
     if h_q == 0.0:
         raise DegenerateSystem("H(q) = 0: quote efficiency is 0/0 and undefined")
     fields = _fair_fields(joint, p_x)

@@ -46,10 +46,6 @@ class UnsupportedOutcome(InfoEffError, ValueError):
     """q(x) = 0 for an outcome with p(x) > 0 (infinite cross-entropy)."""
 
 
-class NonpositiveQuote(InfoEffError, ValueError):
-    """A payout quote is not finite and positive where the outcome has probability."""
-
-
 class DegenerateSystem(InfoEffError, ValueError):
     """The efficiency ratio is 0/0 (zero reference entropy); refused."""
 

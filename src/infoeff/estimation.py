@@ -34,7 +34,7 @@ import itertools
 import math
 import warnings
 from collections import Counter
-from collections.abc import Iterable
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -48,8 +48,8 @@ from .errors import (
     ParseError,
     ResamplesBelowMinimum,
 )
-from .measures import _conditional_entropies, _neg_sum_plog2q
-from .probability import Distribution, JointSystem, _check_labels, _frozen_array
+from .measures import _conditional_entropies, _neg_sum_plog2q, _quotes
+from .probability import Distribution, JointSystem, _check_labels, _frozen_array, marginal_outcome
 
 MIN_RESAMPLES = 100
 DEFAULT_SMOOTHING = 0.5
@@ -278,14 +278,16 @@ def _percentile_ci(values: np.ndarray, point: float) -> tuple[float, float]:
 def estimate_efficiency(
     samples: SampleSet,
     smoothing: float = DEFAULT_SMOOTHING,
-    quotes: Distribution | None = None,
+    quotes: Distribution | Sequence[float] | None = None,
     resamples: int = DEFAULT_RESAMPLES,
     seed: int = 0,
     info_set: str = STRONG,
 ) -> EstimateReport:
     """Point efficiency estimate with a seeded 95% percentile-bootstrap CI.
 
-    `quotes` switches on the quote-efficiency fields. Raises
+    `quotes` (a Distribution or raw values, as for efficiency_with_quotes)
+    switches on the quote-efficiency fields; they are checked against the
+    estimated outcome marginal. Raises
     DegenerateSystem when the estimated outcome marginal has zero entropy,
     and ResamplesBelowMinimum when `resamples` < 100.
     """
@@ -298,6 +300,7 @@ def estimate_efficiency(
 
     joint = estimate_joint(samples, smoothing)
     if quotes is not None:
+        quotes = _quotes(quotes, marginal_outcome(joint))
         point = efficiency_with_quotes(joint, quotes, info_set)
         if point.eff is None:
             raise DegenerateSystem("estimated outcome marginal has zero entropy")

@@ -40,7 +40,7 @@ from .errors import (
     LabelMismatch,
     UnsupportedAlphabet,
 )
-from .measures import _check_quotes
+from .measures import _quotes
 from .probability import (
     Channel,
     Distribution,
@@ -72,7 +72,7 @@ class MarketParams:
         object.__setattr__(self, "joint", joint)
         # simulate and grid_search_optimal never reach cross_entropy's check,
         # and without this one the payout matrix would hold +inf cells.
-        _check_quotes(self.prior, self.quotes)
+        _quotes(self.quotes, self.prior)
 
 
 @dataclass(frozen=True, eq=False)

@@ -16,11 +16,11 @@ import numpy as np
 
 from .errors import (
     LabelMismatch,
-    NonpositiveQuote,
     NumericalInconsistency,
+    QuoteSumNotOne,
     UnsupportedOutcome,
 )
-from .probability import Distribution, JointSystem, marginal_outcome
+from .probability import SUM_TOL, Distribution, JointSystem, marginal_outcome
 
 CANCEL_TOL = 1e-12
 
@@ -81,41 +81,36 @@ def mutual_information(joint: JointSystem) -> float:
     return clamp_nonneg(value, "mutual information")
 
 
-def _check_quotes(p: Distribution, q: Distribution) -> None:
-    """Quotes q must share p's alphabet and be > 0 wherever p(x) > 0."""
-    if q.labels != p.labels:
-        raise LabelMismatch(f"quote labels {q.labels} != outcome labels {p.labels}")
-    if ((p.probs > 0.0) & (q.probs == 0.0)).any():
+def _quotes(quotes: Distribution | Sequence[float], p: Distribution) -> Distribution:
+    """The quote validator: `quotes` as a Distribution over p's alphabet.
+
+    Raw values: a flat vector of len(p) values (LabelMismatch) summing to 1
+    within 1e-9 (QuoteSumNotOne). Then p's labels in p's order
+    (LabelMismatch) and q(x) > 0 wherever p(x) > 0 (UnsupportedOutcome).
+    """
+    if not isinstance(quotes, Distribution):
+        values = np.asarray(quotes, dtype=float)
+        if values.ndim != 1 or len(values) != len(p):
+            raise LabelMismatch(f"{len(p)} outcomes but {values.shape} quotes")
+        total = float(values.sum())
+        if not abs(total - 1.0) <= SUM_TOL:
+            raise QuoteSumNotOne(
+                f"quotes sum to {total!r}, not 1 within {SUM_TOL} (no-cost constraint)"
+            )
+        quotes = Distribution(p.labels, values)
+    if quotes.labels != p.labels:
+        raise LabelMismatch(f"quote labels {quotes.labels} != outcome labels {p.labels}")
+    if ((p.probs > 0.0) & (quotes.probs == 0.0)).any():
         raise UnsupportedOutcome(
             "q(x) = 0 for an outcome with p(x) > 0: cross-entropy is infinite"
         )
+    return quotes
 
 
-def cross_entropy(p: Distribution, q: Distribution) -> float:
+def cross_entropy(p: Distribution, q: Distribution | Sequence[float]) -> float:
     """H(q) = -sum_x p(x) log2 q(x), in bits.
 
-    Requires identical alphabets and q(x) > 0 wherever p(x) > 0;
-    otherwise the cross-entropy is infinite (UnsupportedOutcome).
+    q is a Distribution or raw values under the one quote rule (_quotes);
+    q(x) = 0 where p(x) > 0 makes it infinite (UnsupportedOutcome).
     """
-    _check_quotes(p, q)
-    return float(_neg_sum_plog2q(p.probs, q.probs))
-
-
-def quote_entropy(p: Distribution, alphas: Sequence[float]) -> float:
-    """sum_x p(x) log2 alpha_x for a payout-quote vector, in bits.
-
-    Equals cross_entropy(p, q) when alpha_x = 1/q_x. Quotes on
-    zero-probability outcomes are ignored; a quote on a supported outcome
-    that is not finite and positive (NaN, inf, 0 or below) raises
-    NonpositiveQuote.
-    """
-    a = np.asarray(alphas, dtype=float)
-    if a.ndim != 1 or len(a) != len(p):
-        raise LabelMismatch(f"{len(p)} outcomes but {a.shape} quotes")
-    supported = a[p.probs > 0.0]
-    if not (np.isfinite(supported) & (supported > 0.0)).all():
-        raise NonpositiveQuote(
-            "quote must be finite and positive on every supported outcome, "
-            f"got {a.tolist()}"
-        )
-    return float(-_neg_sum_plog2q(p.probs, a))
+    return float(_neg_sum_plog2q(p.probs, _quotes(q, p).probs))

@@ -85,6 +85,23 @@ class TestMeasure:
             "error: QuoteSumNotOne: quotes sum to 1.1, not 1 within 1e-09 (no-cost constraint)\n"
         )
 
+    def test_quote_values_checked_after_the_run_options(self, samples_csv, tmp_path, capsys):
+        # The sidecar's values are checked against the estimated marginal,
+        # so a bad sum is reported after --resamples, --seed and --smoothing.
+        bad = tmp_path / "bad_quotes.csv"
+        write_samples(bad, ["label,q", "h,0.5", "t,0.6"])
+        args = ["measure", "--in", str(samples_csv), "--quotes", str(bad)]
+        for extra, err in [
+            (["--resamples", "50"], "ResamplesBelowMinimum: resamples must be >= 100, got 50"),
+            (["--seed", "-1"], "DomainViolation: seed must be nonnegative"),
+            (["--smoothing", "-1"],
+             "DomainViolation: smoothing must be finite and >= 0, got -1.0"),
+        ]:
+            assert main(args + extra) == 3
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err == f"error: {err}\n"
+
     @pytest.mark.parametrize(
         "lines, smoothing, err",
         [

@@ -9,7 +9,6 @@ from infoeff import (
     Channel,
     JointSystem,
     LabelMismatch,
-    NonpositiveQuote,
     UnsupportedOutcome,
     conditional_entropy,
     cross_entropy,
@@ -18,7 +17,6 @@ from infoeff import (
     make_distribution,
     mutual_information,
     normalize,
-    quote_entropy,
 )
 from infoeff.measures import _neg_sum_plog2q
 
@@ -112,51 +110,21 @@ class TestCrossEntropy:
         with pytest.raises(LabelMismatch):
             cross_entropy(p, q)
 
+    def test_fair_coin_fair_quote(self):
+        p = make_distribution(["h", "t"], [0.5, 0.5])
+        assert cross_entropy(p, [0.5, 0.5]) == 1.0
+
+    def test_zero_quote_on_zero_probability_outcome(self):
+        p = make_distribution(["h", "t"], [1.0, 0.0])
+        assert cross_entropy(p, [1.0, 0.0]) == 0.0
+        assert cross_entropy(p, p) == 0.0
+
     def test_bitwise_equal_to_entropy_when_q_is_p(self):
         rng = np.random.default_rng(19)
         for _ in range(100):
             n = rng.integers(2, 6)
             p = normalize([f"x{i}" for i in range(n)], rng.random(n) + 1e-3)
             assert cross_entropy(p, p) == entropy(p)
-
-
-class TestQuoteEntropy:
-    def test_fair_coin_fair_quote(self):
-        p = make_distribution(["h", "t"], [0.5, 0.5])
-        assert quote_entropy(p, [2.0, 2.0]) == 1.0
-
-    def test_matches_cross_entropy_of_reciprocal(self):
-        p = make_distribution(["h", "t"], [0.5, 0.5])
-        assert quote_entropy(p, [20.0, 20.0 / 19.0]) == pytest.approx(
-            oracles.FROZEN_HQ_005, abs=1e-12
-        )
-
-    def test_degenerate_support_ignores_other_quotes(self):
-        p = make_distribution(["h", "t"], [1.0, 0.0])
-        assert quote_entropy(p, [1.0, -123.0]) == 0.0
-
-    def test_nonpositive_quote_on_support(self):
-        p = make_distribution(["h", "t"], [0.5, 0.5])
-        with pytest.raises(NonpositiveQuote):
-            quote_entropy(p, [0.0, 2.0])
-
-    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
-    def test_non_finite_quote(self, bad):
-        p = make_distribution(["h", "t"], [0.5, 0.5])
-        with pytest.raises(NonpositiveQuote):
-            quote_entropy(p, [bad, 2.0])
-        # A quote on a zero-probability outcome stays ignored.
-        assert quote_entropy(make_distribution(["h", "t"], [0.0, 1.0]), [bad, 1.0]) == 0.0
-
-    def test_reciprocal_identity_random(self):
-        rng = np.random.default_rng(23)
-        for _ in range(100):
-            n = rng.integers(2, 6)
-            p = normalize([f"x{i}" for i in range(n)], rng.random(n) + 1e-3)
-            q = normalize(p.labels, rng.random(n) + 1e-3)
-            assert quote_entropy(p, 1.0 / q.probs) == pytest.approx(
-                cross_entropy(p, q), abs=1e-12
-            )
 
 
 def masked_neg_sum_plog2q(p, q):

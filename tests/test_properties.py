@@ -28,7 +28,6 @@ from infoeff import (
     marginal_outcome,
     mutual_information,
     normalize,
-    quote_entropy,
 )
 
 positive_weight = st.floats(min_value=1e-6, max_value=1.0)
@@ -150,14 +149,6 @@ def test_quote_efficiency_bounds_and_additivity(pair, data):
         report.predictability_gap + report.mispricing_gap, abs=1e-12
     )
     assert report.eff_q <= report.eff + 1e-12
-
-
-@given(distribution_pairs())
-def test_quote_entropy_reciprocal_identity(pair):
-    p, q = pair
-    assert quote_entropy(p, 1.0 / q.probs) == pytest.approx(
-        cross_entropy(p, q), abs=1e-12
-    )
 
 
 @given(prior_channel(), st.data())
