@@ -45,7 +45,7 @@ EXIT_OK = 0
 # Searched in order: ParseError and EmptyInput are also InfoEffErrors and
 # ValueErrors, and any other exception is an internal error.
 EXIT_CODES = (
-    ((ParseError, EmptyInput), 2),
+    ((ParseError, EmptyInput, UnicodeDecodeError), 2),
     ((InfoEffError, ValueError), 3),
     (OSError, 4),
     (MemoryError, 5),

@@ -44,12 +44,11 @@ from .errors import (
     DegenerateSystem,
     DomainViolation,
     EmptyInput,
-    LabelMismatch,
     ParseError,
     ResamplesBelowMinimum,
 )
 from .measures import _conditional_entropies, _neg_sum_plog2q, _quotes
-from .probability import Distribution, JointSystem, _check_labels, _frozen_array, marginal_outcome
+from .probability import Distribution, JointSystem, _labeled_array, marginal_outcome
 
 MIN_RESAMPLES = 100
 DEFAULT_SMOOTHING = 0.5
@@ -74,21 +73,11 @@ class SampleSet:
     outcome_labels: tuple[str, ...]
 
     def __post_init__(self):
-        signals = _check_labels(self.signal_labels, "signal")
-        outcomes = _check_labels(self.outcome_labels, "outcome")
-        table = _frozen_array(self.table)
-        if table.shape != (len(outcomes), len(signals)):
-            raise LabelMismatch(
-                f"count table shape {table.shape} does not match "
-                f"{len(outcomes)} outcomes x {len(signals)} signals"
-            )
+        table = _labeled_array(self, "table", outcome_labels="outcome", signal_labels="signal")
         if not np.all(np.isfinite(table) & (table >= 0.0) & (table == np.floor(table))):
             raise DomainViolation("counts must be finite nonnegative integers")
         if np.sum(table) == 0.0:
             raise EmptyInput("sample set has no records")
-        object.__setattr__(self, "table", table)
-        object.__setattr__(self, "signal_labels", signals)
-        object.__setattr__(self, "outcome_labels", outcomes)
 
     def __len__(self) -> int:
         return int(np.sum(self.table))
@@ -138,6 +127,9 @@ def _parse_line(raw: str, in_header: bool) -> tuple[str, object]:
         labels = tuple(tok.strip() for tok in rest.split(","))
         if "" in labels:
             return "error", (1, f"empty label in '{key}' directive")
+        if len(set(labels)) != len(labels):
+            dup = next(lbl for lbl, n in Counter(labels).items() if n > 1)
+            return "error", (1, f"duplicate label {dup!r} in '{key}' directive")
         return "directive", (key, labels)
     fields = [f.strip() for f in line.split(",")]
     if in_header:

@@ -45,6 +45,7 @@ from .probability import (
     Channel,
     Distribution,
     JointSystem,
+    _same_alphabet,
     bayes_posterior,
     joint_from_prior_channel,
 )
@@ -136,10 +137,7 @@ def _log2_payout_matrix(market: MarketParams, strategy: BettingStrategy) -> np.n
         if y not in strategy.allocations:
             raise LabelMismatch(f"strategy has no allocation for signal {y!r}")
         dist = strategy.allocations[y]
-        if dist.labels != outcomes:
-            raise LabelMismatch(
-                f"allocation labels {dist.labels} != outcome labels {outcomes}"
-            )
+        _same_alphabet(dist.labels, outcomes, "allocation labels", "outcome labels")
         alloc[j] = dist.probs
     with np.errstate(divide="ignore"):
         log2_pay = np.log2(alloc) - np.log2(market.quotes.probs)[None, :]

@@ -20,7 +20,7 @@ from .errors import (
     QuoteSumNotOne,
     UnsupportedOutcome,
 )
-from .probability import SUM_TOL, Distribution, JointSystem, marginal_outcome
+from .probability import SUM_TOL, Distribution, JointSystem, _same_alphabet, marginal_outcome
 
 CANCEL_TOL = 1e-12
 
@@ -98,8 +98,7 @@ def _quotes(quotes: Distribution | Sequence[float], p: Distribution) -> Distribu
                 f"quotes sum to {total!r}, not 1 within {SUM_TOL} (no-cost constraint)"
             )
         quotes = Distribution(p.labels, values)
-    if quotes.labels != p.labels:
-        raise LabelMismatch(f"quote labels {quotes.labels} != outcome labels {p.labels}")
+    _same_alphabet(quotes.labels, p.labels, "quote labels", "outcome labels")
     if ((p.probs > 0.0) & (quotes.probs == 0.0)).any():
         raise UnsupportedOutcome(
             "q(x) = 0 for an outcome with p(x) > 0: cross-entropy is infinite"

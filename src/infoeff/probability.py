@@ -54,10 +54,32 @@ def _check_prob_vector(p: np.ndarray, what: str) -> None:
         raise SumNotOne(f"{what} sums to {total!r}, not 1 within {SUM_TOL}")
 
 
-def _frozen_array(values) -> np.ndarray:
-    arr = np.array(values, dtype=float)
+def _labeled_array(obj, field: str, **alphabets: str) -> np.ndarray:
+    """Validate and store a labeled table's alphabets and its array, in place.
+
+    `alphabets` maps each label field of `obj`, in the order of the array's
+    axes, to the name its errors use. Each alphabet is checked and stored as
+    a tuple; `field` is stored as a read-only float array whose shape must
+    be the alphabet sizes (LabelMismatch). Returns the array.
+    """
+    sizes = []
+    for name, what in alphabets.items():
+        labels = _check_labels(getattr(obj, name), what)
+        object.__setattr__(obj, name, labels)
+        sizes.append(len(labels))
+    arr = np.array(getattr(obj, field), dtype=float)
     arr.setflags(write=False)
+    if arr.shape != tuple(sizes):
+        raise LabelMismatch(
+            f"{field} shape {arr.shape} does not match alphabet sizes {tuple(sizes)}"
+        )
+    object.__setattr__(obj, field, arr)
     return arr
+
+
+def _same_alphabet(got: Labels, want: Labels, got_name: str, want_name: str) -> None:
+    if got != want:
+        raise LabelMismatch(f"{got_name} {got} != {want_name} {want}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -72,15 +94,7 @@ class Distribution:
     probs: np.ndarray
 
     def __post_init__(self):
-        labels = _check_labels(self.labels, "distribution")
-        probs = _frozen_array(self.probs)
-        if probs.ndim != 1 or len(probs) != len(labels):
-            raise LabelMismatch(
-                f"{len(labels)} labels but {probs.shape} probabilities"
-            )
-        _check_prob_vector(probs, "distribution")
-        object.__setattr__(self, "labels", labels)
-        object.__setattr__(self, "probs", probs)
+        _check_prob_vector(_labeled_array(self, "probs", labels="distribution"), "distribution")
 
     def __len__(self) -> int:
         return len(self.labels)
@@ -105,19 +119,11 @@ class Channel:
     rows: np.ndarray
 
     def __post_init__(self):
-        in_labels = _check_labels(self.input_labels, "channel input")
-        out_labels = _check_labels(self.output_labels, "channel output")
-        rows = _frozen_array(self.rows)
-        if rows.ndim != 2 or rows.shape != (len(in_labels), len(out_labels)):
-            raise LabelMismatch(
-                f"channel matrix shape {rows.shape} does not match "
-                f"{len(in_labels)} inputs x {len(out_labels)} outputs"
-            )
-        for i, lbl in enumerate(in_labels):
-            _check_prob_vector(rows[i], f"channel row {lbl!r}")
-        object.__setattr__(self, "input_labels", in_labels)
-        object.__setattr__(self, "output_labels", out_labels)
-        object.__setattr__(self, "rows", rows)
+        rows = _labeled_array(
+            self, "rows", input_labels="channel input", output_labels="channel output"
+        )
+        for lbl, row in zip(self.input_labels, rows):
+            _check_prob_vector(row, f"channel row {lbl!r}")
 
     def row_distribution(self, input_label: str) -> Distribution:
         i = self.input_labels.index(input_label)
@@ -138,18 +144,8 @@ class JointSystem:
     joint: np.ndarray
 
     def __post_init__(self):
-        outcomes = _check_labels(self.outcome_labels, "outcome")
-        signals = _check_labels(self.signal_labels, "signal")
-        joint = _frozen_array(self.joint)
-        if joint.ndim != 2 or joint.shape != (len(outcomes), len(signals)):
-            raise LabelMismatch(
-                f"joint shape {joint.shape} does not match "
-                f"{len(outcomes)} outcomes x {len(signals)} signals"
-            )
+        joint = _labeled_array(self, "joint", outcome_labels="outcome", signal_labels="signal")
         _check_prob_vector(joint.ravel(), "joint")
-        object.__setattr__(self, "outcome_labels", outcomes)
-        object.__setattr__(self, "signal_labels", signals)
-        object.__setattr__(self, "joint", joint)
 
 
 def make_distribution(labels: Sequence[str], weights: Sequence[float]) -> Distribution:
@@ -189,19 +185,12 @@ def normalize(labels: Sequence[str], weights: Sequence[float]) -> Distribution:
     return Distribution(tuple(labels), w / s)
 
 
-def _check_channel_inputs(prior: Distribution, channel: Channel) -> None:
-    if channel.input_labels != prior.labels:
-        raise LabelMismatch(
-            f"channel inputs {channel.input_labels} != prior labels {prior.labels}"
-        )
-
-
 def joint_from_prior_channel(prior: Distribution, channel: Channel) -> JointSystem:
     """Joint p(x, y) = prior(x) * channel(y | x).
 
     Channel input labels must equal the prior labels (LabelMismatch).
     """
-    _check_channel_inputs(prior, channel)
+    _same_alphabet(channel.input_labels, prior.labels, "channel inputs", "prior labels")
     joint = prior.probs[:, None] * channel.rows
     return JointSystem(prior.labels, channel.output_labels, joint)
 
@@ -212,7 +201,7 @@ def bayes_posterior(prior: Distribution, channel: Channel, signal: str) -> Distr
     posterior(x) = prior(x) * channel(y|x) / sum_x' prior(x') * channel(y|x').
     Raises ZeroProbabilitySignal when the signal has zero marginal probability.
     """
-    _check_channel_inputs(prior, channel)
+    _same_alphabet(channel.input_labels, prior.labels, "channel inputs", "prior labels")
     if signal not in channel.output_labels:
         raise LabelMismatch(f"unknown signal label {signal!r}")
     j = channel.output_labels.index(signal)
@@ -241,9 +230,7 @@ def compose_channels(first: Channel, second: Channel) -> Channel:
     `second` garbles (or refines) the output of `first`; its input labels
     must equal `first`'s output labels.
     """
-    if second.input_labels != first.output_labels:
-        raise LabelMismatch(
-            f"second channel inputs {second.input_labels} != "
-            f"first channel outputs {first.output_labels}"
-        )
+    _same_alphabet(
+        second.input_labels, first.output_labels, "second channel inputs", "first channel outputs"
+    )
     return Channel(first.input_labels, second.output_labels, first.rows @ second.rows)

@@ -88,7 +88,7 @@ def parse_samples(lines):
             key = key.strip().lower()
             if colon and key in ("signals", "outcomes"):
                 labels = tuple(tok.strip() for tok in rest.split(","))
-                if "" in labels:
+                if "" in labels or len(set(labels)) != len(labels):
                     return ("ParseError", line_no, 1)
                 declared[key] = labels
             continue

@@ -165,6 +165,38 @@ class TestMeasure:
         assert captured.out == ""
         assert captured.err == f"error: {err}\n"
 
+    def test_duplicate_directive_label_exit_2(self, tmp_path, capsys):
+        path = tmp_path / "dup.csv"
+        write_samples(path, ["# signals: a,a", "signal,outcome", "a,h", "a,t"])
+        assert main(["measure", "--in", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "error: ParseError: line 1, column 1: duplicate label 'a' in 'signals' directive\n"
+        )
+
+    def test_undecodable_samples_exit_2(self, tmp_path, capsys):
+        path = tmp_path / "bad_bytes.csv"
+        path.write_bytes(b"signal,outcome\n\xff,h\n")
+        assert main(["measure", "--in", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "error: UnicodeDecodeError: 'utf-8' codec can't decode byte 0xff in position 15: "
+            "invalid start byte\n"
+        )
+
+    def test_undecodable_quote_sidecar_exit_2(self, samples_csv, tmp_path, capsys):
+        path = tmp_path / "bad_quotes.csv"
+        path.write_bytes(b"label,q\nh,0.5\n\xff,0.5\n")
+        assert main(["measure", "--in", str(samples_csv), "--quotes", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "error: UnicodeDecodeError: 'utf-8' codec can't decode byte 0xff in position 14: "
+            "invalid start byte\n"
+        )
+
     def test_utf8_bom_accepted(self, samples_csv, quotes_csv, tmp_path, capsys):
         plain = ["measure", "--in", str(samples_csv), "--quotes", str(quotes_csv),
                  "--resamples", "200"]
@@ -288,13 +320,16 @@ class TestCoin:
         [
             (ParseError(3, 2, "bad"), 2, "ParseError: line 3, column 2: bad"),
             (EmptyInput("no records"), 2, "EmptyInput: no records"),
+            (UnicodeDecodeError("utf-8", b"\xff", 0, 1, "invalid start byte"), 2,
+             "UnicodeDecodeError: 'utf-8' codec can't decode byte 0xff in position 0: "
+             "invalid start byte"),
             (DomainViolation("out of range"), 3, "DomainViolation: out of range"),
             (ValueError("bad value"), 3, "ValueError: bad value"),
             (FileNotFoundError(2, "gone"), 4, "FileNotFoundError: [Errno 2] gone"),
             (MemoryError("cannot allocate"), 5, "MemoryError: cannot allocate"),
             (RuntimeError("unexpected state"), 1, "RuntimeError: unexpected state"),
         ],
-        ids=["ParseError", "EmptyInput", "DomainViolation", "ValueError",
+        ids=["ParseError", "EmptyInput", "UnicodeDecodeError", "DomainViolation", "ValueError",
              "FileNotFoundError", "MemoryError", "RuntimeError"],
     )
     def test_exit_code_table(self, monkeypatch, capsys, exc, code, err):

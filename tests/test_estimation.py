@@ -150,6 +150,8 @@ PARSER_CASES = [
     "# comment\nsignal,outcome\n\n# no records\n\n",  # EmptyInput names the last line
     "signal,outcome\n",
     "signal,outcome\n" + "a,h\n" * 9 + "c,h\n" + "a,h\n" * 9 + "# signals: a\n",
+    "# signals: a,a\nsignal,outcome\na,h\n",  # a repeated label is a parse error
+    "signal,outcome\na,h\n# outcomes: h,h\na,t\n",  # also after the header
 ] + [
     # A bad line at every position, so it is the first or the last line of a
     # chunk for each chunk size tested.
@@ -177,6 +179,7 @@ class TestReadSamplesAgainstOracle:
         assert results[5][0] == {("a", "h"): 2, ("b", "t"): 2}
         assert results[6:9] == [("EmptyInput", 5, None), ("EmptyInput", 1, None),
                                 ("ParseError", 11, 1)]
+        assert results[9:11] == [("ParseError", 1, 1), ("ParseError", 3, 1)]
 
 
 def counts_sample_set(counts, signal_labels, outcome_labels) -> SampleSet:

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -5,11 +7,13 @@ import oracles
 from infoeff import (
     AllZero,
     Channel,
+    Distribution,
     DuplicateLabel,
     EmptyAlphabet,
     JointSystem,
     LabelMismatch,
     NegativeWeight,
+    SampleSet,
     SumNotOne,
     ZeroProbabilitySignal,
     bayes_posterior,
@@ -242,3 +246,63 @@ def test_distribution_accessors():
     assert d.prob("t") == 0.1
     assert d.as_dict() == {"h": 0.9, "t": 0.1}
     assert len(d) == 2
+
+
+# Every labeled table: its alphabet fields in the order of its array's axes,
+# its array field and a valid array over two labels per axis.
+LABELED_TABLES = {
+    "Distribution": (Distribution, ("labels",), "probs", [0.25, 0.75]),
+    "Channel": (Channel, ("input_labels", "output_labels"), "rows", [[0.5, 0.5], [0.1, 0.9]]),
+    "JointSystem": (JointSystem, ("outcome_labels", "signal_labels"), "joint",
+                    [[0.25, 0.25], [0.1, 0.4]]),
+    "SampleSet": (SampleSet, ("outcome_labels", "signal_labels"), "table", [[1, 2], [3, 4]]),
+}
+
+
+def build_table(kind, array=None, **alphabets):
+    cls, names, field, valid = LABELED_TABLES[kind]
+    fields = {name: [f"{name[0]}{i}" for i in range(2)] for name in names}
+    fields.update(alphabets)
+    fields[field] = valid if array is None else array
+    return cls(**fields)
+
+
+@pytest.mark.parametrize("kind", LABELED_TABLES)
+class TestLabeledTableContract:
+    def test_array_is_read_only(self, kind):
+        field = LABELED_TABLES[kind][2]
+        table = build_table(kind)
+        array = getattr(table, field)
+        assert array.dtype == np.float64 and not array.flags.writeable
+        with pytest.raises(ValueError):
+            array[(0,) * array.ndim] = 0.0
+
+    def test_labels_stored_as_tuples_of_str(self, kind):
+        names = LABELED_TABLES[kind][1]
+        table = build_table(kind, **{name: [0, 1] for name in names})
+        for name in names:
+            assert getattr(table, name) == ("0", "1")
+
+    @pytest.mark.parametrize("reshape", ["extra-entry", "extra-axis"])
+    def test_shape_mismatch(self, kind, reshape):
+        _, names, field, valid = LABELED_TABLES[kind]
+        valid = np.array(valid, dtype=float)
+        if reshape == "extra-entry":
+            bad = np.concatenate([valid, valid[..., :1]], axis=-1)
+        else:
+            bad = valid[None]
+        sizes = (2,) * len(names)
+        message = f"{field} shape {bad.shape} does not match alphabet sizes {sizes}"
+        with pytest.raises(LabelMismatch, match=f"^{re.escape(message)}$"):
+            build_table(kind, bad)
+
+
+@pytest.mark.parametrize(
+    "kind, name",
+    [(kind, name) for kind, (_, names, _, _) in LABELED_TABLES.items() for name in names],
+)
+def test_labeled_table_alphabet_rules(kind, name):
+    with pytest.raises(EmptyAlphabet):
+        build_table(kind, **{name: []})
+    with pytest.raises(DuplicateLabel):
+        build_table(kind, **{name: ["a", "a"]})
