@@ -55,7 +55,6 @@ from .estimation import (
     read_samples,
 )
 from .kelly import (
-    BettingStrategy,
     MarketParams,
     SimulationResult,
     expected_log2_growth,
@@ -87,7 +86,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AllZero",
-    "BettingStrategy",
     "Channel",
     "CoinGameParams",
     "DegenerateSystem",

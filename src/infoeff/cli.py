@@ -18,6 +18,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import re
 import sys
 import warnings
 from pathlib import Path
@@ -83,31 +84,50 @@ def _render_flat(report: dict, fmt: str) -> str:
     return "{\n  " + inner[1:-1] + "\n}\n"
 
 
-def _read_quote_sidecar(path: str, outcome_labels: tuple[str, ...]) -> list[float]:
-    """Parse a `label,q` sidecar into its values in the order of `outcome_labels`."""
+def _read_utf8(path: str, parse, *args):
+    """parse(lines, *args) on the UTF-8 file at `path`, a leading BOM skipped.
+
+    A byte that is not UTF-8 is a ParseError at its line and CSV field: the
+    file is read again with each bad byte kept as a lone surrogate (U+DC80
+    to U+DCFF), split into lines as the text reader splits them.
+    """
+    try:
+        with open(path, encoding="utf-8-sig") as handle:
+            return parse(handle, *args)
+    except UnicodeDecodeError:
+        with open(path, encoding="utf-8-sig", errors="surrogateescape") as handle:
+            for line_no, line in enumerate(handle, start=1):
+                if bad := re.search("[\udc80-\udcff]", line):
+                    column = line.count(",", 0, bad.start()) + 1
+                    reason = f"not valid UTF-8: byte 0x{ord(bad.group()) - 0xDC00:02x}"
+                    raise ParseError(line_no, column, reason) from None
+        raise
+
+
+def _read_quote_sidecar(lines, outcome_labels: tuple[str, ...]) -> list[float]:
+    """Parse `label,q` sidecar lines into its values in the order of `outcome_labels`."""
     values: dict[str, float] = {}
-    with open(path, encoding="utf-8-sig") as handle:
-        header_seen = False
-        for line_no, raw in enumerate(handle, start=1):
-            line = raw.strip()
-            if line == "" or line.startswith("#"):
-                continue
-            fields = [f.strip() for f in line.split(",")]
-            if not header_seen:
-                if fields != ["label", "q"]:
-                    raise ParseError(line_no, 1, "quote sidecar header must be 'label,q'")
-                header_seen = True
-                continue
-            if len(fields) != 2:
-                raise ParseError(line_no, 1, f"expected 2 fields, got {len(fields)}")
-            label, raw_q = fields
-            try:
-                q = float(raw_q)
-            except ValueError:
-                raise ParseError(line_no, 2, f"not a number: {raw_q!r}") from None
-            if label in values:
-                raise ParseError(line_no, 1, f"duplicate quote label {label!r}")
-            values[label] = q
+    header_seen = False
+    for line_no, raw in enumerate(lines, start=1):
+        line = raw.strip()
+        if line == "" or line.startswith("#"):
+            continue
+        fields = [f.strip() for f in line.split(",")]
+        if not header_seen:
+            if fields != ["label", "q"]:
+                raise ParseError(line_no, 1, "quote sidecar header must be 'label,q'")
+            header_seen = True
+            continue
+        if len(fields) != 2:
+            raise ParseError(line_no, 1, f"expected 2 fields, got {len(fields)}")
+        label, raw_q = fields
+        try:
+            q = float(raw_q)
+        except ValueError:
+            raise ParseError(line_no, 2, f"not a number: {raw_q!r}") from None
+        if label in values:
+            raise ParseError(line_no, 1, f"duplicate quote label {label!r}")
+        values[label] = q
     if not header_seen:
         raise ParseError(1, 1, "quote sidecar is empty (expected header 'label,q')")
     missing = [lbl for lbl in outcome_labels if lbl not in values]
@@ -120,11 +140,10 @@ def _read_quote_sidecar(path: str, outcome_labels: tuple[str, ...]) -> list[floa
 
 
 def cmd_measure(args: argparse.Namespace) -> int:
-    with open(args.input_path, encoding="utf-8-sig") as handle:
-        samples = read_samples(handle)
+    samples = _read_utf8(args.input_path, read_samples)
     quotes = None
     if args.quotes_path is not None:
-        quotes = _read_quote_sidecar(args.quotes_path, samples.outcome_labels)
+        quotes = _read_utf8(args.quotes_path, _read_quote_sidecar, samples.outcome_labels)
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always", UserWarning)
         report = estimate_efficiency(

@@ -7,6 +7,9 @@ bankroll is split across outcomes (fractions sum to 1), which is the growth
 optimum in a no-cost complete market with sum(q) = 1 — every outcome pays,
 so cash reserves only slow growth down.
 
+A strategy is a `Channel` from the market's signals to its outcomes: row y
+holds the fractions b(x|y) staked on each outcome after signal y (Kelly 1956).
+
 Wealth is tracked in log2-space throughout; raw wealth is never
 materialized (a million rounds at ~1 bit/round overflows any fixed-width
 real).
@@ -28,18 +31,12 @@ grow with `rounds`.
 from __future__ import annotations
 
 import functools
-from collections.abc import Mapping
 from dataclasses import dataclass, field
-from types import MappingProxyType
 
 import numpy as np
 
 from .efficiency import efficiency_with_quotes
-from .errors import (
-    DomainViolation,
-    LabelMismatch,
-    UnsupportedAlphabet,
-)
+from .errors import DomainViolation, UnsupportedAlphabet
 from .measures import _quotes
 from .probability import (
     Channel,
@@ -57,8 +54,8 @@ SIM_CHUNK_ROUNDS = 2**14  # rounds per chunk: simulate's memory is O(chunk)
 class MarketParams:
     """A betting market: true prior over outcomes, signal channel, quotes.
 
-    Quotes are anticipated probabilities q with sum(q) = 1 (enforced by the
-    Distribution type); payouts are alpha_x = 1/q_x. Requires q(x) > 0 for
+    Quotes q, a Distribution or raw values in the prior's order, are stored
+    as a Distribution; payouts are alpha_x = 1/q_x. Requires q(x) > 0 for
     every outcome with positive prior probability. `joint` is the validated
     p(x, y) = prior(x) * channel(y|x), built once here.
     """
@@ -73,23 +70,7 @@ class MarketParams:
         object.__setattr__(self, "joint", joint)
         # simulate and grid_search_optimal never reach cross_entropy's check,
         # and without this one the payout matrix would hold +inf cells.
-        _quotes(self.quotes, self.prior)
-
-
-@dataclass(frozen=True, eq=False)
-class BettingStrategy:
-    """Per-signal wealth allocation: signal label -> Distribution over outcomes.
-
-    The fraction staked on each outcome; fractions sum to 1 (enforced by the
-    Distribution type).
-    """
-
-    allocations: Mapping[str, Distribution]
-
-    def __post_init__(self):
-        object.__setattr__(
-            self, "allocations", MappingProxyType(dict(self.allocations))
-        )
+        object.__setattr__(self, "quotes", _quotes(self.quotes, self.prior))
 
 
 @dataclass(frozen=True)
@@ -111,43 +92,36 @@ class SimulationResult:
     bankrupt_round: int | None = None
 
 
-def kelly_strategy(prior: Distribution, channel: Channel) -> BettingStrategy:
-    """Proportional betting on the Bayes posterior, per signal.
+def kelly_strategy(prior: Distribution, channel: Channel) -> Channel:
+    """Proportional betting on the Bayes posterior: row y is p(x|y).
 
     This is the growth-optimal strategy for full-investment betting in a
     no-cost market, independent of the quotes. ZeroProbabilitySignal
     propagates if some signal can never occur.
     """
-    return BettingStrategy(
-        {y: bayes_posterior(prior, channel, y) for y in channel.output_labels}
-    )
+    posteriors = [bayes_posterior(prior, channel, y).probs for y in channel.output_labels]
+    return Channel(channel.output_labels, prior.labels, posteriors)
 
 
-def _log2_payout_matrix(market: MarketParams, strategy: BettingStrategy) -> np.ndarray:
-    """log2(allocation(y)(x) * alpha_x), shaped (n_signals, n_outcomes).
+def _log2_payout_matrix(market: MarketParams, strategy: Channel) -> np.ndarray:
+    """log2(b(x|y) * alpha_x), shaped (n_signals, n_outcomes).
 
-    Cells where the allocation is 0 are -inf (bankruptcy if realized).
+    Cells where the stake is 0 are -inf (bankruptcy if realized).
     Outcomes with zero prior probability can never be drawn; their cells are
     zeroed to keep inf/nan out of the arithmetic.
     """
-    outcomes = market.prior.labels
-    signals = market.channel.output_labels
-    alloc = np.empty((len(signals), len(outcomes)))
-    for j, y in enumerate(signals):
-        if y not in strategy.allocations:
-            raise LabelMismatch(f"strategy has no allocation for signal {y!r}")
-        dist = strategy.allocations[y]
-        _same_alphabet(dist.labels, outcomes, "allocation labels", "outcome labels")
-        alloc[j] = dist.probs
+    signals, outcomes = market.channel.output_labels, market.prior.labels
+    _same_alphabet(strategy.input_labels, signals, "strategy signals", "signal labels")
+    _same_alphabet(strategy.output_labels, outcomes, "strategy outcomes", "outcome labels")
     with np.errstate(divide="ignore"):
-        log2_pay = np.log2(alloc) - np.log2(market.quotes.probs)[None, :]
+        log2_pay = np.log2(strategy.rows) - np.log2(market.quotes.probs)
     log2_pay[:, market.prior.probs == 0.0] = 0.0
     return log2_pay
 
 
 def simulate(
     market: MarketParams,
-    strategy: BettingStrategy,
+    strategy: Channel,
     rounds: int,
     seed: int,
     run_index: int = 0,
@@ -157,7 +131,7 @@ def simulate(
 
     Each round draws an outcome from the prior and a signal from the
     channel row of that outcome (one uniform variate per draw, in that
-    order), then adds log2(allocation(y)(x) * alpha_x) to the log wealth.
+    order), then adds log2(b(x|y) * alpha_x) to the log wealth.
     """
     if rounds < 1:
         raise DomainViolation(f"rounds must be >= 1, got {rounds}")
@@ -223,10 +197,10 @@ def simulate(
     )
 
 
-def expected_log2_growth(market: MarketParams, strategy: BettingStrategy) -> float:
+def expected_log2_growth(market: MarketParams, strategy: Channel) -> float:
     """Exact expected log2 growth per round of a fixed strategy, in bits.
 
-    sum_{x,y} p(x,y) log2(allocation(y)(x) * alpha_x), computed analytically
+    sum_{x,y} p(x,y) log2(b(x|y) * alpha_x), computed analytically
     (no simulation). Returns -inf if the strategy stakes nothing on some
     outcome that can occur together with its signal.
     """
@@ -240,7 +214,7 @@ def expected_log2_growth(market: MarketParams, strategy: BettingStrategy) -> flo
 
 def grid_search_optimal(
     market: MarketParams, resolution: int
-) -> tuple[BettingStrategy, float]:
+) -> tuple[Channel, float]:
     """Exhaustive search for the best fixed strategy on a simplex grid.
 
     Binary outcome alphabets only (UnsupportedAlphabet otherwise); the
@@ -249,8 +223,9 @@ def grid_search_optimal(
     per-signal argmax equals the argmax over the full product grid; each
     signal is searched independently (same result, linear cost).
 
-    Returns (argmax strategy, exact expected growth in bits/round). This is
-    an independent oracle: it never consults posteriors or entropy formulas.
+    Returns (argmax strategy Channel, exact expected growth in bits/round).
+    This is an independent oracle: it never consults posteriors or entropy
+    formulas.
     """
     if len(market.prior) != 2:
         raise UnsupportedAlphabet(
@@ -272,12 +247,11 @@ def grid_search_optimal(
     best = value.argmax(axis=1)
 
     total = 0.0
-    allocations = {}
-    for j, y in enumerate(market.channel.output_labels):
-        f = float(fractions[best[j]])
-        allocations[y] = Distribution(market.prior.labels, (f, 1.0 - f))
-        total += float(value[j, best[j]])
-    return BettingStrategy(allocations), total
+    for j, i in enumerate(best):  # in signal order, one addition at a time
+        total += float(value[j, i])
+    f = fractions[best]
+    rows = np.stack((f, 1.0 - f), axis=1)
+    return Channel(market.channel.output_labels, market.prior.labels, rows), total
 
 
 @functools.cache

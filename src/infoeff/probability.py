@@ -77,6 +77,13 @@ def _labeled_array(obj, field: str, **alphabets: str) -> np.ndarray:
     return arr
 
 
+def _label_index(labels: Labels, label: str, what: str) -> int:
+    try:
+        return labels.index(label)
+    except ValueError:
+        raise LabelMismatch(f"unknown {what} label {label!r}") from None
+
+
 def _same_alphabet(got: Labels, want: Labels, got_name: str, want_name: str) -> None:
     if got != want:
         raise LabelMismatch(f"{got_name} {got} != {want_name} {want}")
@@ -100,7 +107,7 @@ class Distribution:
         return len(self.labels)
 
     def prob(self, label: str) -> float:
-        return float(self.probs[self.labels.index(label)])
+        return float(self.probs[_label_index(self.labels, label, "distribution")])
 
     def as_dict(self) -> dict[str, float]:
         return {lbl: float(p) for lbl, p in zip(self.labels, self.probs)}
@@ -126,7 +133,7 @@ class Channel:
             _check_prob_vector(row, f"channel row {lbl!r}")
 
     def row_distribution(self, input_label: str) -> Distribution:
-        i = self.input_labels.index(input_label)
+        i = _label_index(self.input_labels, input_label, "channel input")
         return Distribution(self.output_labels, self.rows[i])
 
 
@@ -202,9 +209,7 @@ def bayes_posterior(prior: Distribution, channel: Channel, signal: str) -> Distr
     Raises ZeroProbabilitySignal when the signal has zero marginal probability.
     """
     _same_alphabet(channel.input_labels, prior.labels, "channel inputs", "prior labels")
-    if signal not in channel.output_labels:
-        raise LabelMismatch(f"unknown signal label {signal!r}")
-    j = channel.output_labels.index(signal)
+    j = _label_index(channel.output_labels, signal, "signal")
     cells = prior.probs * channel.rows[:, j]
     total = float(cells.sum())
     if total <= 0.0:

@@ -142,7 +142,7 @@ def test_criterion_08_brute_force_oracle_equivalence():
             posterior = kelly_strategy(market.prior, market.channel)
             for y in market.channel.output_labels:
                 deviation = np.max(np.abs(
-                    strategy.allocations[y].probs - posterior.allocations[y].probs
+                    strategy.row_distribution(y).probs - posterior.row_distribution(y).probs
                 ))
                 assert deviation <= 0.002
 

@@ -181,9 +181,27 @@ class TestMeasure:
         assert main(["measure", "--in", str(path)]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
+        assert captured.err == "error: ParseError: line 2, column 1: not valid UTF-8: byte 0xff\n"
+
+    def test_undecodable_byte_reported_at_its_line(self, tmp_path, capsys):
+        # The decoder reads in buffers: its own error put this byte at
+        # "position 6799", an offset into one buffer, not into the file.
+        path = tmp_path / "late_bad_byte.csv"
+        path.write_bytes(b"signal,outcome\n" + b"a,h\n" * 10**5 + b"\xff,h\n")
+        assert main(["measure", "--in", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
         assert captured.err == (
-            "error: UnicodeDecodeError: 'utf-8' codec can't decode byte 0xff in position 15: "
-            "invalid start byte\n"
+            "error: ParseError: line 100002, column 1: not valid UTF-8: byte 0xff\n"
+        )
+
+    def test_undecodable_byte_reported_in_its_field(self, tmp_path, capsys):
+        # A truncated 3-byte sequence in the outcome field, with CRLF lines.
+        path = tmp_path / "bad_outcome.csv"
+        path.write_bytes(b"signal,outcome\r\nh,h\r\nh,\xe2\x82\r\n")
+        assert main(["measure", "--in", str(path)]) == 2
+        assert capsys.readouterr().err == (
+            "error: ParseError: line 3, column 2: not valid UTF-8: byte 0xe2\n"
         )
 
     def test_undecodable_quote_sidecar_exit_2(self, samples_csv, tmp_path, capsys):
@@ -192,10 +210,7 @@ class TestMeasure:
         assert main(["measure", "--in", str(samples_csv), "--quotes", str(path)]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err == (
-            "error: UnicodeDecodeError: 'utf-8' codec can't decode byte 0xff in position 14: "
-            "invalid start byte\n"
-        )
+        assert captured.err == "error: ParseError: line 3, column 1: not valid UTF-8: byte 0xff\n"
 
     def test_utf8_bom_accepted(self, samples_csv, quotes_csv, tmp_path, capsys):
         plain = ["measure", "--in", str(samples_csv), "--quotes", str(quotes_csv),

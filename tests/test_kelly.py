@@ -6,7 +6,6 @@ import pytest
 import oracles
 from infoeff import kelly
 from infoeff import (
-    BettingStrategy,
     Channel,
     CoinGameParams,
     Distribution,
@@ -75,6 +74,22 @@ class TestMarketParams:
                 MarketParams(prior, chan, quotes)
             assert str(excinfo.value) == str(expected.value)
 
+    def test_raw_quotes_run_as_their_distribution(self):
+        prior = make_distribution(("h", "t"), (0.5, 0.5))
+        chan = Channel(("h", "t"), ("u", "v"), [[0.8, 0.2], [0.3, 0.7]])
+        raw = MarketParams(prior, chan, [0.6, 0.4])
+        market = MarketParams(prior, chan, make_distribution(("h", "t"), (0.6, 0.4)))
+        assert isinstance(raw.quotes, Distribution)
+        assert raw.quotes.labels == prior.labels
+        strat = kelly_strategy(prior, chan)
+        assert repr(simulate(raw, strat, rounds=5000, seed=3)) == repr(
+            simulate(market, strat, rounds=5000, seed=3)
+        )
+        raw_strat, raw_total = grid_search_optimal(raw, 1000)
+        grid_strat, total = grid_search_optimal(market, 1000)
+        assert repr(raw_total) == repr(total)
+        assert raw_strat.rows.tobytes() == grid_strat.rows.tobytes()
+
     def test_joint_is_prior_times_channel_bit_for_bit(self):
         market = random_binary_market(np.random.default_rng(5))
         expected = market.prior.probs[:, None] * market.channel.rows
@@ -96,14 +111,14 @@ class TestKellyStrategy:
     def test_posterior_betting(self):
         market = coin_market(0.5, 0.9, 0.5)
         strat = kelly_strategy(market.prior, market.channel)
-        assert strat.allocations["h"].probs == pytest.approx([0.9, 0.1], abs=1e-15)
-        assert strat.allocations["t"].probs == pytest.approx([0.1, 0.9], abs=1e-15)
+        assert strat.row_distribution("h").probs == pytest.approx([0.9, 0.1], abs=1e-15)
+        assert strat.row_distribution("t").probs == pytest.approx([0.1, 0.9], abs=1e-15)
 
     def test_uninformative_signal_bets_the_prior(self):
         market = coin_market(0.3, 0.5, 0.5)
         strat = kelly_strategy(market.prior, market.channel)
         for y in ("h", "t"):
-            assert strat.allocations[y].probs == pytest.approx(
+            assert strat.row_distribution(y).probs == pytest.approx(
                 market.prior.probs, abs=1e-15
             )
 
@@ -111,14 +126,62 @@ class TestKellyStrategy:
         prior = make_distribution(("h", "t"), (0.5, 0.5))
         chan = Channel(("h", "t"), ("h", "t"), [[1.0, 0.0], [0.0, 1.0]])
         strat = kelly_strategy(prior, chan)
-        assert strat.allocations["h"].probs.tolist() == [1.0, 0.0]
-        assert strat.allocations["t"].probs.tolist() == [0.0, 1.0]
+        assert strat.row_distribution("h").probs.tolist() == [1.0, 0.0]
+        assert strat.row_distribution("t").probs.tolist() == [0.0, 1.0]
 
     def test_zero_probability_signal_propagates(self):
         prior = make_distribution(("h", "t"), (1.0, 0.0))
         chan = Channel(("h", "t"), ("h", "t"), [[1.0, 0.0], [0.0, 1.0]])
         with pytest.raises(ZeroProbabilitySignal):
             kelly_strategy(prior, chan)
+
+
+def signal_market() -> MarketParams:
+    """A binary market whose signal labels differ from its outcome labels."""
+    prior = make_distribution(("h", "t"), (0.4, 0.6))
+    chan = Channel(("h", "t"), ("u", "v", "w"), [[0.6, 0.3, 0.1], [0.2, 0.3, 0.5]])
+    return MarketParams(prior, chan, make_distribution(("h", "t"), (0.3, 0.7)))
+
+
+class TestStrategyContract:
+    def test_kelly_strategy_maps_signals_to_outcomes(self):
+        for market in (signal_market(), three_by_four_market()):
+            strat = kelly_strategy(market.prior, market.channel)
+            assert isinstance(strat, Channel)
+            assert strat.input_labels == market.channel.output_labels
+            assert strat.output_labels == market.prior.labels
+
+    def test_grid_search_strategy_maps_signals_to_outcomes(self):
+        market = signal_market()
+        strat, _ = grid_search_optimal(market, 100)
+        assert isinstance(strat, Channel)
+        assert strat.input_labels == market.channel.output_labels
+        assert strat.output_labels == market.prior.labels
+
+    @pytest.mark.parametrize(
+        "strategy, message",
+        [
+            (Channel(("v", "u", "w"), ("h", "t"), [[0.5, 0.5]] * 3),
+             "strategy signals ('v', 'u', 'w') != signal labels ('u', 'v', 'w')"),
+            (Channel(("u", "v"), ("h", "t"), [[0.5, 0.5]] * 2),
+             "strategy signals ('u', 'v') != signal labels ('u', 'v', 'w')"),
+            (Channel(("u", "v", "w"), ("a", "b"), [[0.5, 0.5]] * 3),
+             "strategy outcomes ('a', 'b') != outcome labels ('h', 't')"),
+        ],
+        ids=["reordered_signals", "missing_signal", "foreign_outcomes"],
+    )
+    @pytest.mark.parametrize(
+        "run",
+        [
+            lambda market, strategy: simulate(market, strategy, rounds=10, seed=0),
+            expected_log2_growth,
+        ],
+        ids=["simulate", "expected_log2_growth"],
+    )
+    def test_alphabet_mismatch(self, run, strategy, message):
+        with pytest.raises(LabelMismatch) as excinfo:
+            run(signal_market(), strategy)
+        assert str(excinfo.value) == message
 
 
 class TestSimulate:
@@ -165,8 +228,7 @@ class TestSimulate:
 
     def test_bankruptcy_reported_not_raised(self):
         market = coin_market(0.5, 0.5, 0.5)
-        all_in_head = Distribution(("h", "t"), (1.0, 0.0))
-        strat = BettingStrategy({"h": all_in_head, "t": all_in_head})
+        strat = Channel(("h", "t"), ("h", "t"), [[1.0, 0.0], [1.0, 0.0]])
         result = simulate(market, strat, rounds=200, seed=0)
         assert result.bankrupt_round is not None
         assert result.final_log2_wealth == float("-inf")
@@ -225,8 +287,7 @@ def golden_runs():
     market = three_by_four_market()
     strat = kelly_strategy(market.prior, market.channel)
     rare_tail = coin_market(0.05, 0.5, 0.5)
-    all_in_head = Distribution(("h", "t"), (1.0, 0.0))
-    reckless = BettingStrategy({"h": all_in_head, "t": all_in_head})
+    reckless = Channel(("h", "t"), ("h", "t"), [[1.0, 0.0], [1.0, 0.0]])
     return [
         ("3x4", lambda: simulate(
             market, strat, rounds=20011, seed=13, run_index=2, trajectory_points=6
@@ -297,7 +358,7 @@ class TestExpectedGrowth:
             strat = kelly_strategy(market.prior, market.channel)
             joint = (market.prior.probs[:, None] * market.channel.rows).tolist()
             allocs = [
-                strat.allocations[y].probs.tolist()
+                strat.row_distribution(y).probs.tolist()
                 for y in market.channel.output_labels
             ]
             alphas = (1.0 / market.quotes.probs).tolist()
@@ -307,8 +368,7 @@ class TestExpectedGrowth:
 
     def test_zero_stake_gives_minus_inf(self):
         market = coin_market(0.5, 0.5, 0.5)
-        all_in = Distribution(("h", "t"), (1.0, 0.0))
-        strat = BettingStrategy({"h": all_in, "t": all_in})
+        strat = Channel(("h", "t"), ("h", "t"), [[1.0, 0.0], [1.0, 0.0]])
         assert expected_log2_growth(market, strat) == float("-inf")
 
     def test_kelly_attains_closed_form(self):
@@ -327,11 +387,13 @@ class TestExpectedGrowth:
             kelly = kelly_strategy(market.prior, market.channel)
             bound = expected_log2_growth(market, kelly)
             for _ in range(50):
-                perturbed = {}
+                perturbed = []
                 for y in market.channel.output_labels:
-                    w = kelly.allocations[y].probs + rng.uniform(0.0, 0.35, 2)
-                    perturbed[y] = normalize(("h", "t"), w)
-                rival = expected_log2_growth(market, BettingStrategy(perturbed))
+                    w = kelly.row_distribution(y).probs + rng.uniform(0.0, 0.35, 2)
+                    perturbed.append(normalize(("h", "t"), w).probs)
+                rival = expected_log2_growth(
+                    market, Channel(kelly.input_labels, kelly.output_labels, perturbed)
+                )
                 assert rival <= bound + 1e-12
 
 
@@ -392,13 +454,13 @@ class TestGridSearch:
         market = coin_market(0.5, 0.9, 0.5)
         strat, value = grid_search_optimal(market, 1000)
         assert value == pytest.approx(oracles.FROZEN_GMAX_09, abs=2e-3)
-        assert strat.allocations["h"].probs == pytest.approx([0.9, 0.1], abs=2e-3)
+        assert strat.row_distribution("h").probs == pytest.approx([0.9, 0.1], abs=2e-3)
 
     def test_uninformative_signal_fair_quotes(self):
         market = coin_market(0.5, 0.5, 0.5)
         strat, value = grid_search_optimal(market, 1000)
         assert value == pytest.approx(0.0, abs=1e-12)
-        assert strat.allocations["h"].probs == pytest.approx([0.5, 0.5], abs=1e-3)
+        assert strat.row_distribution("h").probs == pytest.approx([0.5, 0.5], abs=1e-3)
 
     def test_mispriced_unpredictable(self):
         market = coin_market(0.5, 0.5, 0.95)
@@ -415,7 +477,7 @@ class TestGridSearch:
             kelly = kelly_strategy(market.prior, market.channel)
             for y in market.channel.output_labels:
                 deviation = np.max(
-                    np.abs(strat.allocations[y].probs - kelly.allocations[y].probs)
+                    np.abs(strat.row_distribution(y).probs - kelly.row_distribution(y).probs)
                 )
                 assert deviation < 2.0 / resolution
 
@@ -425,7 +487,7 @@ class TestGridSearch:
             strat, total = grid_search_optimal(market, resolution)
             allocations, expected = grid_search_reference(market, resolution)
             assert repr(total) == repr(expected)
-            assert list(strat.allocations) == list(allocations)
+            assert list(strat.input_labels) == list(allocations)
             for y, probs in allocations.items():
-                assert strat.allocations[y].labels == market.prior.labels
-                assert strat.allocations[y].probs.tobytes() == probs.tobytes()
+                assert strat.row_distribution(y).labels == market.prior.labels
+                assert strat.row_distribution(y).probs.tobytes() == probs.tobytes()

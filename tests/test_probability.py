@@ -248,6 +248,27 @@ def test_distribution_accessors():
     assert len(d) == 2
 
 
+@pytest.mark.parametrize(
+    "lookup, message",
+    [
+        (lambda: make_distribution(["h", "t"], [0.9, 0.1]).prob("x"),
+         "unknown distribution label 'x'"),
+        (lambda: Channel(("a", "b"), ("u", "v"), [[0.3, 0.7], [0.6, 0.4]]).row_distribution("x"),
+         "unknown channel input label 'x'"),
+        (lambda: bayes_posterior(
+            make_distribution(["a", "b"], [0.5, 0.5]),
+            Channel(("a", "b"), ("u", "v"), [[0.3, 0.7], [0.6, 0.4]]),
+            "x",
+        ), "unknown signal label 'x'"),
+    ],
+    ids=["Distribution.prob", "Channel.row_distribution", "bayes_posterior"],
+)
+def test_unknown_label_lookup_raises_label_mismatch(lookup, message):
+    with pytest.raises(LabelMismatch) as excinfo:
+        lookup()
+    assert str(excinfo.value) == message
+
+
 # Every labeled table: its alphabet fields in the order of its array's axes,
 # its array field and a valid array over two labels per axis.
 LABELED_TABLES = {
