@@ -105,7 +105,7 @@ def _read_utf8(path: str, parse, *args):
 
 
 def _read_quote_sidecar(lines, outcome_labels: tuple[str, ...]) -> list[float]:
-    """Parse `label,q` sidecar lines into its values in the order of `outcome_labels`."""
+    """Parse the lines of a `label,q` sidecar into its values in the order of `outcome_labels`."""
     values: dict[str, float] = {}
     header_seen = False
     for line_no, raw in enumerate(lines, start=1):

@@ -106,9 +106,10 @@ def kelly_strategy(prior: Distribution, channel: Channel) -> Channel:
 def _log2_payout_matrix(market: MarketParams, strategy: Channel) -> np.ndarray:
     """log2(b(x|y) * alpha_x), shaped (n_signals, n_outcomes).
 
-    Cells where the stake is 0 are -inf (bankruptcy if realized).
-    Outcomes with zero prior probability can never be drawn; their cells are
-    zeroed to keep inf/nan out of the arithmetic.
+    LabelMismatch unless the strategy maps the market's signals to its
+    outcomes, each in the market's order. Cells where the stake is 0 are -inf
+    (bankruptcy if realized). Outcomes with zero prior probability can never
+    be drawn; their cells are zeroed to keep inf/nan out of the arithmetic.
     """
     signals, outcomes = market.channel.output_labels, market.prior.labels
     _same_alphabet(strategy.input_labels, signals, "strategy signals", "signal labels")

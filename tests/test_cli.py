@@ -184,8 +184,8 @@ class TestMeasure:
         assert captured.err == "error: ParseError: line 2, column 1: not valid UTF-8: byte 0xff\n"
 
     def test_undecodable_byte_reported_at_its_line(self, tmp_path, capsys):
-        # The decoder reads in buffers: its own error put this byte at
-        # "position 6799", an offset into one buffer, not into the file.
+        # The decoder reads the file in buffers, so the offset in its own
+        # error is into one buffer; the line has to come from the file.
         path = tmp_path / "late_bad_byte.csv"
         path.write_bytes(b"signal,outcome\n" + b"a,h\n" * 10**5 + b"\xff,h\n")
         assert main(["measure", "--in", str(path)]) == 2
