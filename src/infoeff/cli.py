@@ -18,7 +18,6 @@ from __future__ import annotations
 import argparse
 import functools
 import json
-import re
 import sys
 import warnings
 from pathlib import Path
@@ -29,12 +28,12 @@ from .errors import (
     DomainViolation,
     EmptyInput,
     InfoEffError,
-    LabelMismatch,
     ParseError,
 )
 from .estimation import (
     DEFAULT_RESAMPLES,
     DEFAULT_SMOOTHING,
+    _read_quotes,
     estimate_efficiency,
     read_samples,
 )
@@ -84,66 +83,14 @@ def _render_flat(report: dict, fmt: str) -> str:
     return "{\n  " + inner[1:-1] + "\n}\n"
 
 
-def _read_utf8(path: str, parse, *args):
-    """parse(lines, *args) on the UTF-8 file at `path`, a leading BOM skipped.
-
-    A byte that is not UTF-8 is a ParseError at its line and CSV field: the
-    file is read again with each bad byte kept as a lone surrogate (U+DC80
-    to U+DCFF), split into lines as the text reader splits them.
-    """
-    try:
-        with open(path, encoding="utf-8-sig") as handle:
-            return parse(handle, *args)
-    except UnicodeDecodeError:
-        with open(path, encoding="utf-8-sig", errors="surrogateescape") as handle:
-            for line_no, line in enumerate(handle, start=1):
-                if bad := re.search("[\udc80-\udcff]", line):
-                    column = line.count(",", 0, bad.start()) + 1
-                    reason = f"not valid UTF-8: byte 0x{ord(bad.group()) - 0xDC00:02x}"
-                    raise ParseError(line_no, column, reason) from None
-        raise
-
-
-def _read_quote_sidecar(lines, outcome_labels: tuple[str, ...]) -> list[float]:
-    """Parse the lines of a `label,q` sidecar into its values in the order of `outcome_labels`."""
-    values: dict[str, float] = {}
-    header_seen = False
-    for line_no, raw in enumerate(lines, start=1):
-        line = raw.strip()
-        if line == "" or line.startswith("#"):
-            continue
-        fields = [f.strip() for f in line.split(",")]
-        if not header_seen:
-            if fields != ["label", "q"]:
-                raise ParseError(line_no, 1, "quote sidecar header must be 'label,q'")
-            header_seen = True
-            continue
-        if len(fields) != 2:
-            raise ParseError(line_no, 1, f"expected 2 fields, got {len(fields)}")
-        label, raw_q = fields
-        try:
-            q = float(raw_q)
-        except ValueError:
-            raise ParseError(line_no, 2, f"not a number: {raw_q!r}") from None
-        if label in values:
-            raise ParseError(line_no, 1, f"duplicate quote label {label!r}")
-        values[label] = q
-    if not header_seen:
-        raise ParseError(1, 1, "quote sidecar is empty (expected header 'label,q')")
-    missing = [lbl for lbl in outcome_labels if lbl not in values]
-    extra = [lbl for lbl in values if lbl not in outcome_labels]
-    if missing or extra:
-        raise LabelMismatch(
-            f"quote labels do not match outcome alphabet: missing {missing}, extra {extra}"
-        )
-    return [values[lbl] for lbl in outcome_labels]
-
-
 def cmd_measure(args: argparse.Namespace) -> int:
-    samples = _read_utf8(args.input_path, read_samples)
+    # Skip a leading BOM; keep each byte that is not UTF-8 for the parser to report.
+    with open(args.input_path, encoding="utf-8-sig", errors="surrogateescape") as handle:
+        samples = read_samples(handle)
     quotes = None
     if args.quotes_path is not None:
-        quotes = _read_utf8(args.quotes_path, _read_quote_sidecar, samples.outcome_labels)
+        with open(args.quotes_path, encoding="utf-8-sig", errors="surrogateescape") as handle:
+            quotes = _read_quotes(handle, samples.outcome_labels)
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always", UserWarning)
         report = estimate_efficiency(

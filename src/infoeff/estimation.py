@@ -25,13 +25,17 @@ Input CSV format: mandatory header line ``signal,outcome``; one record per
 line; labels are arbitrary non-empty tokens without commas; comment lines
 start with '#'. Directive comments ``# signals: a,b`` / ``# outcomes: h,t``
 optionally declare the alphabets (and their order); otherwise alphabets are
-the sorted observed labels.
+the sorted observed labels. Quote sidecar format: header line ``label,q``,
+then one ``label,q`` line per outcome; comment lines start with '#'. A byte
+that is not UTF-8, kept as a lone surrogate by errors="surrogateescape", is a
+ParseError on its line, met in file order like any other.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+import re
 import warnings
 from collections import Counter
 from collections.abc import Iterable, Sequence
@@ -44,6 +48,7 @@ from .errors import (
     DegenerateSystem,
     DomainViolation,
     EmptyInput,
+    LabelMismatch,
     ParseError,
     ResamplesBelowMinimum,
 )
@@ -109,6 +114,14 @@ class EstimateReport:
     eff_q_ci_high: float | None = None
 
 
+def _undecodable(raw: str) -> tuple[int, str] | None:
+    """(column, reason) for the first byte of `raw` that was not UTF-8, else None."""
+    if bad := re.search("[\udc80-\udcff]", raw):
+        column = raw.count(",", 0, bad.start()) + 1
+        return column, f"not valid UTF-8: byte 0x{ord(bad.group()) - 0xDC00:02x}"
+    return None
+
+
 def _parse_line(raw: str, in_header: bool) -> tuple[str, object]:
     """Parse one raw line into (kind, value); `in_header` while the header is due.
 
@@ -116,6 +129,8 @@ def _parse_line(raw: str, in_header: bool) -> tuple[str, object]:
     labels), "header", "record" (value: signal, outcome) or "error"
     (value: column, reason). The line number is the caller's to add.
     """
+    if bad := _undecodable(raw):
+        return "error", bad
     line = raw.strip()
     if line == "":
         return "skip", None
@@ -208,6 +223,43 @@ def read_samples(source: Iterable[str]) -> SampleSet:
             raise ParseError(line, 2, f"outcome {outcome!r} not in declared alphabet")
         table[x_index[outcome], y_index[signal]] = count
     return SampleSet(table, signal_labels, outcome_labels)
+
+
+def _read_quotes(lines: Iterable[str], outcome_labels: tuple[str, ...]) -> list[float]:
+    """Parse the lines of a `label,q` sidecar into its values in the order of `outcome_labels`."""
+    values: dict[str, float] = {}
+    header_seen = False
+    for line_no, raw in enumerate(lines, start=1):
+        if bad := _undecodable(raw):
+            raise ParseError(line_no, *bad)
+        line = raw.strip()
+        if line == "" or line.startswith("#"):
+            continue
+        fields = [f.strip() for f in line.split(",")]
+        if not header_seen:
+            if fields != ["label", "q"]:
+                raise ParseError(line_no, 1, "quote sidecar header must be 'label,q'")
+            header_seen = True
+            continue
+        if len(fields) != 2:
+            raise ParseError(line_no, 1, f"expected 2 fields, got {len(fields)}")
+        label, raw_q = fields
+        try:
+            q = float(raw_q)
+        except ValueError:
+            raise ParseError(line_no, 2, f"not a number: {raw_q!r}") from None
+        if label in values:
+            raise ParseError(line_no, 1, f"duplicate quote label {label!r}")
+        values[label] = q
+    if not header_seen:
+        raise ParseError(1, 1, "quote sidecar is empty (expected header 'label,q')")
+    missing = [lbl for lbl in outcome_labels if lbl not in values]
+    extra = [lbl for lbl in values if lbl not in outcome_labels]
+    if missing or extra:
+        raise LabelMismatch(
+            f"quote labels do not match outcome alphabet: missing {missing}, extra {extra}"
+        )
+    return [values[lbl] for lbl in outcome_labels]
 
 
 def _smoothed_joint(counts: np.ndarray, n: int, smoothing: float) -> np.ndarray:

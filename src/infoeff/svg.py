@@ -20,8 +20,6 @@ def _fmt(x: float) -> str:
 
 
 def _ticks(lo: float, hi: float) -> list[float]:
-    if hi == lo:
-        return [lo]
     step = (hi - lo) / (N_TICKS - 1)
     return [lo + i * step for i in range(N_TICKS)]
 
@@ -30,12 +28,13 @@ def line_chart(
     points: Sequence[tuple[float, float]],
     x_label: str,
     y_label: str,
-    title: str = "",
+    title: str,
 ) -> str:
     """Render (x, y) points as a single polyline with axes and tick labels.
 
     A polyline needs at least 2 points (ValueError otherwise): one point
-    would draw no curve at all.
+    would draw no curve at all. An axis whose values are all equal spans
+    that value +- 0.5.
     """
     if len(points) < 2:
         raise ValueError(f"line_chart needs at least 2 points, got {len(points)}")
@@ -61,12 +60,9 @@ def line_chart(
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{WIDTH}" height="{HEIGHT}" '
         f'viewBox="0 0 {WIDTH} {HEIGHT}">',
         f'<rect width="{WIDTH}" height="{HEIGHT}" fill="white"/>',
+        f'<text x="{WIDTH / 2:.1f}" y="18" text-anchor="middle" '
+        f'font-family="sans-serif" font-size="14">{title}</text>',
     ]
-    if title:
-        parts.append(
-            f'<text x="{WIDTH / 2:.1f}" y="18" text-anchor="middle" '
-            f'font-family="sans-serif" font-size="14">{title}</text>'
-        )
     axis_y = MARGIN_TOP + plot_h
     parts.append(
         f'<line x1="{MARGIN_LEFT}" y1="{axis_y}" x2="{MARGIN_LEFT + plot_w}" '

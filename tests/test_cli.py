@@ -60,6 +60,19 @@ class TestMeasure:
         assert main(["measure", "--in", str(path)]) == 3
         assert "DegenerateSystem" in capsys.readouterr().err
 
+    def test_degenerate_with_quotes_exit_3(self, tmp_path, quotes_csv, capsys):
+        # Quotes make Eff_q defined, but Eff is still 0/0 on a constant outcome.
+        path = tmp_path / "constant_outcome.csv"
+        write_samples(path, ["# outcomes: h,t", "signal,outcome", "a,h", "b,h", "a,h"])
+        args = ["measure", "--in", str(path), "--quotes", str(quotes_csv),
+                "--smoothing", "0", "--resamples", "100"]
+        assert main(args) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "error: DegenerateSystem: estimated outcome marginal has zero entropy\n"
+        )
+
     def test_missing_file_exit_4(self, tmp_path, capsys):
         assert main(["measure", "--in", str(tmp_path / "nope.csv")]) == 4
         assert "error" in capsys.readouterr().err
@@ -211,6 +224,36 @@ class TestMeasure:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == "error: ParseError: line 3, column 1: not valid UTF-8: byte 0xff\n"
+
+    @pytest.mark.parametrize(
+        "samples, quotes, err",
+        [
+            (b"signal,outcome\nh\n\xff,h\n", None,
+             "line 2, column 1: expected 2 fields, got 1"),
+            (None, b"label,q\nh\n\xff,0.5\n",
+             "line 2, column 1: expected 2 fields, got 1"),
+            (b"# note \xff\nsignal,outcome\nh\nh,h\n", None,
+             "line 1, column 1: not valid UTF-8: byte 0xff"),
+        ],
+        ids=["samples-malformed-line-first", "sidecar-malformed-line-first",
+             "byte-in-comment-before-header"],
+    )
+    def test_first_bad_line_reported_undecodable_or_not(
+        self, samples_csv, tmp_path, capsys, samples, quotes, err
+    ):
+        # An undecodable byte is a parse error on its own line, so it does
+        # not hide an earlier malformed line, nor come after a later one.
+        if samples is not None:
+            samples_csv = tmp_path / "samples_bytes.csv"
+            samples_csv.write_bytes(samples)
+        args = ["measure", "--in", str(samples_csv)]
+        if quotes is not None:
+            (tmp_path / "quotes_bytes.csv").write_bytes(quotes)
+            args += ["--quotes", str(tmp_path / "quotes_bytes.csv")]
+        assert main(args) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: ParseError: {err}\n"
 
     def test_utf8_bom_accepted(self, samples_csv, quotes_csv, tmp_path, capsys):
         plain = ["measure", "--in", str(samples_csv), "--quotes", str(quotes_csv),

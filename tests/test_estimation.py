@@ -313,6 +313,13 @@ class TestEstimateEfficiency:
         with pytest.raises(DegenerateSystem):
             estimate_efficiency(samples, resamples=100, seed=0)
 
+    def test_degenerate_marginal_with_quotes(self):
+        # Eff_q is defined (H(q) = 1), but Eff = H(X|Y)/H(X) is 0/0.
+        samples = SampleSet([[2, 1], [0, 0]], ("a", "b"), ("h", "t"))
+        with pytest.raises(DegenerateSystem) as excinfo:
+            estimate_efficiency(samples, smoothing=0.0, quotes=[0.5, 0.5], resamples=100)
+        assert str(excinfo.value) == "estimated outcome marginal has zero entropy"
+
     def test_small_sample_flag_and_warning(self):
         samples = draw_records(FAIR_PRIOR, ACC_09, 20, seed=6)
         with pytest.warns(UserWarning, match="samples"):

@@ -1,0 +1,11 @@
+import re
+
+from infoeff.svg import line_chart
+
+
+def test_constant_curve_spans_its_value_plus_minus_half():
+    svg = line_chart([(0.0, 0.3), (1.0, 0.3)], "x", "y", title="flat")
+    y_ticks = re.findall(r'text-anchor="end" [^>]*>([^<]*)</text>', svg)
+    assert y_ticks == ["-0.2", "0.05", "0.3", "0.55", "0.8"]
+    # The curve runs across the middle of the plot: y = 30 + 355 / 2.
+    assert '<polyline points="70.00,207.50 620.00,207.50"' in svg
