@@ -16,16 +16,15 @@ real).
 
 RNG: NumPy PCG64, seeded through SeedSequence((seed, run_index)) so each
 run owns an independent, reproducible stream. Identical (params, strategy,
-rounds, seed, run_index) reproduce the result bit-for-bit. A run reads that
-stream as two halves of `rounds` doubles each: the outcome uniforms first,
-then the signal uniforms. The signal half is read by a second PCG64 on the
-same SeedSequence, jumped ahead by `rounds` draws with `.advance` (O'Neill
-2014), so both halves are consumed together, chunk by chunk, with the same
-doubles as a single pass. Rounds are simulated in chunks of
-SIM_CHUNK_ROUNDS; the log wealth is a cumulative sum that carries the
-previous chunk's total into the first element of the next, so the addition
-stays sequential and every bit matches a whole-run sum. Memory does not
-grow with `rounds`.
+rounds, seed, run_index) reproduce the result bit-for-bit. A round is one
+uniform double from that stream, mapped through the cumulative joint
+p(x, y) to one (outcome, signal) cell in signal-major order: signal by
+signal, the outcomes in order within each. Per-round work grows with the
+number of cells, |X|*|Y|. Rounds are simulated in chunks of
+SIM_CHUNK_ROUNDS; the stream is read in order whatever the chunk size, and
+the log wealth is a cumulative sum that carries the previous chunk's total
+into the first element of the next, so the addition stays sequential and
+every bit matches a whole-run sum. Memory does not grow with `rounds`.
 """
 
 from __future__ import annotations
@@ -130,25 +129,19 @@ def simulate(
 ) -> SimulationResult:
     """Run one betting simulation and return the realized log2 growth.
 
-    Each round draws an outcome from the prior and a signal from the
-    channel row of that outcome (one uniform variate per draw, in that
-    order), then adds log2(b(x|y) * alpha_x) to the log wealth.
+    Each round draws one cell (x, y) of the market's joint from one uniform
+    variate, then adds log2(b(x|y) * alpha_x) to the log wealth. The result
+    does not depend on SIM_CHUNK_ROUNDS.
     """
     if rounds < 1:
         raise DomainViolation(f"rounds must be >= 1, got {rounds}")
     if seed < 0 or run_index < 0:
         raise DomainViolation("seed and run_index must be nonnegative")
-    log2_pay = _log2_payout_matrix(market, strategy)
-    flat_pay = log2_pay.ravel()
-    n_outcomes = log2_pay.shape[1]
-    # An index is the number of cumulative edges <= u, last edge dropped:
+    flat_pay = _log2_payout_matrix(market, strategy).ravel()
+    # A cell is the number of cumulative edges <= u, last edge dropped:
     # min(searchsorted(cum, u, "right"), n - 1), integer for integer.
-    outcome_edges = np.cumsum(market.prior.probs)[:-1]
-    signal_edges = np.cumsum(market.channel.rows, axis=1)[:, :-1].T.copy()
-
-    seq = np.random.SeedSequence((seed, run_index))
-    outcome_rng = np.random.Generator(np.random.PCG64(seq))
-    signal_rng = np.random.Generator(np.random.PCG64(seq).advance(rounds))
+    cell_edges = np.cumsum(market.joint.joint.T)[:-1]
+    rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence((seed, run_index))))
 
     sample_rounds = np.empty(0, dtype=int)
     if trajectory_points > 0:
@@ -162,16 +155,10 @@ def simulate(
     bankrupt_round = None
     for start in range(0, rounds, SIM_CHUNK_ROUNDS):
         size = min(SIM_CHUNK_ROUNDS, rounds - start)
-        u_outcome = outcome_rng.random(size)
-        u_signal = signal_rng.random(size)
-        xs = np.zeros(size, dtype=np.intp)
-        for edge in outcome_edges:
-            xs += edge <= u_outcome
+        u = rng.random(size)
         cells = np.zeros(size, dtype=np.intp)
-        for edges in signal_edges:
-            cells += edges.take(xs) <= u_signal
-        cells *= n_outcomes
-        cells += xs
+        for edge in cell_edges:
+            cells += edge <= u
 
         per_round = flat_pay.take(cells)
         per_round[0] += log2_final
