@@ -594,8 +594,8 @@ GOLDEN_FIG3_9PT = (
 )
 GOLDEN_SIMULATE_CSV = (
     "run_index,rounds,seed,final_log2_wealth,mean_growth,target,abs_error\n"
-    "0,1000,7,559.5337314237023,0.5595337314237023,"
-    "0.5310044064107189,0.028529325012983442\n"
+    "0,1000,7,543.6841064164911,0.5436841064164911,"
+    "0.5310044064107189,0.012679700005772232\n"
 )
 
 # `simulate` over 100003 rounds, which no power-of-two chunk size divides.
@@ -611,41 +611,41 @@ GOLDEN_SIMULATE_JSON_3RUNS = (
     '  "run_results": [\n'
     '    {\n'
     '      "run_index": 0,\n'
-    '      "final_log2_wealth": 29709.923692565088,\n'
-    '      "mean_growth": 0.2970903242159244,\n'
-    '      "abs_error": 0.003148649028437922,\n'
+    '      "final_log2_wealth": 30135.286369360005,\n'
+    '      "mean_growth": 0.3013438233788987,\n'
+    '      "abs_error": 0.0011048501345363726,\n'
     '      "bankrupt_round": null\n'
     '    },\n'
     '    {\n'
     '      "run_index": 1,\n'
-    '      "final_log2_wealth": 29978.39198691304,\n'
-    '      "mean_growth": 0.29977492662133176,\n'
-    '      "abs_error": 0.0004640466230305673,\n'
+    '      "final_log2_wealth": 29575.30888106927,\n'
+    '      "mean_growth": 0.2957442164841982,\n'
+    '      "abs_error": 0.0044947567601641425,\n'
     '      "bankrupt_round": null\n'
     '    },\n'
     '    {\n'
     '      "run_index": 2,\n'
-    '      "final_log2_wealth": 29347.320190280956,\n'
-    '      "mean_growth": 0.2934643979708704,\n'
-    '      "abs_error": 0.006774575273491901,\n'
+    '      "final_log2_wealth": 29438.60511305325,\n'
+    '      "mean_growth": 0.2943772198139381,\n'
+    '      "abs_error": 0.005861753430424221,\n'
     '      "bankrupt_round": null\n'
     '    }\n'
     '  ],\n'
-    '  "aggregate_mean_growth": 0.2967765496027089,\n'
-    '  "aggregate_abs_error": 0.003462423641653445\n'
+    '  "aggregate_mean_growth": 0.2971550865590116,\n'
+    '  "aggregate_abs_error": 0.0030838866853507008\n'
     '}\n'
 )
 GOLDEN_TRAJECTORY_CSV = (
     "round,log2_wealth\n"
-    "1,-2.5849625007211565\n"
-    "12501,7073.4737242565025\n"
-    "25001,14164.156473533225\n"
-    "37501,21137.00613527316\n"
-    "50002,28096.173084469097\n"
-    "62502,35158.643796182536\n"
-    "75002,42239.9054828648\n"
-    "87502,49003.80174445984\n"
-    "100003,56003.44238116309\n"
+    "1,0.5849625007211563\n"
+    "12501,6904.108299168464\n"
+    "25001,13781.631635837712\n"
+    "37501,20735.51738505673\n"
+    "50002,27662.07680920506\n"
+    "62502,34716.475345961626\n"
+    "75002,41687.07387010862\n"
+    "87502,48706.50849433111\n"
+    "100003,55663.27995601831\n"
 )
 
 # `measure` on 1200 records over 10 outcomes and 9 declared signals, of
@@ -829,7 +829,7 @@ class TestGoldenOutputs:
         assert code == 0
         assert json.loads(capsys.readouterr().out)["run_results"][0][
             "final_log2_wealth"
-        ] == 56003.44238116309
+        ] == 55663.27995601831
         assert traj.read_text(encoding="utf-8") == GOLDEN_TRAJECTORY_CSV
 
     def test_coin_json_fair_worthless_bytes(self, capsys):

@@ -303,17 +303,17 @@ def golden_runs():
 GOLDEN_SIMULATE_REPR = {
     "3x4": (
         "SimulationResult(rounds=20011, seed=13, run_index=2, "
-        "final_log2_wealth=3202.5152062455572, mean_growth=0.16003773955552233, "
-        "trajectory_sample=((1, 0.05889368905356829), (4003, 677.4305589999407), "
-        "(8005, 1288.3523753383972), (12007, 1936.663622944804), "
-        "(16009, 2556.217178268878), (20011, 3202.5152062455572)), "
+        "final_log2_wealth=2922.5148832378577, mean_growth=0.14604541918134314, "
+        "trajectory_sample=((1, 0.4474589769712213), (4003, 606.0614229397451), "
+        "(8005, 1173.2956419204027), (12007, 1802.1536662922465), "
+        "(16009, 2279.7628659324464), (20011, 2922.5148832378577)), "
         "bankrupt_round=None)"
     ),
     "bankrupt": (
         "SimulationResult(rounds=1000, seed=12, run_index=0, "
         "final_log2_wealth=-inf, mean_growth=-inf, "
         "trajectory_sample=((1, 1.0), (250, -inf), (500, -inf), (750, -inf), "
-        "(1000, -inf)), bankrupt_round=74)"
+        "(1000, -inf)), bankrupt_round=56)"
     ),
 }
 
@@ -326,7 +326,7 @@ class TestGoldenSimulate:
 
     @pytest.mark.parametrize("chunk", [1, 7, 4096, 10**6])
     def test_independent_of_chunk_size(self, monkeypatch, chunk):
-        # Chunk size 1 and 7 put the ruin at round 74 in a later chunk, and
+        # Chunk size 1 and 7 put the ruin at round 56 in a later chunk, and
         # 10**6 runs every pinned simulation as a single chunk.
         monkeypatch.setattr(kelly, "SIM_CHUNK_ROUNDS", chunk)
         for name, run in golden_runs():
