@@ -63,8 +63,8 @@ FIGURES = {
 def _write_text(out: str | Path | None, text: str) -> None:
     if out is None:
         sys.stdout.write(text)
-    else:
-        Path(out).write_text(text, encoding="utf-8")
+    else:  # encoded before the file is opened, so a failed encode creates none
+        Path(out).write_bytes(text.encode("utf-8"))
 
 
 def _csv(header: str, rows) -> str:

@@ -108,12 +108,13 @@ def _log2_payout_matrix(market: MarketParams, strategy: Channel) -> np.ndarray:
     LabelMismatch unless the strategy maps the market's signals to its
     outcomes, each in the market's order. Cells where the stake is 0 are -inf
     (bankruptcy if realized). Outcomes with zero prior probability can never
-    be drawn; their cells are zeroed to keep inf/nan out of the arithmetic.
+    be drawn; their cells, nan where a zero stake meets a zero quote, are
+    zeroed to keep inf/nan out of the arithmetic.
     """
     signals, outcomes = market.channel.output_labels, market.prior.labels
     _same_alphabet(strategy.input_labels, signals, "strategy signals", "signal labels")
     _same_alphabet(strategy.output_labels, outcomes, "strategy outcomes", "outcome labels")
-    with np.errstate(divide="ignore"):
+    with np.errstate(divide="ignore", invalid="ignore"):
         log2_pay = np.log2(strategy.rows) - np.log2(market.quotes.probs)
     log2_pay[:, market.prior.probs == 0.0] = 0.0
     return log2_pay

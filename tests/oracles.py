@@ -1,11 +1,14 @@
 """Independent oracles for expected values, written before the library.
 
-Pure math/stdlib only — nothing here imports the package, so these stay
-independent of the code paths they check. The FROZEN_* constants were
-computed with these functions and pinned.
+Pure math/stdlib, plus numpy for the seeded Kelly run — nothing here
+imports the package, so these stay independent of the code paths they
+check. The FROZEN_* constants were computed with these functions and
+pinned.
 """
 
 import math
+
+import numpy as np
 
 log2 = math.log2
 
@@ -67,6 +70,26 @@ def expected_growth(joint, alphas, allocations) -> float:
             total += p * log2(stake * alphas[i])
     return total
 
+
+
+def seeded_kelly_run(joint, strategy_rows, quotes, prior, rounds, seed, run_index):
+    """(final log2 wealth, first ruined 1-based round or None) of one seeded run.
+
+    `joint` is indexed [outcome][signal] and `strategy_rows` [signal][outcome].
+    Round k takes the k-th double of PCG64(SeedSequence((seed, run_index)))
+    and realizes the cell, in signal-major order, whose interval of the
+    cumulative joint holds it. It earns log2(stake) - log2(quote), or 0 for an
+    outcome of zero prior. The whole run is drawn and summed at once.
+    """
+    joint = np.asarray(joint, dtype=float)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        pay = np.log2(np.asarray(strategy_rows, dtype=float)) - np.log2(quotes)
+    pay[:, np.asarray(prior) == 0.0] = 0.0
+    rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence((seed, run_index))))
+    cells = np.searchsorted(np.cumsum(joint.T)[:-1], rng.random(rounds), side="right")
+    log2_wealth = np.cumsum(pay.ravel()[cells])
+    ruined = np.flatnonzero(np.isneginf(log2_wealth))
+    return float(log2_wealth[-1]), (int(ruined[0]) + 1 if len(ruined) else None)
 
 def parse_samples(lines):
     """Line-by-line reference parse of a (signal, outcome) samples CSV.

@@ -360,6 +360,21 @@ class TestCoin:
             "a double quote, CR or LF, got 'a,b\\nx,1'\n"
         )
 
+    def test_unencodable_report_leaves_no_out_file(self, tmp_path, capsys):
+        out = tmp_path / "r.csv"
+        code = main(
+            ["coin", "--p-tail", "0.5", "--accuracy", "0.9", "--q-tail", "0.5",
+             "--format", "csv", "--info-set", "\udcff", "--out", str(out)]
+        )
+        assert code == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "error: UnicodeEncodeError: 'utf-8' codec can't encode character '\\udcff' "
+            "in position 258: surrogates not allowed\n"
+        )
+        assert not out.exists()
+
     def test_unexpected_error_exit_1(self, monkeypatch, capsys):
         def broken(config):
             raise RuntimeError("unexpected state")

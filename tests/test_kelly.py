@@ -350,6 +350,45 @@ class TestGoldenSimulate:
         assert peaks[1] < peaks[0] + 2**18
 
 
+
+def zero_prior_market() -> MarketParams:
+    """An outcome of zero prior and quote, and channel cells that are zero."""
+    prior = make_distribution(("a", "b", "c"), (0.6, 0.0, 0.4))
+    channel = Channel(
+        prior.labels, ("u", "v", "w"), [[0.5, 0.5, 0.0], [0.2, 0.3, 0.5], [0.0, 0.25, 0.75]]
+    )
+    return MarketParams(prior, channel, make_distribution(prior.labels, (0.5, 0.0, 0.5)))
+
+
+def draw_contract_cases():
+    """name -> (market, strategy, rounds, seed, run_index), checked against the oracle."""
+    three_by_four, zero_prior = three_by_four_market(), zero_prior_market()
+    reckless = Channel(("h", "t"), ("h", "t"), [[1.0, 0.0], [1.0, 0.0]])
+    return {
+        "3x4": (three_by_four, kelly_strategy(three_by_four.prior, three_by_four.channel),
+                20011, 13, 2),
+        "reckless": (coin_market(0.05, 0.5, 0.5), reckless, 1000, 12, 0),
+        "zero_prior": (zero_prior, kelly_strategy(zero_prior.prior, zero_prior.channel),
+                       20011, 3, 1),
+    }
+
+
+class TestDrawContract:
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("chunk", [1, 7, kelly.SIM_CHUNK_ROUNDS])
+    @pytest.mark.parametrize("name", ["3x4", "reckless", "zero_prior"])
+    def test_matches_seeded_run_oracle(self, monkeypatch, name, chunk):
+        market, strat, rounds, seed, run_index = draw_contract_cases()[name]
+        monkeypatch.setattr(kelly, "SIM_CHUNK_ROUNDS", chunk)
+        result = simulate(market, strat, rounds, seed, run_index)
+        prior = market.prior.probs.tolist()
+        joint = [[p * c for c in row] for p, row in zip(prior, market.channel.rows.tolist())]
+        expected = oracles.seeded_kelly_run(
+            joint, strat.rows.tolist(), market.quotes.probs.tolist(), prior,
+            rounds, seed, run_index,
+        )
+        assert (result.final_log2_wealth, result.bankrupt_round) == expected
+
 class TestExpectedGrowth:
     def test_matches_direct_sum_oracle(self):
         rng = np.random.default_rng(31)
