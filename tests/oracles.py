@@ -34,6 +34,25 @@ def bayes_by_enumeration(prior, channel_rows, signal_index):
     return [c / total for c in cells]
 
 
+def bayes_rows(prior, channel_rows):
+    """Posterior rows p(x|y), one per signal, or None where p(y) = 0.
+
+    `channel_rows` is indexed [outcome][signal]. Each signal's cells
+    prior(x) * channel(y|x) are divided by their sum taken as one numpy
+    vector, in numpy's pairwise order rather than bayes_by_enumeration's
+    left-to-right one, so an implementation of the same rule matches it bit
+    for bit.
+    """
+    prior = np.asarray(prior, dtype=float)
+    rows = np.asarray(channel_rows, dtype=float)
+    posteriors = []
+    for j in range(rows.shape[1]):
+        cells = prior * rows[:, j]
+        total = cells.sum()
+        posteriors.append(cells / total if total > 0.0 else None)
+    return posteriors
+
+
 def conditional_entropy(joint) -> float:
     """Direct double-sum evaluation of -sum_y p(y) sum_x p(x|y) log2 p(x|y)."""
     n_x, n_y = len(joint), len(joint[0])

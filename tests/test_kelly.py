@@ -16,6 +16,7 @@ from infoeff import (
     UnsupportedAlphabet,
     UnsupportedOutcome,
     ZeroProbabilitySignal,
+    bayes_posterior,
     coin_components,
     cross_entropy,
     expected_log2_growth,
@@ -530,3 +531,67 @@ class TestGridSearch:
             for y, probs in allocations.items():
                 assert strat.row_distribution(y).labels == market.prior.labels
                 assert strat.row_distribution(y).probs.tobytes() == probs.tobytes()
+
+
+def random_market(rng, n_outcomes: int, n_signals: int) -> MarketParams:
+    """A market with dense random prior and channel rows over the given alphabets."""
+    prior = normalize([f"x{i}" for i in range(n_outcomes)], rng.random(n_outcomes) + 1e-3)
+    rows = rng.random((n_outcomes, n_signals)) * 10.0 ** rng.uniform(-3, 0, (n_outcomes, 1))
+    rows /= rows.sum(axis=1, keepdims=True)
+    channel = Channel(prior.labels, tuple(f"y{j}" for j in range(n_signals)), rows)
+    return MarketParams(prior, channel, prior)
+
+
+def posterior_oracle_markets():
+    rng = np.random.default_rng(2024)
+    markets = {"coin": coin_market(0.3, 0.8, 0.4), "3x4": three_by_four_market()}
+    for n_outcomes in (9, 17):
+        for k in range(5):
+            markets[f"{n_outcomes}x{k + 2}"] = random_market(rng, n_outcomes, k + 2)
+    return markets
+
+
+class TestPosteriorOracle:
+    """The one Bayes rule, pinned bit for bit to a library-free oracle."""
+
+    @pytest.mark.parametrize(
+        "market", [pytest.param(m, id=name) for name, m in posterior_oracle_markets().items()]
+    )
+    def test_rows_equal_oracle_bit_for_bit(self, market):
+        prior, channel = market.prior, market.channel
+        expected = oracles.bayes_rows(prior.probs, channel.rows)
+        strat = kelly_strategy(prior, channel)
+        for j, signal in enumerate(channel.output_labels):
+            assert strat.rows[j].tobytes() == expected[j].tobytes()
+            posterior = bayes_posterior(prior, channel, signal)
+            assert posterior.probs.tobytes() == expected[j].tobytes()
+
+    @staticmethod
+    def dead_signal_system():
+        # Signals 'v' and 'w' are reachable only from outcome 'c', which has
+        # prior probability 0.
+        prior = make_distribution(("a", "b", "c"), (0.25, 0.75, 0.0))
+        channel = Channel(
+            prior.labels,
+            ("u", "v", "w", "z"),
+            [[0.5, 0.0, 0.0, 0.5], [0.2, 0.0, 0.0, 0.8], [0.0, 0.5, 0.5, 0.0]],
+        )
+        return prior, channel
+
+    def test_dead_signal_raises_naming_it(self):
+        prior, channel = self.dead_signal_system()
+        for signal in ("v", "w"):
+            with pytest.raises(ZeroProbabilitySignal) as excinfo:
+                bayes_posterior(prior, channel, signal)
+            assert str(excinfo.value) == f"signal {signal!r} has marginal probability 0"
+        with pytest.raises(ZeroProbabilitySignal) as excinfo:
+            kelly_strategy(prior, channel)
+        assert str(excinfo.value) == "signal 'v' has marginal probability 0"
+
+    def test_live_signal_beside_dead_one(self):
+        prior, channel = self.dead_signal_system()
+        expected = oracles.bayes_rows(prior.probs, channel.rows)
+        assert expected[1] is None and expected[2] is None
+        for j, signal in ((0, "u"), (3, "z")):
+            posterior = bayes_posterior(prior, channel, signal)
+            assert posterior.probs.tobytes() == expected[j].tobytes()

@@ -50,6 +50,9 @@ class TestMakeDistribution:
             make_distribution(["h", "t"], [bad, 0.5])
         with pytest.raises(SumNotOne):
             Channel(("a",), ("u", "v"), [[bad, 0.5]])
+        with pytest.raises(SumNotOne) as excinfo:  # beside good rows
+            Channel(("a", "b", "c"), ("u", "v"), [[0.5, 0.5], [bad, 0.5], [0.25, 0.75]])
+        assert str(excinfo.value) == f"channel row 'b' sums to {bad!r}, not 1 within 1e-09"
         with pytest.raises(SumNotOne):
             JointSystem(("h", "t"), ("u",), [[bad], [0.5]])
 
@@ -69,6 +72,89 @@ class TestMakeDistribution:
         d = make_distribution(["a", "b"], [0.25, 0.75])
         with pytest.raises(ValueError):
             d.probs[0] = 0.5
+
+
+class TestValidators:
+    """The probability-vector checks, pinned as they behave one vector at a time."""
+
+    def test_channel_reports_first_bad_row(self):
+        with pytest.raises(SumNotOne) as excinfo:
+            Channel(("a", "b"), ("u", "v"), [[0.5, 0.6], [1.5, -0.5]])
+        assert str(excinfo.value) == f"channel row 'a' sums to {0.5 + 0.6!r}, not 1 within 1e-09"
+        with pytest.raises(NegativeWeight) as excinfo:
+            Channel(("a", "b"), ("u", "v"), [[1.5, -0.5], [0.5, 0.6]])
+        assert str(excinfo.value) == "channel row 'a' has a negative entry: [1.5, -0.5]"
+        with pytest.raises(NegativeWeight) as excinfo:  # every row sums to 1
+            Channel(("a", "b"), ("u", "v"), [[0.5, 0.5], [1.5, -0.5]])
+        assert str(excinfo.value) == "channel row 'b' has a negative entry: [1.5, -0.5]"
+        with pytest.raises(SumNotOne) as excinfo:
+            Channel(("a", "b", "c"), ("u", "v"), [[0.5, 0.5], [0.5, 0.5 + 2e-9], [0.5, 0.5]])
+        assert str(excinfo.value).startswith("channel row 'b' sums to 1.000000002")
+
+    def test_nan_beside_negative_is_negative_weight(self):
+        nan = float("nan")
+        with pytest.raises(NegativeWeight) as excinfo:
+            make_distribution(["a", "b", "c"], [nan, -0.5, 1.5])
+        assert str(excinfo.value) == "distribution has a negative entry: [nan, -0.5, 1.5]"
+        with pytest.raises(NegativeWeight, match="channel row 'b' has a negative entry"):
+            Channel(("a", "b"), ("u", "v", "w"), [[0.5, 0.5, 0.0], [nan, -0.5, 1.5]])
+        with pytest.raises(NegativeWeight, match="joint has a negative entry"):
+            JointSystem(("a", "b"), ("u",), [[-0.5], [nan]])
+
+    def test_negative_zero_accepted(self):
+        assert make_distribution(["a", "b"], [-0.0, 1.0]).probs.tolist() == [-0.0, 1.0]
+        chan = Channel(("a", "b"), ("u", "v"), [[-0.0, 1.0], [1.0, -0.0]])
+        assert chan.rows.tolist() == [[-0.0, 1.0], [1.0, -0.0]]
+        JointSystem(("a", "b"), ("u", "v"), [[-0.0, 0.5], [0.5, -0.0]])
+
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda: Distribution((), np.empty(0)),
+            lambda: Channel((), ("u",), np.empty((0, 1))),
+            lambda: Channel(("a",), (), np.empty((1, 0))),
+            lambda: JointSystem((), ("u",), np.empty((0, 1))),
+            lambda: JointSystem(("a",), (), np.empty((1, 0))),
+        ],
+        ids=["distribution", "channel input", "channel output", "joint outcome", "joint signal"],
+    )
+    def test_empty_alphabet_raised_before_any_reduction(self, build):
+        # The reductions cannot see an empty vector: fmin has no identity.
+        with pytest.raises(ValueError, match="no identity"):
+            np.fmin.reduce(np.empty(0))
+        with pytest.raises(EmptyAlphabet):
+            build()
+
+    def test_row_sums_equal_vector_sums_bit_for_bit(self):
+        # Channel accepts all its rows from one reduction over the last axis;
+        # that decision is the per-row one only if each row's sum has the
+        # bits of the row summed alone.
+        rng = np.random.default_rng(7)
+        for width in range(1, 65):
+            rows = rng.random((6, width)) * 10.0 ** rng.uniform(-8, 8, (6, width))
+            sums = np.add.reduce(rows, axis=1)
+            for row, total in zip(rows, sums):
+                assert total.tobytes() == row.sum().tobytes()
+
+    def test_channel_accepts_exactly_what_each_row_check_accepts(self):
+        rng = np.random.default_rng(19)
+        for _ in range(400):
+            n_in, width = rng.integers(1, 5), rng.integers(1, 24)
+            rows = rng.random((n_in, width))
+            rows /= rows.sum(axis=1, keepdims=True)
+            # Nudge some rows to just inside or just outside the 1e-9 tolerance.
+            rows[:, 0] += rng.choice([0.0, 0.9e-9, -0.9e-9, 1.1e-9, -1.1e-9], n_in)
+            labels = tuple(f"x{i}" for i in range(n_in))
+            outputs = tuple(f"y{j}" for j in range(width))
+            bad = [
+                i for i, row in enumerate(rows)
+                if (row < 0.0).any() or not abs(float(row.sum()) - 1.0) <= 1e-9
+            ]
+            if bad:
+                with pytest.raises((SumNotOne, NegativeWeight), match=f"channel row 'x{bad[0]}'"):
+                    Channel(labels, outputs, rows)
+            else:
+                assert Channel(labels, outputs, rows).rows.tobytes() == rows.tobytes()
 
 
 class TestNormalize:
