@@ -41,8 +41,8 @@ from .probability import (
     Channel,
     Distribution,
     JointSystem,
+    _bayes_rows,
     _same_alphabet,
-    bayes_posterior,
     joint_from_prior_channel,
 )
 
@@ -95,11 +95,11 @@ def kelly_strategy(prior: Distribution, channel: Channel) -> Channel:
     """Proportional betting on the Bayes posterior: row y is p(x|y).
 
     This is the growth-optimal strategy for full-investment betting in a
-    no-cost market, independent of the quotes. ZeroProbabilitySignal
-    propagates if some signal can never occur.
+    no-cost market, independent of the quotes. ZeroProbabilitySignal names
+    the first signal that can never occur.
     """
-    posteriors = [bayes_posterior(prior, channel, y).probs for y in channel.output_labels]
-    return Channel(channel.output_labels, prior.labels, posteriors)
+    rows = _bayes_rows(prior, channel, channel.output_labels)  # validated once, as the Channel
+    return Channel(channel.output_labels, prior.labels, rows)
 
 
 def _log2_payout_matrix(market: MarketParams, strategy: Channel) -> np.ndarray:
@@ -190,15 +190,13 @@ def expected_log2_growth(market: MarketParams, strategy: Channel) -> float:
     """Exact expected log2 growth per round of a fixed strategy, in bits.
 
     sum_{x,y} p(x,y) log2(b(x|y) * alpha_x), computed analytically
-    (no simulation). Returns -inf if the strategy stakes nothing on some
-    outcome that can occur together with its signal.
+    (no simulation). A zero stake on an outcome that can occur with its
+    signal is a -inf cell, so the sum is -inf: no cell is +inf or nan.
     """
-    log2_pay = _log2_payout_matrix(market, strategy)
-    joint = market.joint.joint  # (n_x, n_y)
+    log2_pay = _log2_payout_matrix(market, strategy).T  # (n_x, n_y), as the joint
+    joint = market.joint.joint
     mask = joint > 0.0
-    if (mask & np.isneginf(log2_pay.T)).any():
-        return float("-inf")
-    return float((joint[mask] * log2_pay.T[mask]).sum())
+    return float(np.add.reduce(joint[mask] * log2_pay[mask]))
 
 
 def grid_search_optimal(
@@ -229,9 +227,8 @@ def grid_search_optimal(
     # value[j, i]: expected growth from signal j when staking fractions[i]
     # on the first outcome. A zero joint cell adds +0.0, never 0 * -inf.
     p0, p1 = market.joint.joint[:, :, None]
-    value = np.zeros((len(p0), len(fractions)))
     with np.errstate(invalid="ignore"):
-        value += np.where(p0 > 0.0, p0 * (log2_f + log2_alpha[0]), 0.0)
+        value = np.where(p0 > 0.0, p0 * (log2_f + log2_alpha[0]), 0.0)
         value += np.where(p1 > 0.0, p1 * (log2_1mf + log2_alpha[1]), 0.0)
     best = value.argmax(axis=1)
 
@@ -239,7 +236,7 @@ def grid_search_optimal(
     for j, i in enumerate(best):  # in signal order, one addition at a time
         total += float(value[j, i])
     f = fractions[best]
-    rows = np.stack((f, 1.0 - f), axis=1)
+    rows = np.array((f, 1.0 - f)).T  # the Channel stores a C-ordered copy
     return Channel(market.channel.output_labels, market.prior.labels, rows), total
 
 

@@ -42,9 +42,9 @@ def _neg_sum_plog2q(p: np.ndarray, q: np.ndarray) -> np.ndarray:
     """
     mask = p > 0.0
     # Cells with p <= 0 (including -0.0) are never written and stay +0.0.
-    terms = np.log2(q, where=mask, out=np.zeros_like(p))
+    terms = np.log2(q, where=mask, out=np.zeros(p.shape))
     np.multiply(terms, p, out=terms, where=mask)
-    return -terms.sum(axis=-1)
+    return -np.add.reduce(terms, axis=-1)
 
 
 def _conditional_entropies(joint: np.ndarray) -> np.ndarray:
@@ -54,14 +54,14 @@ def _conditional_entropies(joint: np.ndarray) -> np.ndarray:
     one by one from +0.0, so degenerate slices stay bit-exact against the
     marginal entropy.
     """
-    columns = np.ascontiguousarray(np.swapaxes(joint, -1, -2))
-    p_y = columns.sum(axis=-1)
+    columns = np.ascontiguousarray(joint.swapaxes(-1, -2))
+    p_y = np.add.reduce(columns, axis=-1)
     # A zero-probability column is all zeros, so dividing it by 1 keeps it so.
     cond = columns / np.where(p_y > 0.0, p_y, 1.0)[..., None]
     terms = p_y * _neg_sum_plog2q(cond, cond)
     total = 0.0
-    for term in np.moveaxis(terms, -1, 0):
-        total = total + term
+    for j in range(terms.shape[-1]):
+        total = total + terms[..., j]
     return total
 
 
@@ -92,14 +92,14 @@ def _quotes(quotes: Distribution | Sequence[float], p: Distribution) -> Distribu
         values = np.asarray(quotes, dtype=float)
         if values.ndim != 1 or len(values) != len(p):
             raise LabelMismatch(f"{len(p)} outcomes but {values.shape} quotes")
-        total = float(values.sum())
+        total = float(np.add.reduce(values))
         if not abs(total - 1.0) <= SUM_TOL:
             raise QuoteSumNotOne(
                 f"quotes sum to {total!r}, not 1 within {SUM_TOL} (no-cost constraint)"
             )
         quotes = Distribution(p.labels, values)
     _same_alphabet(quotes.labels, p.labels, "quote labels", "outcome labels")
-    if ((p.probs > 0.0) & (quotes.probs == 0.0)).any():
+    if np.logical_or.reduce((p.probs > 0.0) & (quotes.probs == 0.0)):
         raise UnsupportedOutcome(
             "q(x) = 0 for an outcome with p(x) > 0: cross-entropy is infinite"
         )

@@ -47,9 +47,10 @@ def _check_labels(labels: Sequence[str], what: str) -> Labels:
 
 
 def _check_prob_vector(p: np.ndarray, what: str) -> None:
-    if (p < 0.0).any():
+    # fmin skips NaN: a NaN beside a negative entry is still NegativeWeight.
+    if np.fmin.reduce(p) < 0.0:
         raise NegativeWeight(f"{what} has a negative entry: {p.tolist()}")
-    total = float(p.sum())
+    total = float(np.add.reduce(p))
     if not abs(total - 1.0) <= SUM_TOL:  # written so that NaN and inf fail it too
         raise SumNotOne(f"{what} sums to {total!r}, not 1 within {SUM_TOL}")
 
@@ -59,15 +60,15 @@ def _labeled_array(obj, field: str, **alphabets: str) -> np.ndarray:
 
     `alphabets` maps each label field of `obj`, in the order of the array's
     axes, to the name its errors use. Each alphabet is checked and stored as
-    a tuple; `field` is stored as a read-only float array whose shape must
-    be the alphabet sizes (LabelMismatch). Returns the array.
+    a tuple; `field` is stored as a read-only, C-ordered float array whose
+    shape must be the alphabet sizes (LabelMismatch). Returns the array.
     """
     sizes = []
     for name, what in alphabets.items():
         labels = _check_labels(getattr(obj, name), what)
         object.__setattr__(obj, name, labels)
         sizes.append(len(labels))
-    arr = np.array(getattr(obj, field), dtype=float)
+    arr = np.array(getattr(obj, field), dtype=float, order="C")
     arr.setflags(write=False)
     if arr.shape != tuple(sizes):
         raise LabelMismatch(
@@ -118,7 +119,8 @@ class Channel:
     """Conditional distribution p(output | input) as a row-stochastic matrix.
 
     Row i is a valid probability vector over `output_labels`, conditioned on
-    input label i.
+    input label i. All rows are checked in one pass (numpy sums a contiguous
+    row as it sums a lone vector), and walked only for the first bad row's error.
     """
 
     input_labels: Labels
@@ -129,8 +131,11 @@ class Channel:
         rows = _labeled_array(
             self, "rows", input_labels="channel input", output_labels="channel output"
         )
-        for lbl, row in zip(self.input_labels, rows):
-            _check_prob_vector(row, f"channel row {lbl!r}")
+        if np.fmin.reduce(rows, axis=None) < 0.0 or not (
+            np.maximum.reduce(abs(np.add.reduce(rows, axis=-1) - 1.0)) <= SUM_TOL
+        ):
+            for lbl, row in zip(self.input_labels, rows):
+                _check_prob_vector(row, f"channel row {lbl!r}")
 
     def row_distribution(self, input_label: str) -> Distribution:
         i = _label_index(self.input_labels, input_label, "channel input")
@@ -202,31 +207,38 @@ def joint_from_prior_channel(prior: Distribution, channel: Channel) -> JointSyst
     return JointSystem(prior.labels, channel.output_labels, joint)
 
 
+def _bayes_rows(prior: Distribution, channel: Channel, signals: Labels) -> np.ndarray:
+    """Posterior rows p(x|y) = prior(x) channel(y|x) / p(y), one per signal in `signals`.
+
+    Each p(y) is a sum along a contiguous row, so a row's bits do not depend on
+    which others are asked for. ZeroProbabilitySignal names the first with p(y) = 0.
+    """
+    _same_alphabet(channel.input_labels, prior.labels, "channel inputs", "prior labels")
+    picked = [_label_index(channel.output_labels, y, "signal") for y in signals]
+    cells = np.multiply(channel.rows.T[picked], prior.probs, order="C")
+    totals = np.add.reduce(cells, axis=-1, keepdims=True)
+    if np.fmin.reduce(totals, axis=None) <= 0.0:
+        dead = signals[totals.argmin()]
+        raise ZeroProbabilitySignal(f"signal {dead!r} has marginal probability 0")
+    return cells / totals
+
+
 def bayes_posterior(prior: Distribution, channel: Channel, signal: str) -> Distribution:
     """Posterior over outcomes given an observed signal, by the general Bayes rule.
 
-    posterior(x) = prior(x) * channel(y|x) / sum_x' prior(x') * channel(y|x').
     Raises ZeroProbabilitySignal when the signal has zero marginal probability.
     """
-    _same_alphabet(channel.input_labels, prior.labels, "channel inputs", "prior labels")
-    j = _label_index(channel.output_labels, signal, "signal")
-    cells = prior.probs * channel.rows[:, j]
-    total = float(cells.sum())
-    if total <= 0.0:
-        raise ZeroProbabilitySignal(
-            f"signal {signal!r} has marginal probability 0"
-        )
-    return Distribution(prior.labels, cells / total)
+    return Distribution(prior.labels, _bayes_rows(prior, channel, (signal,))[0])
 
 
 def marginal_signal(joint: JointSystem) -> Distribution:
     """Marginal distribution over signals: p(y) = sum_x p(x, y)."""
-    return Distribution(joint.signal_labels, joint.joint.sum(axis=0))
+    return Distribution(joint.signal_labels, np.add.reduce(joint.joint, axis=0))
 
 
 def marginal_outcome(joint: JointSystem) -> Distribution:
     """Marginal distribution over outcomes: p(x) = sum_y p(x, y)."""
-    return Distribution(joint.outcome_labels, joint.joint.sum(axis=1))
+    return Distribution(joint.outcome_labels, np.add.reduce(joint.joint, axis=1))
 
 
 def compose_channels(first: Channel, second: Channel) -> Channel:
