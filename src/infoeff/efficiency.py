@@ -39,8 +39,9 @@ class EfficiencyReport:
     when no quotes were supplied. `eff` is None only in the corner where
     quotes are supplied and H(X) = 0 (the plain ratio is 0/0 there).
     `info_set` must be a non-empty label free of CSV syntax: a comma, a
-    double quote, CR or LF would forge cells in a CSV report
-    (DomainViolation otherwise).
+    double quote, CR or LF would forge cells in a CSV report. It must also
+    encode as UTF-8, so a lone surrogate (an argv byte that is not UTF-8)
+    fails here on every destination (DomainViolation otherwise).
     """
 
     # The field order is the output order of as_dict and of every report.
@@ -63,6 +64,12 @@ class EfficiencyReport:
                 "info-set label must not contain a comma, a double quote, CR or LF, "
                 f"got {self.info_set!r}"
             )
+        try:
+            self.info_set.encode("utf-8")
+        except UnicodeEncodeError:
+            raise DomainViolation(
+                f"info-set label must be valid UTF-8 text, got {self.info_set!r}"
+            ) from None
 
     def as_dict(self) -> dict:
         """Flat dict with snake_case keys; absent quote fields are omitted."""

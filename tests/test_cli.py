@@ -370,10 +370,24 @@ class TestCoin:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == (
-            "error: UnicodeEncodeError: 'utf-8' codec can't encode character '\\udcff' "
-            "in position 258: surrogates not allowed\n"
+            "error: DomainViolation: info-set label must be valid UTF-8 text, got '\\udcff'\n"
         )
         assert not out.exists()
+
+    # A byte of argv that is not UTF-8 arrives as a lone surrogate; stdout
+    # must refuse it as --out does, not pass the raw byte through.
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_unencodable_info_set_on_stdout_exit_3(self, capsys, fmt):
+        code = main(
+            ["coin", "--p-tail", "0.5", "--accuracy", "0.9", "--q-tail", "0.5",
+             "--format", fmt, "--info-set", "x\udcff"]
+        )
+        assert code == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "error: DomainViolation: info-set label must be valid UTF-8 text, got 'x\\udcff'\n"
+        )
 
     def test_unexpected_error_exit_1(self, monkeypatch, capsys):
         def broken(config):

@@ -206,6 +206,20 @@ class TestInfoSetLabel:
         with pytest.raises(DomainViolation, match="info-set"):
             compare_info_sets([(label, ACCURACY_09)])
 
+    @pytest.mark.parametrize("label", ["\udcff", "weak\ud800", "\udfffx"], ids=["alone", "last", "first"])
+    def test_lone_surrogate_in_label_rejected(self, label):
+        message = f"info-set label must be valid UTF-8 text, got {label!r}"
+        with pytest.raises(DomainViolation) as err:
+            efficiency(ACCURACY_09, label)
+        assert str(err.value) == message
+        with pytest.raises(DomainViolation, match="UTF-8"):
+            efficiency_with_quotes(ACCURACY_09, (0.5, 0.5), label)
+        with pytest.raises(DomainViolation, match="UTF-8"):
+            compare_info_sets([(label, ACCURACY_09)])
+
+    def test_non_ascii_label_accepted(self):
+        assert efficiency(ACCURACY_09, "stärk ✓").info_set == "stärk ✓"
+
     def test_custom_label_is_metadata(self):
         custom = efficiency_with_quotes(ACCURACY_09, (0.4, 0.6), "bogus")
         assert custom.info_set == "bogus"
