@@ -11,6 +11,10 @@ Every run is fully determined by its flags: all randomness flows from
 same invocation produces byte-identical output. Exit codes: 0 ok, 1
 internal error (any other unexpected exception), 2 parse error, 3 domain
 error, 4 I/O error, 5 out of memory.
+
+Each subcommand returns its outputs; `run` alone writes them, files in order
+and stdout last. A failed run leaves no file it created but may leave the
+empty --out-dir of `figures`; an overwritten file is not restored.
 """
 
 from __future__ import annotations
@@ -18,6 +22,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import os
 import sys
 import warnings
 from pathlib import Path
@@ -60,13 +65,6 @@ FIGURES = {
 }
 
 
-def _write_text(out: str | Path | None, text: str) -> None:
-    if out is None:
-        sys.stdout.write(text)
-    else:  # encoded before the file is opened, so a failed encode creates none
-        Path(out).write_bytes(text.encode("utf-8"))
-
-
 def _csv(header: str, rows) -> str:
     """The header line, then one line per row: floats as repr, the rest as str."""
     lines = [header]
@@ -83,7 +81,7 @@ def _render_flat(report: dict, fmt: str) -> str:
     return "{\n  " + inner[1:-1] + "\n}\n"
 
 
-def cmd_measure(args: argparse.Namespace) -> int:
+def cmd_measure(args: argparse.Namespace) -> dict:
     # Skip a leading BOM; keep each byte that is not UTF-8 for the parser to report.
     with open(args.input_path, encoding="utf-8-sig", errors="surrogateescape") as handle:
         samples = read_samples(handle)
@@ -105,11 +103,10 @@ def cmd_measure(args: argparse.Namespace) -> int:
         sys.stderr.write(f"warning: {warning.message}\n")
     flat = report.point.as_dict()
     flat.update((k, v) for k, v in vars(report).items() if k != "point" and v is not None)
-    _write_text(args.out, _render_flat(flat, args.format))
-    return EXIT_OK
+    return {args.out: _render_flat(flat, args.format)}
 
 
-def cmd_coin(args: argparse.Namespace) -> int:
+def cmd_coin(args: argparse.Namespace) -> dict:
     params = coin_mod.CoinGameParams(args.p_tail, args.accuracy, args.q_tail)
     joint, quotes = coin_mod.coin_joint(params)
     report = efficiency_with_quotes(joint, quotes, args.info_set)
@@ -130,11 +127,10 @@ def cmd_coin(args: argparse.Namespace) -> int:
         flat[f"closed_form_{key}"] = value
         flat[f"delta_{key}"] = abs(value - getattr(report, key))
     flat["consistency_delta"] = max(flat[f"delta_{key}"] for key, _ in closed_forms)
-    _write_text(args.out, _render_flat(flat, args.format))
-    return EXIT_OK
+    return {args.out: _render_flat(flat, args.format)}
 
 
-def cmd_simulate(args: argparse.Namespace) -> int:
+def cmd_simulate(args: argparse.Namespace) -> dict:
     params = coin_mod.CoinGameParams(args.p_tail, args.accuracy, args.q_tail)
     prior, channel, quotes = coin_mod.coin_components(params)
     market = MarketParams(prior, channel, quotes)
@@ -163,15 +159,16 @@ def cmd_simulate(args: argparse.Namespace) -> int:
             )
         )
 
+    outputs = {}
     if args.trajectory_out is not None:
-        _write_text(args.trajectory_out, _csv("round,log2_wealth", results[0].trajectory_sample))
+        outputs[args.trajectory_out] = _csv("round,log2_wealth", results[0].trajectory_sample)
 
     aggregate = sum(r.mean_growth for r in results) / len(results)
     if args.format == "csv":
         header = "run_index,rounds,seed,final_log2_wealth,mean_growth,target,abs_error"
         rows = [(r.run_index, r.rounds, r.seed, r.final_log2_wealth, r.mean_growth, target,
                  abs(r.mean_growth - target)) for r in results]
-        _write_text(args.out, _csv(header, rows))
+        outputs[args.out] = _csv(header, rows)
     else:
         payload = {
             "p_tail": params.p_tail,
@@ -194,29 +191,26 @@ def cmd_simulate(args: argparse.Namespace) -> int:
             "aggregate_mean_growth": aggregate,
             "aggregate_abs_error": abs(aggregate - target),
         }
-        _write_text(args.out, json.dumps(payload, indent=2) + "\n")
-    return EXIT_OK
+        outputs[args.out] = json.dumps(payload, indent=2) + "\n"
+    return outputs
 
 
-def cmd_figures(args: argparse.Namespace) -> int:
+def cmd_figures(args: argparse.Namespace) -> dict:
     if args.which == "all":
         numbers = [1, 2, 3, 4]
     else:
         numbers = [int(args.which)]
-    # Every text first, so that a rejected --points writes no file.
-    tables = {n: coin_mod.sweep(FIGURES[n][0], points=args.points) for n in numbers}
-    texts = {}
-    for n, table in tables.items():
-        _, x_label, y_label = FIGURES[n]
-        texts[f"fig{n}.csv"] = _csv("param,value", table)
-        if args.format == "svg":
-            texts[f"fig{n}.svg"] = line_chart(table, x_label, y_label, title=f"figure {n}")
     out_dir = Path(args.out_dir)
+    outputs = {}
+    for n in numbers:
+        curve, x_label, y_label = FIGURES[n]
+        table = coin_mod.sweep(curve, points=args.points)
+        outputs[out_dir / f"fig{n}.csv"] = _csv("param,value", table)
+        if args.format == "svg":
+            outputs[out_dir / f"fig{n}.svg"] = line_chart(table, x_label, y_label, title=f"figure {n}")
     out_dir.mkdir(parents=True, exist_ok=True)
-    for name, text in texts.items():
-        _write_text(out_dir / name, text)
-        sys.stdout.write(f"{out_dir / name}\n")
-    return EXIT_OK
+    outputs[None] = "".join(f"{path}\n" for path in outputs)
+    return outputs
 
 
 @functools.cache  # one parser per process, shared by every call: never mutate it
@@ -274,10 +268,28 @@ COMMANDS = {
 
 
 def run(args: argparse.Namespace) -> int:
-    """Dispatch parsed arguments, mapping errors to the documented exit codes."""
+    """Run one subcommand, then write its outputs: the CLI's one output stage.
+
+    A subcommand returns an ordered mapping from destination (a path, or None
+    for stdout) to text. Every file text is encoded as strict UTF-8 before any
+    file is created; the files are written in order, and stdout last. On any
+    error the files this run created are unlinked, and the error is one line.
+    """
+    created = []
     try:
-        return COMMANDS[args.subcommand](args)
+        outputs = COMMANDS[args.subcommand](args)
+        stdout = outputs.pop(None, None)
+        encoded = {path: text.encode("utf-8") for path, text in outputs.items()}
+        for path, data in encoded.items():
+            if not os.path.lexists(path):  # a dangling symlink was not created here
+                created.append(path)
+            Path(path).write_bytes(data)
+        if stdout is not None:
+            sys.stdout.write(stdout)
+        return EXIT_OK
     except Exception as exc:  # every failure is one line, never a traceback
+        for path in created:  # missing if its open failed
+            Path(path).unlink(missing_ok=True)
         sys.stderr.write(f"error: {type(exc).__name__}: {exc}\n")
         return next(code for kinds, code in EXIT_CODES if isinstance(exc, kinds))
 

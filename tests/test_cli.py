@@ -1,4 +1,6 @@
+import io
 import json
+import sys
 
 import pytest
 from hypothesis import given
@@ -895,6 +897,107 @@ json_scalars = st.one_of(
     st.floats(allow_nan=False, allow_infinity=False),
     st.sampled_from([0.0, -0.0, 5e-324, 1e300, -1e300]),
 )
+
+
+# `cli.run` is the one output stage: files are written in order and stdout
+# last, and a failed run leaves no file that it created.
+class TestOutputStage:
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    @pytest.mark.parametrize("command", ["measure", "coin", "simulate"])
+    def test_out_file_holds_the_stdout_bytes(self, samples_csv, tmp_path, capsys, command, fmt):
+        argv = {
+            "measure": ["measure", "--in", str(samples_csv), "--resamples", "200"],
+            "coin": ["coin", "--p-tail", "0.3", "--accuracy", "0.8", "--q-tail", "0.45"],
+            "simulate": ["simulate", "--accuracy", "0.9", "--rounds", "1000", "--runs", "2"],
+        }[command] + ["--format", fmt]
+        assert main(argv) == 0
+        printed = capsys.readouterr().out
+        out = tmp_path / "report"
+        assert main([*argv, "--out", str(out)]) == 0
+        assert capsys.readouterr().out == ""
+        assert out.read_bytes() == printed.encode("utf-8")
+
+    def test_repeated_destination_keeps_the_last_text(self, tmp_path, capsys):
+        argv = ["simulate", "--accuracy", "0.9", "--rounds", "100"]
+        assert main(argv) == 0
+        printed = capsys.readouterr().out
+        out = tmp_path / "x"
+        assert main([*argv, "--trajectory-out", str(out), "--out", str(out)]) == 0
+        assert capsys.readouterr().out == ""
+        assert out.read_text(encoding="utf-8") == printed
+
+    def test_failed_out_leaves_no_trajectory_file(self, tmp_path, capsys):
+        traj, bad = tmp_path / "t.csv", tmp_path / "nodir" / "x.json"
+        code = main(
+            ["simulate", "--accuracy", "0.9", "--rounds", "100",
+             "--trajectory-out", str(traj), "--out", str(bad)]
+        )
+        assert code == 4
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            f"error: FileNotFoundError: [Errno 2] No such file or directory: {str(bad)!r}\n"
+        )
+        assert not traj.exists()
+
+    # A regular file or a dangling symlink that existed before the run is not
+    # the run's own: it keeps what the run wrote through it.
+    @pytest.mark.parametrize("before", ["absent", "file", "dangling_symlink"])
+    def test_failed_write_removes_the_files_it_created(self, tmp_path, capsys, before):
+        out_dir, target = tmp_path / "figs", tmp_path / "target.csv"
+        (out_dir / "fig3.csv").mkdir(parents=True)
+        fig1 = out_dir / "fig1.csv"
+        if before == "file":
+            fig1.write_text("old\n", encoding="utf-8")
+        elif before == "dangling_symlink":
+            fig1.symlink_to(target)
+        code = main(["figures", "--points", "5", "--out-dir", str(out_dir)])
+        assert code == 4
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            f"error: IsADirectoryError: [Errno 21] Is a directory: {str(out_dir / 'fig3.csv')!r}\n"
+        )
+        assert list((out_dir / "fig3.csv").iterdir()) == []
+        assert not (out_dir / "fig2.csv").exists()
+        written = (
+            "param,value\n0.0,0.0\n0.25,0.8112781244591328\n0.5,1.0\n"
+            "0.75,0.8112781244591328\n1.0,0.0\n"
+        )
+        if before == "absent":
+            assert not fig1.exists()
+        else:
+            assert fig1.is_symlink() == (before == "dangling_symlink")
+            assert fig1.read_text(encoding="utf-8") == written
+
+    # A byte of argv that is not UTF-8 arrives as a lone surrogate. A strict
+    # stdout cannot print the path that holds it, so the run fails and takes
+    # its files back; a surrogateescape stdout prints the raw byte.
+    @pytest.mark.parametrize("errors", ["strict", "surrogateescape"])
+    def test_undecodable_out_dir_on_stdout(self, tmp_path, capsys, monkeypatch, errors):
+        stdout = io.TextIOWrapper(io.BytesIO(), encoding="utf-8", errors=errors)
+        monkeypatch.setattr(sys, "stdout", stdout)
+        out_dir = tmp_path / "\udcff"
+        code = main(["figures", "--points", "3", "--out-dir", str(out_dir)])
+        stdout.flush()
+        printed = stdout.buffer.getvalue()
+        err = capsys.readouterr().err
+        if errors == "strict":
+            assert code == 3
+            assert printed == b""
+            assert err == (
+                "error: UnicodeEncodeError: 'utf-8' codec can't encode character '\\udcff' "
+                f"in position {len(str(tmp_path)) + 1}: surrogates not allowed\n"
+            )
+            assert list(out_dir.iterdir()) == []
+        else:
+            assert code == 0
+            assert err == ""
+            names = [f"fig{n}.csv" for n in (1, 2, 3, 4)]
+            assert sorted(path.name for path in out_dir.iterdir()) == names
+            assert printed == b"".join(
+                bytes(tmp_path) + b"/\xff/" + name.encode() + b"\n" for name in names
+            )
 
 
 class TestRenderFlat:
