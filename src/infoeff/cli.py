@@ -13,8 +13,9 @@ internal error (any other unexpected exception), 2 parse error, 3 domain
 error, 4 I/O error, 5 out of memory.
 
 Each subcommand returns its outputs; `run` alone writes them, files in order
-and stdout last. A failed run leaves no file it created but may leave the
-empty --out-dir of `figures`; an overwritten file is not restored.
+and stdout last. A failed run leaves no file it created at a path it was
+given, but may leave the empty --out-dir of `figures`; an overwritten file is
+not restored, and a file created through a pre-existing symlink stays.
 """
 
 from __future__ import annotations
@@ -273,23 +274,27 @@ def run(args: argparse.Namespace) -> int:
     A subcommand returns an ordered mapping from destination (a path, or None
     for stdout) to text. Every file text is encoded as strict UTF-8 before any
     file is created; the files are written in order, and stdout last. On any
-    error the files this run created are unlinked, and the error is one line.
+    error the files this run created at the paths it was given are unlinked,
+    and the error is one line. A file created through a symlink that existed
+    before the run is not the run's own and stays.
     """
     created = []
     try:
         outputs = COMMANDS[args.subcommand](args)
         stdout = outputs.pop(None, None)
-        encoded = {path: text.encode("utf-8") for path, text in outputs.items()}
-        for path, data in encoded.items():
-            if not os.path.lexists(path):  # a dangling symlink was not created here
-                created.append(path)
-            Path(path).write_bytes(data)
+        encoded = {Path(path): text.encode("utf-8") for path, text in outputs.items()}
+        for path, data in encoded.items():  # Path('') is '.', Path('a/') is 'a'
+            existed = os.path.lexists(path)  # a dangling symlink included
+            with open(path, "wb") as handle:
+                if not existed:  # noted only once its open has created it
+                    created.append(path)
+                handle.write(data)
         if stdout is not None:
             sys.stdout.write(stdout)
         return EXIT_OK
     except Exception as exc:  # every failure is one line, never a traceback
-        for path in created:  # missing if its open failed
-            Path(path).unlink(missing_ok=True)
+        for path in created:
+            path.unlink(missing_ok=True)
         sys.stderr.write(f"error: {type(exc).__name__}: {exc}\n")
         return next(code for kinds, code in EXIT_CODES if isinstance(exc, kinds))
 

@@ -940,6 +940,40 @@ class TestOutputStage:
         )
         assert not traj.exists()
 
+    # `keep.csv/` names the file `keep.csv`: the run overwrites it, as a
+    # successful run would, and a later failure does not take it away.
+    def test_failed_out_keeps_a_file_named_with_a_trailing_slash(self, tmp_path, capsys):
+        argv = ["simulate", "--accuracy", "0.9", "--rounds", "100", "--trajectory-out"]
+        assert main([*argv, str(tmp_path / "t.csv"), "--out", str(tmp_path / "x.json")]) == 0
+        keep, bad = tmp_path / "keep.csv", tmp_path / "nodir" / "x.json"
+        keep.write_text("keep\n", encoding="utf-8")
+        assert main([*argv, f"{keep}/", "--out", str(bad)]) == 4
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            f"error: FileNotFoundError: [Errno 2] No such file or directory: {str(bad)!r}\n"
+        )
+        assert keep.read_bytes() == (tmp_path / "t.csv").read_bytes()
+
+    # A destination whose open fails was not created by the run, so there is
+    # nothing to unlink and the failure stays one line.
+    @pytest.mark.parametrize(
+        "out, kind",
+        [("", "IsADirectoryError"), ("keep.csv/x", "NotADirectoryError"), ("a" * 300, "OSError")],
+        ids=["empty", "beneath_a_file", "name_too_long"],
+    )
+    def test_unopenable_out_is_one_error_line(self, tmp_path, capsys, monkeypatch, out, kind):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "keep.csv").write_text("keep\n", encoding="utf-8")
+        argv = ["coin", "--p-tail", "0.5", "--accuracy", "0.9", "--q-tail", "0.5"]
+        assert main([*argv, "--out", out]) == 4
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: {kind}: [Errno ")
+        assert captured.err.count("\n") == 1
+        assert sorted(path.name for path in tmp_path.iterdir()) == ["keep.csv"]
+        assert (tmp_path / "keep.csv").read_text(encoding="utf-8") == "keep\n"
+
     # A regular file or a dangling symlink that existed before the run is not
     # the run's own: it keeps what the run wrote through it.
     @pytest.mark.parametrize("before", ["absent", "file", "dangling_symlink"])
@@ -969,6 +1003,8 @@ class TestOutputStage:
         else:
             assert fig1.is_symlink() == (before == "dangling_symlink")
             assert fig1.read_text(encoding="utf-8") == written
+        # The target created through the dangling symlink is not unlinked.
+        assert target.exists() == (before == "dangling_symlink")
 
     # A byte of argv that is not UTF-8 arrives as a lone surrogate. A strict
     # stdout cannot print the path that holds it, so the run fails and takes
