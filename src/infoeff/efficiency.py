@@ -76,18 +76,28 @@ class EfficiencyReport:
         return {k: v for k, v in vars(self).items() if v is not None}
 
 
-def _fair_fields(joint: JointSystem, p_x: Distribution) -> dict:
-    """The fields both reports share: eff, h_x, h_x_given_y, g_max, predictability_gap.
+def _fields(h_x: float, h_xy: float, h_q: float | None = None) -> dict:
+    """Every gap and ratio of a report, from its entropies in bits.
 
-    Eff follows its gap: 1.0 when H(X) - H(X|Y) clamps to 0 (an excess of
-    H(X|Y) within 1e-12 bits is rounding; more is NumericalInconsistency),
-    else H(X|Y)/H(X), and None when H(X) = 0.
+    A gap within 1e-12 bits below 0 is rounding and clamps to 0 (further
+    below is NumericalInconsistency); each ratio follows its clamped gap.
+    Eff is None when H(X) = 0, 1.0 when H(X) - H(X|Y) clamps, else
+    H(X|Y)/H(X). Given `h_q`, Eff_q is Eff when the mispricing gap
+    H(q) - H(X) clamps (fair quotes: Eff_q never exceeds Eff), 1.0 when
+    H(q) - H(X|Y) clamps, else H(X|Y)/H(q).
     """
-    h_x = entropy(p_x)
-    h_xy = conditional_entropy(joint)
     gap = clamp_nonneg(h_x - h_xy, "H(X) - H(X|Y)")
     eff = None if h_x == 0.0 else 1.0 if gap == 0.0 else h_xy / h_x
-    return dict(eff=eff, h_x=h_x, h_x_given_y=h_xy, g_max=gap, predictability_gap=gap)
+    fields = dict(eff=eff, h_x=h_x, h_x_given_y=h_xy, g_max=gap, predictability_gap=gap)
+    if h_q is not None:
+        mispricing_gap = clamp_nonneg(h_q - h_x, "H(q) - H(X)")
+        g_max_q = clamp_nonneg(h_q - h_xy, "H(q) - H(X|Y)")
+        if mispricing_gap == 0.0:
+            eff_q = eff
+        else:
+            eff_q = 1.0 if g_max_q == 0.0 else h_xy / h_q
+        fields.update(h_q=h_q, eff_q=eff_q, g_max_q=g_max_q, mispricing_gap=mispricing_gap)
+    return fields
 
 
 def efficiency(joint: JointSystem, info_set: str = STRONG) -> EfficiencyReport:
@@ -96,7 +106,7 @@ def efficiency(joint: JointSystem, info_set: str = STRONG) -> EfficiencyReport:
     Raises DegenerateSystem when H(X) = 0: the ratio is 0/0 and the measure
     is undefined there; we refuse rather than define it.
     """
-    fields = _fair_fields(joint, marginal_outcome(joint))
+    fields = _fields(entropy(marginal_outcome(joint)), conditional_entropy(joint))
     if fields["h_x"] == 0.0:
         raise DegenerateSystem("H(X) = 0: efficiency is 0/0 and undefined")
     return EfficiencyReport(**fields, info_set=info_set)
@@ -118,24 +128,8 @@ def efficiency_with_quotes(
     h_q = cross_entropy(p_x, quotes)
     if h_q == 0.0:
         raise DegenerateSystem("H(q) = 0: quote efficiency is 0/0 and undefined")
-    fields = _fair_fields(joint, p_x)
-    h_xy = fields["h_x_given_y"]
-    mispricing_gap = clamp_nonneg(h_q - fields["h_x"], "H(q) - H(X)")
-    g_max_q = clamp_nonneg(h_q - h_xy, "H(q) - H(X|Y)")
-    # Each ratio follows its gap. At fair quotes (H(q) = H(X) within
-    # rounding) Eff_q is Eff, so it never exceeds it.
-    if mispricing_gap == 0.0:
-        eff_q = fields["eff"]
-    else:
-        eff_q = 1.0 if g_max_q == 0.0 else h_xy / h_q
-    return EfficiencyReport(
-        **fields,
-        info_set=info_set,
-        h_q=h_q,
-        eff_q=eff_q,
-        g_max_q=g_max_q,
-        mispricing_gap=mispricing_gap,
-    )
+    fields = _fields(entropy(p_x), conditional_entropy(joint), h_q)
+    return EfficiencyReport(**fields, info_set=info_set)
 
 
 def compare_info_sets(

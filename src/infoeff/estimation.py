@@ -20,6 +20,8 @@ bootstrap statistic depends on the records only through the contingency
 table, so the two are distributionally identical. One RNG stream, seeded
 by `seed`, draws the resamples in order, a block per `multinomial` call; a
 sized call draws its rows in sequence, so no resample depends on the block.
+Each resample's Eff and Eff_q come from the reports' own gap and ratio
+rules: exactly what `efficiency_with_quotes` reads on its smoothed table.
 
 Input CSV format: mandatory header line ``signal,outcome``; one record per
 line; labels are arbitrary non-empty tokens without commas; comment lines
@@ -43,7 +45,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .efficiency import STRONG, EfficiencyReport, efficiency, efficiency_with_quotes
+from .efficiency import STRONG, EfficiencyReport, _fields, efficiency, efficiency_with_quotes
 from .errors import (
     DegenerateSystem,
     DomainViolation,
@@ -288,24 +290,22 @@ def estimate_joint(samples: SampleSet, smoothing: float = DEFAULT_SMOOTHING) -> 
 def _bootstrap(
     counts: np.ndarray, n: int, smoothing: float, q: np.ndarray | None, resamples: int, seed: int
 ) -> tuple[np.ndarray, np.ndarray | None]:
-    """Efficiency (and quote efficiency) of each resample; NaN where 0/0."""
+    """Eff (and Eff_q) of each resample under the report rules (_fields); NaN where 0/0."""
     p_flat = (counts / n).reshape(-1)
     per_block = max(1, BLOCK_CELLS // counts.size)
-    effs = np.empty(resamples)
-    effs_q = np.empty(resamples) if q is not None else None
+    ratios = np.empty((resamples, 2))  # eff, eff_q per resample; None is stored as NaN
     rng = np.random.default_rng(seed)
     for start in range(0, resamples, per_block):
         block = slice(start, min(start + per_block, resamples))
         draws = rng.multinomial(n, p_flat, size=block.stop - block.start)
         joints = _smoothed_joint(draws.reshape(-1, *counts.shape).astype(float), n, smoothing)
         p_x = np.sum(joints, axis=-1)
-        h_xy = _conditional_entropies(joints)
-        h_x = _neg_sum_plog2q(p_x, p_x)
-        effs[block] = h_xy / np.where(h_x > 0.0, h_x, np.nan)
-        if effs_q is not None:
-            h_q = _neg_sum_plog2q(p_x, np.broadcast_to(q, p_x.shape))
-            effs_q[block] = h_xy / np.where(h_q > 0.0, h_q, np.nan)
-    return effs, effs_q
+        entropies = [_neg_sum_plog2q(p_x, p_x), _conditional_entropies(joints)]
+        if q is not None:
+            entropies.append(_neg_sum_plog2q(p_x, np.broadcast_to(q, p_x.shape)))
+        fields = map(_fields, *(h.tolist() for h in entropies))
+        ratios[block] = [(f["eff"], f.get("eff_q")) for f in fields]
+    return ratios[:, 0], ratios[:, 1] if q is not None else None
 
 
 def _percentile_ci(values: np.ndarray, point: float) -> tuple[float, float]:

@@ -1042,6 +1042,16 @@ class TestRenderFlat:
         assert cli._render_flat(report, "json") == json.dumps(report, indent=2) + "\n"
 
 
+class TestMalformedCommandLine:
+    def test_argparse_usage_error_exits_2(self, samples_csv, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["measure", "--in", str(samples_csv), "--seed", "0x10"])
+        assert excinfo.value.code == 2
+        assert capsys.readouterr().err.splitlines()[-1] == (
+            "infoeff measure: error: argument --seed: invalid int value: '0x10'"
+        )
+
+
 class TestParserReuse:
     def test_shared_parser_matches_fresh_parser(self, samples_csv, monkeypatch, capsys):
         point = ["--p-tail", "0.3", "--accuracy", "0.8", "--q-tail", "0.45"]

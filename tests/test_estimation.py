@@ -301,6 +301,21 @@ class TestEstimateEfficiency:
         for a, b in zip(short, long):
             assert a.tobytes() == b[:200].tobytes()
 
+    def test_resamples_follow_the_report_rules(self):
+        # 25 records per cell at smoothing 0: resamples 135, 546 and 626 are
+        # independent tables, where H(X|Y) can exceed H(X) by a rounding
+        # step. The predictability gap clamps to 0 there, so Eff reads 1.0.
+        effs, effs_q = estimation._bootstrap(
+            np.full((2, 2), 25.0), 100, 0.0, np.array([0.5, 0.5]), 1000, 1
+        )
+        assert np.nanmax(effs) <= 1.0
+        assert [effs[i] for i in (135, 546, 626)] == [1.0, 1.0, 1.0]
+        finite = np.isfinite(effs) & np.isfinite(effs_q)
+        assert np.all(effs_q[finite] <= effs[finite])
+
+    def test_percentile_ci_without_a_finite_resample_is_the_point(self):
+        assert estimation._percentile_ci(np.full(100, np.nan), 0.75) == (0.75, 0.75)
+
     def test_quote_fields(self):
         samples = draw_records(FAIR_PRIOR, INDEPENDENT, 5000, seed=5)
         quotes = make_distribution(samples.outcome_labels, (0.05, 0.95))

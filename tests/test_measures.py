@@ -9,6 +9,7 @@ from infoeff import (
     Channel,
     JointSystem,
     LabelMismatch,
+    NumericalInconsistency,
     UnsupportedOutcome,
     conditional_entropy,
     cross_entropy,
@@ -18,7 +19,7 @@ from infoeff import (
     mutual_information,
     normalize,
 )
-from infoeff.measures import _neg_sum_plog2q
+from infoeff.measures import _neg_sum_plog2q, clamp_nonneg
 
 
 class TestEntropy:
@@ -82,6 +83,16 @@ class TestMutualInformation:
             rows /= rows.sum(axis=1, keepdims=True)
             chan = Channel(prior.labels, tuple(f"y{j}" for j in range(n_y)), rows)
             assert mutual_information(joint_from_prior_channel(prior, chan)) >= 0.0
+
+
+class TestClampNonneg:
+    def test_cancellation_noise_clamps_to_zero(self):
+        assert clamp_nonneg(-1e-13, "gap") == 0.0
+
+    def test_a_real_negative_raises(self):
+        with pytest.raises(NumericalInconsistency) as excinfo:
+            clamp_nonneg(-2e-12, "H(X) - H(X|Y)")
+        assert str(excinfo.value) == "H(X) - H(X|Y) = -2e-12 < -1e-12"
 
 
 class TestCrossEntropy:

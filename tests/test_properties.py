@@ -14,21 +14,25 @@ from hypothesis import strategies as st
 
 from infoeff import (
     Channel,
+    DegenerateSystem,
     Distribution,
     InfoEffError,
     JointSystem,
+    SampleSet,
     compose_channels,
     conditional_entropy,
     cross_entropy,
     efficiency,
     efficiency_with_quotes,
     entropy,
+    estimate_joint,
     joint_from_prior_channel,
     make_distribution,
     marginal_outcome,
     mutual_information,
     normalize,
 )
+from infoeff.estimation import _bootstrap
 
 positive_weight = st.floats(min_value=1e-6, max_value=1.0)
 
@@ -184,3 +188,39 @@ def test_non_finite_weights_never_validate(data):
         except InfoEffError:
             continue
         assert np.all(np.isfinite(values))
+
+
+@st.composite
+def count_tables(draw):
+    n_x = draw(st.integers(min_value=2, max_value=4))
+    n_y = draw(st.integers(min_value=2, max_value=4))
+    cells = draw(st.lists(st.integers(0, 30), min_size=n_x * n_y, max_size=n_x * n_y))
+    if sum(cells) == 0:
+        cells[0] = 1
+    return np.reshape(np.asarray(cells, dtype=float), (n_x, n_y))
+
+
+@given(count_tables(), st.sampled_from([0.0, 0.5]), st.data(), st.integers(0, 2**32 - 1))
+@settings(max_examples=100, deadline=None)
+def test_each_resample_reads_as_its_own_report(counts, smoothing, data, seed):
+    # Every resample's eff and eff_q are those of efficiency_with_quotes on
+    # the resample's smoothed table, bit for bit; NaN where the report has
+    # no ratio (None) or refuses the table (DegenerateSystem).
+    n_x, n_y = counts.shape
+    xs, ys = tuple(f"x{i}" for i in range(n_x)), tuple(f"y{j}" for j in range(n_y))
+    q = normalize(xs, data.draw(st.lists(positive_weight, min_size=n_x, max_size=n_x)))
+    n, resamples = int(counts.sum()), 100
+    effs, effs_q = _bootstrap(counts, n, smoothing, q.probs, resamples, seed)
+    draws = np.random.default_rng(seed).multinomial(n, (counts / n).ravel(), size=resamples)
+    expected = []
+    for draw in draws:
+        joint = estimate_joint(SampleSet(draw.reshape(counts.shape), ys, xs), smoothing)
+        try:
+            report = efficiency_with_quotes(joint, q)
+        except DegenerateSystem:
+            expected.append((None, None))
+        else:
+            expected.append((report.eff, report.eff_q))
+    expected = np.array(expected, dtype=float)
+    assert effs.tobytes() == expected[:, 0].tobytes()
+    assert effs_q.tobytes() == expected[:, 1].tobytes()
