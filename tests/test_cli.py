@@ -180,6 +180,28 @@ class TestMeasure:
         assert captured.out == ""
         assert captured.err == f"error: {err}\n"
 
+    @pytest.mark.parametrize(
+        "lines, err",
+        [
+            (["signal,outcome,x", "h,h"], "line 1, column 1: header must have exactly 2 columns"),
+            (["signal,result", "h,h"],
+             "line 1, column 2: unknown column 'result' (expected 'outcome')"),
+            (["# no header here"], "line 1, column 1: missing header line 'signal,outcome'"),
+            (["signal,outcome", ",h"], "line 2, column 1: empty signal label"),
+            (["signal,outcome", "h,"], "line 2, column 2: empty outcome label"),
+            (["signal,outcome", "h,h,h"], "line 2, column 1: expected 2 fields, got 3"),
+        ],
+        ids=["three-columns", "unknown-column", "comment-only", "empty-signal",
+             "empty-outcome", "three-fields"],
+    )
+    def test_bad_samples_file(self, tmp_path, capsys, lines, err):
+        path = tmp_path / "bad_samples.csv"
+        write_samples(path, lines)
+        assert main(["measure", "--in", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: ParseError: {err}\n"
+
     def test_duplicate_directive_label_exit_2(self, tmp_path, capsys):
         path = tmp_path / "dup.csv"
         write_samples(path, ["# signals: a,a", "signal,outcome", "a,h", "a,t"])
