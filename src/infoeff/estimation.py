@@ -23,14 +23,15 @@ sized call draws its rows in sequence, so no resample depends on the block.
 Each resample's Eff and Eff_q come from the reports' own gap and ratio
 rules: exactly what `efficiency_with_quotes` reads on its smoothed table.
 
-Input CSV format: mandatory header line ``signal,outcome``; one record per
-line; labels are arbitrary non-empty tokens without commas; comment lines
-start with '#'. Directive comments ``# signals: a,b`` / ``# outcomes: h,t``
-optionally declare the alphabets (and their order); otherwise alphabets are
-the sorted observed labels. Quote sidecar format: header line ``label,q``,
-then one ``label,q`` line per outcome; comment lines start with '#'. A byte
-that is not UTF-8, kept as a lone surrogate by errors="surrogateescape", is a
-ParseError on its line, met in file order like any other.
+Both input files share one line grammar: a mandatory header line
+(``signal,outcome`` for samples, ``label,q`` for the quote sidecar), then
+one record of two comma-separated non-empty fields per line. Blank lines
+and comment lines starting with '#' may appear anywhere. Directive comments
+``# signals: a,b`` / ``# outcomes: h,t`` optionally declare the samples'
+alphabets (and their order); otherwise alphabets are the sorted observed
+labels. A byte that is not UTF-8, kept as a lone surrogate by
+errors="surrogateescape", is a ParseError on its line, met in file order
+like any other.
 """
 
 from __future__ import annotations
@@ -40,7 +41,7 @@ import math
 import re
 import warnings
 from collections import Counter
-from collections.abc import Iterable, Sequence
+from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -116,23 +117,17 @@ class EstimateReport:
     eff_q_ci_high: float | None = None
 
 
-def _undecodable(raw: str) -> tuple[int, str] | None:
-    """(column, reason) for the first byte of `raw` that was not UTF-8, else None."""
-    if bad := re.search("[\udc80-\udcff]", raw):
-        column = raw.count(",", 0, bad.start()) + 1
-        return column, f"not valid UTF-8: byte 0x{ord(bad.group()) - 0xDC00:02x}"
-    return None
-
-
-def _parse_line(raw: str, in_header: bool) -> tuple[str, object]:
-    """Parse one raw line into (kind, value); `in_header` while the header is due.
+def _parse_line(raw: str, columns: tuple[str, str], in_header: bool = False) -> tuple[str, object]:
+    """Parse one raw line of a file headed `columns` into (kind, value).
 
     kind is "skip" (blank or plain comment), "directive" (value: key,
-    labels), "header", "record" (value: signal, outcome) or "error"
-    (value: column, reason). The line number is the caller's to add.
+    labels), "header" (only while `in_header`), "record" (value: the two
+    fields) or "error" (value: column, reason). The line number is the
+    caller's to add.
     """
-    if bad := _undecodable(raw):
-        return "error", bad
+    if bad := re.search("[\udc80-\udcff]", raw):
+        column = raw.count(",", 0, bad.start()) + 1
+        return "error", (column, f"not valid UTF-8: byte 0x{ord(bad.group()) - 0xDC00:02x}")
     line = raw.strip()
     if line == "":
         return "skip", None
@@ -152,17 +147,32 @@ def _parse_line(raw: str, in_header: bool) -> tuple[str, object]:
     if in_header:
         if len(fields) != 2:
             return "error", (1, "header must have exactly 2 columns")
-        for col, (got, want) in enumerate(zip(fields, HEADER), start=1):
+        for col, (got, want) in enumerate(zip(fields, columns), start=1):
             if got != want:
                 return "error", (col, f"unknown column {got!r} (expected {want!r})")
         return "header", None
     if len(fields) != 2:
         return "error", (1, f"expected 2 fields, got {len(fields)}")
-    if fields[0] == "":
-        return "error", (1, "empty signal label")
-    if fields[1] == "":
-        return "error", (2, "empty outcome label")
+    if "" in fields:
+        col = fields.index("")
+        return "error", (col + 1, f"empty {columns[col]} field")
     return "record", (fields[0], fields[1])
+
+
+def _read_header(
+    lines: Iterator[str], columns: tuple[str, str]
+) -> tuple[dict[str, tuple[str, ...]], int]:
+    """Read `lines` through the header `columns`: the directives before it, and its line number."""
+    declared: dict[str, tuple[str, ...]] = {}
+    for line_no, raw in enumerate(lines, start=1):
+        kind, value = _parse_line(raw, columns, in_header=True)
+        if kind == "error":
+            raise ParseError(line_no, *value)
+        if kind == "directive":
+            declared[value[0]] = value[1]
+        elif kind == "header":
+            return declared, line_no
+    raise ParseError(1, 1, f"missing header line {','.join(columns)!r}")
 
 
 def read_samples(source: Iterable[str]) -> SampleSet:
@@ -173,18 +183,7 @@ def read_samples(source: Iterable[str]) -> SampleSet:
     is present but no records follow.
     """
     lines = iter(source)
-    declared: dict[str, tuple[str, ...]] = {}
-    line_no = 0
-    for line_no, raw in enumerate(lines, start=1):
-        kind, value = _parse_line(raw, in_header=True)
-        if kind == "error":
-            raise ParseError(line_no, *value)
-        if kind == "directive":
-            declared[value[0]] = value[1]
-        elif kind == "header":
-            break
-    else:
-        raise ParseError(1, 1, "missing header line 'signal,outcome'")
+    declared, line_no = _read_header(lines, HEADER)
 
     tally: dict[tuple[str, str], list[int]] = {}  # (signal, outcome) -> [first line, count]
     while chunk := list(itertools.islice(lines, CHUNK_LINES)):
@@ -194,7 +193,7 @@ def read_samples(source: Iterable[str]) -> SampleSet:
         pos = 0
         directives: dict[str, tuple[str, tuple[str, ...]]] = {}
         for raw, count in Counter(chunk).items():
-            kind, value = _parse_line(raw, in_header=False)
+            kind, value = _parse_line(raw, HEADER)
             if kind == "record":
                 if value in tally:
                     tally[value][1] += count
@@ -227,25 +226,18 @@ def read_samples(source: Iterable[str]) -> SampleSet:
     return SampleSet(table, signal_labels, outcome_labels)
 
 
-def _read_quotes(lines: Iterable[str], outcome_labels: tuple[str, ...]) -> list[float]:
+def _read_quotes(source: Iterable[str], outcome_labels: tuple[str, ...]) -> list[float]:
     """Parse the lines of a `label,q` sidecar into its values in the order of `outcome_labels`."""
+    lines, columns = iter(source), ("label", "q")
+    line_no = _read_header(lines, columns)[1]
     values: dict[str, float] = {}
-    header_seen = False
-    for line_no, raw in enumerate(lines, start=1):
-        if bad := _undecodable(raw):
-            raise ParseError(line_no, *bad)
-        line = raw.strip()
-        if line == "" or line.startswith("#"):
+    for line_no, raw in enumerate(lines, start=line_no + 1):
+        kind, value = _parse_line(raw, columns)
+        if kind == "error":
+            raise ParseError(line_no, *value)
+        if kind != "record":
             continue
-        fields = [f.strip() for f in line.split(",")]
-        if not header_seen:
-            if fields != ["label", "q"]:
-                raise ParseError(line_no, 1, "quote sidecar header must be 'label,q'")
-            header_seen = True
-            continue
-        if len(fields) != 2:
-            raise ParseError(line_no, 1, f"expected 2 fields, got {len(fields)}")
-        label, raw_q = fields
+        label, raw_q = value
         try:
             q = float(raw_q)
         except ValueError:
@@ -253,8 +245,6 @@ def _read_quotes(lines: Iterable[str], outcome_labels: tuple[str, ...]) -> list[
         if label in values:
             raise ParseError(line_no, 1, f"duplicate quote label {label!r}")
         values[label] = q
-    if not header_seen:
-        raise ParseError(1, 1, "quote sidecar is empty (expected header 'label,q')")
     missing = [lbl for lbl in outcome_labels if lbl not in values]
     extra = [lbl for lbl in values if lbl not in outcome_labels]
     if missing or extra:

@@ -153,7 +153,7 @@ class TestMeasure:
         "lines, code, err",
         [
             (["lab,q", "h,0.5", "t,0.5"], 2,
-             "ParseError: line 1, column 1: quote sidecar header must be 'label,q'"),
+             "ParseError: line 1, column 1: unknown column 'lab' (expected 'label')"),
             (["label,q", "h,0.5,1", "t,0.5"], 2,
              "ParseError: line 2, column 1: expected 2 fields, got 3"),
             (["label,q", "h,half", "t,0.5"], 2,
@@ -161,16 +161,29 @@ class TestMeasure:
             (["label,q", "h,0.5", "h,0.5"], 2,
              "ParseError: line 3, column 1: duplicate quote label 'h'"),
             (["# no header here"], 2,
-             "ParseError: line 1, column 1: quote sidecar is empty (expected header 'label,q')"),
+             "ParseError: line 1, column 1: missing header line 'label,q'"),
             (["label,q", "h,1.0"], 3,
              "LabelMismatch: quote labels do not match outcome alphabet: "
              "missing ['t'], extra []"),
             (["label,q", "h,0.5", "t,0.25", "u,0.25"], 3,
              "LabelMismatch: quote labels do not match outcome alphabet: "
              "missing [], extra ['u']"),
+            (["label,q", ",0.5", "t,0.5"], 2,
+             "ParseError: line 2, column 1: empty label field"),
+            (["label,q", "h,0.5", "t,"], 2,
+             "ParseError: line 3, column 2: empty q field"),
+            (["q,label", "h,0.5", "t,0.5"], 2,
+             "ParseError: line 1, column 1: unknown column 'q' (expected 'label')"),
+            (["label,x", "h,0.5", "t,0.5"], 2,
+             "ParseError: line 1, column 2: unknown column 'x' (expected 'q')"),
+            (["label,q,x", "h,0.5", "t,0.5"], 2,
+             "ParseError: line 1, column 1: header must have exactly 2 columns"),
+            (["# outcomes: h,h", "label,q", "h,0.5", "t,0.5"], 2,
+             "ParseError: line 1, column 1: duplicate label 'h' in 'outcomes' directive"),
         ],
         ids=["header", "three-fields", "not-a-number", "duplicate", "comment-only",
-             "missing-label", "extra-label"],
+             "missing-label", "extra-label", "empty-label", "empty-q", "swapped-header",
+             "unknown-column", "three-columns", "bad-directive"],
     )
     def test_bad_quote_sidecar(self, samples_csv, tmp_path, capsys, lines, code, err):
         path = tmp_path / "bad_quotes.csv"
@@ -187,8 +200,8 @@ class TestMeasure:
             (["signal,result", "h,h"],
              "line 1, column 2: unknown column 'result' (expected 'outcome')"),
             (["# no header here"], "line 1, column 1: missing header line 'signal,outcome'"),
-            (["signal,outcome", ",h"], "line 2, column 1: empty signal label"),
-            (["signal,outcome", "h,"], "line 2, column 2: empty outcome label"),
+            (["signal,outcome", ",h"], "line 2, column 1: empty signal field"),
+            (["signal,outcome", "h,"], "line 2, column 2: empty outcome field"),
             (["signal,outcome", "h,h,h"], "line 2, column 1: expected 2 fields, got 3"),
         ],
         ids=["three-columns", "unknown-column", "comment-only", "empty-signal",
@@ -201,6 +214,16 @@ class TestMeasure:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == f"error: ParseError: {err}\n"
+
+    def test_quote_labels_matched_after_the_whole_sidecar(self, samples_csv, tmp_path, capsys):
+        # The extra label 'u' comes first, but labels are matched against the
+        # outcome alphabet only once every line has parsed.
+        path = tmp_path / "bad_quotes.csv"
+        write_samples(path, ["label,q", "u,0.5", "t,abc"])
+        assert main(["measure", "--in", str(samples_csv), "--quotes", str(path)]) == 2
+        assert capsys.readouterr().err == (
+            "error: ParseError: line 3, column 2: not a number: 'abc'\n"
+        )
 
     def test_duplicate_directive_label_exit_2(self, tmp_path, capsys):
         path = tmp_path / "dup.csv"
