@@ -226,9 +226,9 @@ def read_samples(source: Iterable[str]) -> SampleSet:
     return SampleSet(table, signal_labels, outcome_labels)
 
 
-def _read_quotes(source: Iterable[str], outcome_labels: tuple[str, ...]) -> list[float]:
+def _read_quotes(lines: Iterable[str], outcome_labels: tuple[str, ...]) -> list[float]:
     """Parse the lines of a `label,q` sidecar into its values in the order of `outcome_labels`."""
-    lines, columns = iter(source), ("label", "q")
+    lines, columns = iter(lines), ("label", "q")
     line_no = _read_header(lines, columns)[1]
     values: dict[str, float] = {}
     for line_no, raw in enumerate(lines, start=line_no + 1):
