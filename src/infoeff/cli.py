@@ -139,26 +139,21 @@ def cmd_simulate(args: argparse.Namespace) -> dict:
     target = kelly_growth_target(market)
     if args.runs < 1:
         raise DomainViolation(f"--runs must be >= 1, got {args.runs}")
-    if args.trajectory_out is not None and args.runs != 1:
-        raise DomainViolation("--trajectory-out requires --runs 1")
-    if args.trajectory_out is not None and args.trajectory_points < 1:
-        raise DomainViolation(
-            f"--trajectory-points must be >= 1, got {args.trajectory_points}"
-        )
-
-    results = []
-    for run_index in range(args.runs):
-        traj = args.trajectory_points if args.trajectory_out is not None else 0
-        results.append(
-            simulate(
-                market,
-                strategy,
-                rounds=args.rounds,
-                seed=args.seed,
-                run_index=run_index,
-                trajectory_points=traj,
+    points = 0
+    if args.trajectory_out is not None:
+        if args.runs != 1:
+            raise DomainViolation("--trajectory-out requires --runs 1")
+        if args.trajectory_points < 1:
+            raise DomainViolation(
+                f"--trajectory-points must be >= 1, got {args.trajectory_points}"
             )
-        )
+        points = args.trajectory_points
+
+    results = [
+        simulate(market, strategy, rounds=args.rounds, seed=args.seed, run_index=run_index,
+                 trajectory_points=points)
+        for run_index in range(args.runs)
+    ]
 
     outputs = {}
     if args.trajectory_out is not None:

@@ -29,9 +29,9 @@ one record of two comma-separated non-empty fields per line. Blank lines
 and comment lines starting with '#' may appear anywhere. Directive comments
 ``# signals: a,b`` / ``# outcomes: h,t`` optionally declare the samples'
 alphabets (and their order); otherwise alphabets are the sorted observed
-labels. A byte that is not UTF-8, kept as a lone surrogate by
-errors="surrogateescape", is a ParseError on its line, met in file order
-like any other.
+labels. A directive in the quote sidecar is a ParseError on its line. A
+byte that is not UTF-8, kept as a lone surrogate by errors="surrogateescape",
+is a ParseError on its line, met in file order like any other.
 """
 
 from __future__ import annotations
@@ -121,9 +121,9 @@ def _parse_line(raw: str, columns: tuple[str, str], in_header: bool = False) -> 
     """Parse one raw line of a file headed `columns` into (kind, value).
 
     kind is "skip" (blank or plain comment), "directive" (value: key,
-    labels), "header" (only while `in_header`), "record" (value: the two
-    fields) or "error" (value: column, reason). The line number is the
-    caller's to add.
+    labels; only when `columns` is HEADER), "header" (only while
+    `in_header`), "record" (value: the two fields) or "error" (value:
+    column, reason). The line number is the caller's to add.
     """
     if bad := re.search("[\udc80-\udcff]", raw):
         column = raw.count(",", 0, bad.start()) + 1
@@ -142,6 +142,8 @@ def _parse_line(raw: str, columns: tuple[str, str], in_header: bool = False) -> 
         if len(set(labels)) != len(labels):
             dup = next(lbl for lbl, n in Counter(labels).items() if n > 1)
             return "error", (1, f"duplicate label {dup!r} in '{key}' directive")
+        if columns != HEADER:  # the alphabets are the samples file's to declare
+            return "error", (1, f"{key!r} directive in a file headed {','.join(columns)!r}")
         return "directive", (key, labels)
     fields = [f.strip() for f in line.split(",")]
     if in_header:
@@ -205,8 +207,7 @@ def read_samples(source: Iterable[str]) -> SampleSet:
             elif kind == "error":
                 raise ParseError(line_no + chunk.index(raw, pos) + 1, *value)
         if directives:  # applied in file order, so the last one wins
-            last = {raw: i for i, raw in enumerate(chunk) if raw in directives}
-            declared.update(directives[raw] for raw in sorted(directives, key=last.get))
+            declared.update(directives[raw] for raw in chunk if raw in directives)
         line_no += len(chunk)
 
     if not tally:
@@ -333,13 +334,13 @@ def estimate_efficiency(
         raise DomainViolation("seed must be nonnegative")
 
     joint = estimate_joint(samples, smoothing)
-    if quotes is not None:
+    if quotes is None:
+        point, q = efficiency(joint, info_set), None
+    else:
         quotes = _quotes(quotes, marginal_outcome(joint))
-        point = efficiency_with_quotes(joint, quotes, info_set)
+        point, q = efficiency_with_quotes(joint, quotes, info_set), quotes.probs
         if point.eff is None:
             raise DegenerateSystem("estimated outcome marginal has zero entropy")
-    else:
-        point = efficiency(joint, info_set)
 
     n = len(samples)
     counts = samples.counts()
@@ -351,15 +352,9 @@ def estimate_efficiency(
             stacklevel=2,
         )
 
-    q_vec = quotes.probs if quotes is not None else None
-    effs, effs_q = _bootstrap(counts, n, smoothing, q_vec, resamples, seed)
-
-    assert point.eff is not None
+    effs, effs_q = _bootstrap(counts, n, smoothing, q, resamples, seed)
     ci_low, ci_high = _percentile_ci(effs, point.eff)
-    eff_q_ci = (None, None)
-    if effs_q is not None:
-        assert point.eff_q is not None
-        eff_q_ci = _percentile_ci(effs_q, point.eff_q)
+    eff_q_ci = (None, None) if q is None else _percentile_ci(effs_q, point.eff_q)
 
     return EstimateReport(
         point=point,

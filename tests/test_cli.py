@@ -180,10 +180,15 @@ class TestMeasure:
              "ParseError: line 1, column 1: header must have exactly 2 columns"),
             (["# outcomes: h,h", "label,q", "h,0.5", "t,0.5"], 2,
              "ParseError: line 1, column 1: duplicate label 'h' in 'outcomes' directive"),
+            (["# outcomes: h,t", "label,q", "h,0.5", "t,0.5"], 2,
+             "ParseError: line 1, column 1: 'outcomes' directive in a file headed 'label,q'"),
+            (["label,q", "# signals: x,y", "h,0.5", "t,0.5"], 2,
+             "ParseError: line 2, column 1: 'signals' directive in a file headed 'label,q'"),
         ],
         ids=["header", "three-fields", "not-a-number", "duplicate", "comment-only",
              "missing-label", "extra-label", "empty-label", "empty-q", "swapped-header",
-             "unknown-column", "three-columns", "bad-directive"],
+             "unknown-column", "three-columns", "bad-directive", "directive-before-header",
+             "directive-after-header"],
     )
     def test_bad_quote_sidecar(self, samples_csv, tmp_path, capsys, lines, code, err):
         path = tmp_path / "bad_quotes.csv"
@@ -313,6 +318,18 @@ class TestMeasure:
             args = [str(bom) if a == str(path) else a for a in plain]
             assert main(args) == 0
             assert capsys.readouterr().out == expected
+
+    def test_quote_sidecar_skips_blank_and_comment_lines(
+        self, samples_csv, quotes_csv, tmp_path, capsys
+    ):
+        plain = ["measure", "--in", str(samples_csv), "--quotes", str(quotes_csv),
+                 "--resamples", "200"]
+        assert main(plain) == 0
+        expected = capsys.readouterr().out
+        path = tmp_path / "commented_quotes.csv"
+        write_samples(path, ["label,q", "", "# quoted at the close", "h,0.5", "t,0.5"])
+        assert main([str(path) if a == str(quotes_csv) else a for a in plain]) == 0
+        assert capsys.readouterr().out == expected
 
     def test_small_sample_warning_is_one_line(self, tmp_path, capsys):
         path = tmp_path / "small.csv"

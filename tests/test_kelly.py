@@ -251,6 +251,15 @@ class TestSimulate:
         assert rounds[-1] == 1000
         assert result.trajectory_sample[-1][1] == result.final_log2_wealth
 
+    @pytest.mark.parametrize("points", [0, -3])
+    def test_no_trajectory_at_nonpositive_points(self, points):
+        market = coin_market(0.5, 0.9, 0.4)
+        strat = kelly_strategy(market.prior, market.channel)
+        result = simulate(market, strat, rounds=40000, seed=2, trajectory_points=points)
+        sampled = simulate(market, strat, rounds=40000, seed=2, trajectory_points=5)
+        assert result.trajectory_sample is None
+        assert result.final_log2_wealth.hex() == sampled.final_log2_wealth.hex()
+
     def test_rounds_validation(self):
         market = coin_market(0.5, 0.9, 0.5)
         strat = kelly_strategy(market.prior, market.channel)
