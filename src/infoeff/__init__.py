@@ -23,7 +23,6 @@ from .efficiency import (
     STRONG,
     WEAK,
     EfficiencyReport,
-    compare_info_sets,
     efficiency,
     efficiency_with_quotes,
 )
@@ -36,7 +35,6 @@ from .errors import (
     EmptyInput,
     InfoEffError,
     LabelMismatch,
-    MarginalMismatch,
     NegativeWeight,
     NumericalInconsistency,
     ParseError,
@@ -99,7 +97,6 @@ __all__ = [
     "InfoEffError",
     "JointSystem",
     "LabelMismatch",
-    "MarginalMismatch",
     "MarketParams",
     "NegativeWeight",
     "NumericalInconsistency",
@@ -122,7 +119,6 @@ __all__ = [
     "closed_form_quote_entropy",
     "coin_components",
     "coin_joint",
-    "compare_info_sets",
     "compose_channels",
     "conditional_entropy",
     "cross_entropy",

@@ -18,11 +18,9 @@ from __future__ import annotations
 from collections.abc import Sequence
 from dataclasses import dataclass
 
-import numpy as np
-
-from .errors import DegenerateSystem, DomainViolation, MarginalMismatch
+from .errors import DegenerateSystem, DomainViolation
 from .measures import clamp_nonneg, conditional_entropy, cross_entropy, entropy
-from .probability import SUM_TOL, Distribution, JointSystem, marginal_outcome
+from .probability import Distribution, JointSystem, marginal_outcome
 
 # Information-set labels. Metadata only: the math depends solely on the
 # supplied joint/channel. Any other non-empty string is a custom label.
@@ -130,29 +128,3 @@ def efficiency_with_quotes(
         raise DegenerateSystem("H(q) = 0: quote efficiency is 0/0 and undefined")
     fields = _fields(entropy(p_x), conditional_entropy(joint), h_q)
     return EfficiencyReport(**fields, info_set=info_set)
-
-
-def compare_info_sets(
-    entries: Sequence[tuple[str, JointSystem]],
-) -> list[EfficiencyReport]:
-    """One efficiency report per (info-set label, joint), in the given order.
-
-    All joints must share the outcome labels and the outcome marginal within
-    1e-9 (MarginalMismatch otherwise): they are views of one system under
-    different information sets.
-    """
-    if not entries:
-        raise DomainViolation("compare_info_sets needs at least one (label, joint) entry")
-    reference = marginal_outcome(entries[0][1])
-    for label, joint in entries:
-        p_x = marginal_outcome(joint)
-        if p_x.labels != reference.labels:
-            raise MarginalMismatch(
-                f"outcome labels {p_x.labels} != {reference.labels} for {label!r}"
-            )
-        deviation = float(np.max(np.abs(p_x.probs - reference.probs)))
-        if deviation > SUM_TOL:
-            raise MarginalMismatch(
-                f"outcome marginal for {label!r} deviates by {deviation!r} > {SUM_TOL}"
-            )
-    return [efficiency(joint, label) for label, joint in entries]

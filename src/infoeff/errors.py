@@ -50,10 +50,6 @@ class DegenerateSystem(InfoEffError, ValueError):
     """The efficiency ratio is 0/0 (zero reference entropy); refused."""
 
 
-class MarginalMismatch(InfoEffError, ValueError):
-    """Joint systems that must share an outcome marginal do not."""
-
-
 class DomainViolation(InfoEffError, ValueError):
     """A parameter lies outside its valid domain."""
 

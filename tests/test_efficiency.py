@@ -4,17 +4,14 @@ import pytest
 import oracles
 from infoeff import (
     STRONG,
-    WEAK,
     Channel,
     DegenerateSystem,
     Distribution,
     DomainViolation,
     JointSystem,
     LabelMismatch,
-    MarginalMismatch,
     QuoteSumNotOne,
     UnsupportedOutcome,
-    compare_info_sets,
     compose_channels,
     efficiency,
     efficiency_with_quotes,
@@ -161,41 +158,12 @@ class TestEfficiencyWithQuotes:
         assert report.eff_q == report.eff
 
 
-class TestCompareInfoSets:
-    def test_weak_vs_strong(self):
-        reports = compare_info_sets([(WEAK, INDEPENDENT_FAIR), (STRONG, ACCURACY_09)])
-        assert [r.info_set for r in reports] == [WEAK, STRONG]
-        assert reports[0].eff == 1.0
-        assert reports[1].eff == pytest.approx(oracles.FROZEN_HB_09, abs=1e-12)
-
-    def test_single_entry(self):
-        reports = compare_info_sets([(STRONG, INDEPENDENT_FAIR)])
-        assert len(reports) == 1 and reports[0].eff == 1.0
-
-    def test_marginal_mismatch(self):
-        other = JointSystem(("h", "t"), ("h", "t"), [[0.05, 0.05], [0.45, 0.45]])
-        with pytest.raises(MarginalMismatch):
-            compare_info_sets([(WEAK, INDEPENDENT_FAIR), (STRONG, other)])
-
-    def test_label_mismatch_is_marginal_mismatch(self):
-        other = JointSystem(("a", "b"), ("h", "t"), [[0.25, 0.25], [0.25, 0.25]])
-        with pytest.raises(MarginalMismatch):
-            compare_info_sets([(WEAK, INDEPENDENT_FAIR), (STRONG, other)])
-
-    def test_empty_rejected(self):
-        with pytest.raises(DomainViolation) as err:
-            compare_info_sets([])
-        assert isinstance(err.value, ValueError)
-
-
 class TestInfoSetLabel:
     def test_empty_label_rejected(self):
         with pytest.raises(DomainViolation, match="info-set"):
             efficiency(ACCURACY_09, "")
         with pytest.raises(DomainViolation, match="info-set"):
             efficiency_with_quotes(ACCURACY_09, (0.5, 0.5), "")
-        with pytest.raises(DomainViolation, match="info-set"):
-            compare_info_sets([("", ACCURACY_09)])
 
     @pytest.mark.parametrize("label", ["a,b\nx,1", 'say "hi"', "cr\r", "lf\n", ","])
     def test_csv_syntax_in_label_rejected(self, label):
@@ -203,8 +171,6 @@ class TestInfoSetLabel:
             efficiency(ACCURACY_09, label)
         with pytest.raises(DomainViolation, match="info-set"):
             efficiency_with_quotes(ACCURACY_09, (0.5, 0.5), label)
-        with pytest.raises(DomainViolation, match="info-set"):
-            compare_info_sets([(label, ACCURACY_09)])
 
     @pytest.mark.parametrize("label", ["\udcff", "weak\ud800", "\udfffx"], ids=["alone", "last", "first"])
     def test_lone_surrogate_in_label_rejected(self, label):
@@ -214,8 +180,6 @@ class TestInfoSetLabel:
         assert str(err.value) == message
         with pytest.raises(DomainViolation, match="UTF-8"):
             efficiency_with_quotes(ACCURACY_09, (0.5, 0.5), label)
-        with pytest.raises(DomainViolation, match="UTF-8"):
-            compare_info_sets([(label, ACCURACY_09)])
 
     def test_non_ascii_label_accepted(self):
         assert efficiency(ACCURACY_09, "stärk ✓").info_set == "stärk ✓"

@@ -1,7 +1,17 @@
-"""Library error paths that no CLI path reaches, with their exact messages."""
+"""Library error paths that no CLI path reaches, with their exact messages.
+
+Also the public surface: the names exported, the errors among them, and the
+names README's Layout table promises.
+"""
+
+import ast
+import importlib
+import re
+from pathlib import Path
 
 import pytest
 
+import infoeff
 from infoeff import (
     CoinGameParams,
     DomainViolation,
@@ -39,3 +49,41 @@ def test_library_error_message(call, error, message):
     with pytest.raises(error) as excinfo:
         call()
     assert str(excinfo.value) == message
+
+
+def test_public_names_resolve_sorted_and_unique():
+    names = infoeff.__all__
+    assert [name for name in names if not hasattr(infoeff, name)] == []
+    assert names == sorted(set(names))
+
+
+def test_every_error_is_exported():
+    errors = {
+        name for name, obj in vars(infoeff.errors).items()
+        if isinstance(obj, type) and issubclass(obj, infoeff.InfoEffError)
+    }
+    assert errors - set(infoeff.__all__) == set()
+
+
+def test_readme_layout_names_exist():
+    readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    layout = readme.split("\n## Layout\n", 1)[1].split("\n## ", 1)[0]
+    rows = [line.split("|")[1:3] for line in layout.splitlines() if line.startswith("| `")]
+    missing = []
+    for module_cell, contents in rows:
+        module = importlib.import_module(module_cell.strip().strip("`"))
+        names = re.findall(r"`([^`]+)`", contents)
+        missing += [f"{module.__name__}.{n}" for n in names if not hasattr(module, n)]
+    assert len(rows) == 7
+    assert missing == []
+
+
+def test_oracles_import_nothing_from_the_library():
+    tree = ast.parse(Path(__file__).with_name("oracles.py").read_text(encoding="utf-8"))
+    modules = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            modules += [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            modules.append(node.module or "")
+    assert [m for m in modules if m.split(".")[0] == "infoeff"] == []
