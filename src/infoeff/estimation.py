@@ -55,7 +55,7 @@ from .errors import (
     ParseError,
     ResamplesBelowMinimum,
 )
-from .measures import _conditional_entropies, _neg_sum_plog2q, _quotes
+from .measures import _conditional_entropies, _entropies, _neg_sum_plog2q, _quotes
 from .probability import Distribution, JointSystem, _labeled_array, marginal_outcome
 
 MIN_RESAMPLES = 100
@@ -291,7 +291,7 @@ def _bootstrap(
         draws = rng.multinomial(n, p_flat, size=block.stop - block.start)
         joints = _smoothed_joint(draws.reshape(-1, *counts.shape).astype(float), n, smoothing)
         p_x = np.sum(joints, axis=-1)
-        entropies = [_neg_sum_plog2q(p_x, p_x), _conditional_entropies(joints)]
+        entropies = [_entropies(p_x), _conditional_entropies(joints)]
         if q is not None:
             entropies.append(_neg_sum_plog2q(p_x, np.broadcast_to(q, p_x.shape)))
         fields = map(_fields, *(h.tolist() for h in entropies))

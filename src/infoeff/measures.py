@@ -47,6 +47,16 @@ def _neg_sum_plog2q(p: np.ndarray, q: np.ndarray) -> np.ndarray:
     return -np.add.reduce(terms, axis=-1)
 
 
+def _entropies(p: np.ndarray) -> np.ndarray:
+    """H(p) of each vector along the last axis: exactly 0 on a one-point support.
+
+    A marginal summed from one nonzero row can miss 1 by a rounding step
+    (0.9999999999999999, whose -p log2 p is 1.6e-16), so H = 0 is decided
+    from the support, not by a tolerance: multiplying by False zeroes it.
+    """
+    return _neg_sum_plog2q(p, p) * (np.add.reduce(p > 0.0, axis=-1) != 1)
+
+
 def _conditional_entropies(joint: np.ndarray) -> np.ndarray:
     """H(X|Y) of each joint in a stack shaped (..., X, Y).
 
@@ -67,7 +77,7 @@ def _conditional_entropies(joint: np.ndarray) -> np.ndarray:
 
 def entropy(dist: Distribution) -> float:
     """H(X) = -sum_x p(x) log2 p(x), in bits."""
-    return float(_neg_sum_plog2q(dist.probs, dist.probs))
+    return float(_entropies(dist.probs))
 
 
 def conditional_entropy(joint: JointSystem) -> float:

@@ -1,6 +1,4 @@
-import io
 import json
-import sys
 
 import pytest
 from hypothesis import given
@@ -10,6 +8,9 @@ import oracles
 from infoeff import cli
 from infoeff.cli import main
 from infoeff.errors import DomainViolation, EmptyInput, ParseError
+# Each `test_... = in_process(...)` below runs cases of the CLI contract
+# table in tests/test_cli_cases.py through `cli.main`.
+from test_cli_cases import CASES, in_process
 
 
 def write_samples(path, lines):
@@ -33,6 +34,33 @@ def quotes_csv(tmp_path):
 
 
 class TestMeasure:
+    test_empty_input_exit_2 = in_process("empty-input")
+    test_degenerate_exit_3 = in_process("degenerate")
+    test_single_outcome_at_smoothing_0_exit_3 = in_process("single-outcome")
+    test_degenerate_with_quotes_exit_3 = in_process("degenerate-with-quotes")
+    test_missing_file_exit_4 = in_process("missing-file")
+    test_bad_quote_sum_exit_3 = in_process("quote-sum")
+    test_quote_values_checked_after_the_run_options = in_process(
+        "after-options/resamples", "after-options/seed", "after-options/smoothing"
+    )
+    test_bad_quote_values_exit_3 = in_process("quote-values/")
+    test_non_finite_quote_exit_3 = in_process("non-finite-quote/")
+    test_bad_quote_sidecar = in_process("quote-sidecar/")
+    test_bad_samples_file = in_process("samples-file/")
+    test_quote_labels_matched_after_the_whole_sidecar = in_process("labels-after-sidecar")
+    test_duplicate_directive_label_exit_2 = in_process("duplicate-directive")
+    test_undecodable_samples_exit_2 = in_process("undecodable-samples")
+    test_undecodable_byte_reported_at_its_line = in_process("undecodable-late")
+    test_undecodable_byte_reported_in_its_field = in_process("undecodable-field")
+    test_undecodable_quote_sidecar_exit_2 = in_process(
+        "undecodable-sidecar", "undecodable-sidecar-first-row"
+    )
+    test_first_bad_line_reported_undecodable_or_not = in_process("first-bad-line/")
+    test_small_sample_warning_is_one_line = in_process("small-sample")
+    test_byte_identical_reruns = in_process("measure-rerun")
+    test_non_finite_smoothing_exit_3 = in_process("non-finite-smoothing/")
+    test_smoothing_that_overflows_exit_3 = in_process("smoothing-overflow")
+
     def test_json_report_with_quotes(self, samples_csv, quotes_csv, capsys):
         code = main(
             ["measure", "--in", str(samples_csv), "--quotes", str(quotes_csv),
@@ -50,35 +78,6 @@ class TestMeasure:
         report = json.loads(capsys.readouterr().out)
         assert "eff_q" not in report and "h_q" not in report
 
-    def test_empty_input_exit_2(self, tmp_path, capsys):
-        empty = tmp_path / "empty.csv"
-        empty.write_text("", encoding="utf-8")
-        assert main(["measure", "--in", str(empty)]) == 2
-        assert "line" in capsys.readouterr().err
-
-    def test_degenerate_exit_3(self, tmp_path, capsys):
-        path = tmp_path / "degenerate.csv"
-        write_samples(path, ["signal,outcome", "h,h", "t,h", "h,h"])
-        assert main(["measure", "--in", str(path)]) == 3
-        assert "DegenerateSystem" in capsys.readouterr().err
-
-    def test_degenerate_with_quotes_exit_3(self, tmp_path, quotes_csv, capsys):
-        # Quotes make Eff_q defined, but Eff is still 0/0 on a constant outcome.
-        path = tmp_path / "constant_outcome.csv"
-        write_samples(path, ["# outcomes: h,t", "signal,outcome", "a,h", "b,h", "a,h"])
-        args = ["measure", "--in", str(path), "--quotes", str(quotes_csv),
-                "--smoothing", "0", "--resamples", "100"]
-        assert main(args) == 3
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert captured.err == (
-            "error: DegenerateSystem: estimated outcome marginal has zero entropy\n"
-        )
-
-    def test_missing_file_exit_4(self, tmp_path, capsys):
-        assert main(["measure", "--in", str(tmp_path / "nope.csv")]) == 4
-        assert "error" in capsys.readouterr().err
-
     def test_csv_format_and_out_file(self, samples_csv, tmp_path):
         out = tmp_path / "report.csv"
         code = main(
@@ -89,223 +88,6 @@ class TestMeasure:
         lines = out.read_text(encoding="utf-8").splitlines()
         assert lines[0] == "key,value"
         assert any(line.startswith("eff,") for line in lines)
-
-    def test_bad_quote_sum_exit_3(self, samples_csv, tmp_path, capsys):
-        bad = tmp_path / "bad_quotes.csv"
-        write_samples(bad, ["label,q", "h,0.5", "t,0.6"])
-        assert main(["measure", "--in", str(samples_csv), "--quotes", str(bad)]) == 3
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert captured.err == (
-            "error: QuoteSumNotOne: quotes sum to 1.1, not 1 within 1e-09 (no-cost constraint)\n"
-        )
-
-    def test_quote_values_checked_after_the_run_options(self, samples_csv, tmp_path, capsys):
-        # The sidecar's values are checked against the estimated marginal,
-        # so a bad sum is reported after --resamples, --seed and --smoothing.
-        bad = tmp_path / "bad_quotes.csv"
-        write_samples(bad, ["label,q", "h,0.5", "t,0.6"])
-        args = ["measure", "--in", str(samples_csv), "--quotes", str(bad)]
-        for extra, err in [
-            (["--resamples", "50"], "ResamplesBelowMinimum: resamples must be >= 100, got 50"),
-            (["--seed", "-1"], "DomainViolation: seed must be nonnegative"),
-            (["--smoothing", "-1"],
-             "DomainViolation: smoothing must be finite and >= 0, got -1.0"),
-        ]:
-            assert main(args + extra) == 3
-            captured = capsys.readouterr()
-            assert captured.out == ""
-            assert captured.err == f"error: {err}\n"
-
-    @pytest.mark.parametrize(
-        "lines, smoothing, err",
-        [
-            (["label,q", "h,1.5", "t,-0.5"], "0.5",
-             "NegativeWeight: distribution has a negative entry: [1.5, -0.5]"),
-            (["label,q", "h,0", "t,1"], "0",
-             "UnsupportedOutcome: q(x) = 0 for an outcome with p(x) > 0: "
-             "cross-entropy is infinite"),
-        ],
-        ids=["negative", "zero-on-support"],
-    )
-    def test_bad_quote_values_exit_3(self, samples_csv, tmp_path, capsys, lines, smoothing, err):
-        path = tmp_path / "bad_quotes.csv"
-        write_samples(path, lines)
-        args = ["measure", "--in", str(samples_csv), "--quotes", str(path),
-                "--smoothing", smoothing]
-        assert main(args) == 3
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert captured.err == f"error: {err}\n"
-
-    @pytest.mark.parametrize("bad", ["nan", "inf"])
-    def test_non_finite_quote_exit_3(self, samples_csv, tmp_path, capsys, bad):
-        path = tmp_path / "bad_quotes.csv"
-        write_samples(path, ["label,q", f"h,{bad}", "t,0.5"])
-        assert main(["measure", "--in", str(samples_csv), "--quotes", str(path)]) == 3
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert captured.err == (
-            f"error: QuoteSumNotOne: quotes sum to {bad}, not 1 within 1e-09 (no-cost constraint)\n"
-        )
-
-    @pytest.mark.parametrize(
-        "lines, code, err",
-        [
-            (["lab,q", "h,0.5", "t,0.5"], 2,
-             "ParseError: line 1, column 1: unknown column 'lab' (expected 'label')"),
-            (["label,q", "h,0.5,1", "t,0.5"], 2,
-             "ParseError: line 2, column 1: expected 2 fields, got 3"),
-            (["label,q", "h,half", "t,0.5"], 2,
-             "ParseError: line 2, column 2: not a number: 'half'"),
-            (["label,q", "h,0.5", "h,0.5"], 2,
-             "ParseError: line 3, column 1: duplicate quote label 'h'"),
-            (["# no header here"], 2,
-             "ParseError: line 1, column 1: missing header line 'label,q'"),
-            (["label,q", "h,1.0"], 3,
-             "LabelMismatch: quote labels do not match outcome alphabet: "
-             "missing ['t'], extra []"),
-            (["label,q", "h,0.5", "t,0.25", "u,0.25"], 3,
-             "LabelMismatch: quote labels do not match outcome alphabet: "
-             "missing [], extra ['u']"),
-            (["label,q", ",0.5", "t,0.5"], 2,
-             "ParseError: line 2, column 1: empty label field"),
-            (["label,q", "h,0.5", "t,"], 2,
-             "ParseError: line 3, column 2: empty q field"),
-            (["q,label", "h,0.5", "t,0.5"], 2,
-             "ParseError: line 1, column 1: unknown column 'q' (expected 'label')"),
-            (["label,x", "h,0.5", "t,0.5"], 2,
-             "ParseError: line 1, column 2: unknown column 'x' (expected 'q')"),
-            (["label,q,x", "h,0.5", "t,0.5"], 2,
-             "ParseError: line 1, column 1: header must have exactly 2 columns"),
-            (["# outcomes: h,h", "label,q", "h,0.5", "t,0.5"], 2,
-             "ParseError: line 1, column 1: duplicate label 'h' in 'outcomes' directive"),
-            (["# outcomes: h,t", "label,q", "h,0.5", "t,0.5"], 2,
-             "ParseError: line 1, column 1: 'outcomes' directive in a file headed 'label,q'"),
-            (["label,q", "# signals: x,y", "h,0.5", "t,0.5"], 2,
-             "ParseError: line 2, column 1: 'signals' directive in a file headed 'label,q'"),
-        ],
-        ids=["header", "three-fields", "not-a-number", "duplicate", "comment-only",
-             "missing-label", "extra-label", "empty-label", "empty-q", "swapped-header",
-             "unknown-column", "three-columns", "bad-directive", "directive-before-header",
-             "directive-after-header"],
-    )
-    def test_bad_quote_sidecar(self, samples_csv, tmp_path, capsys, lines, code, err):
-        path = tmp_path / "bad_quotes.csv"
-        write_samples(path, lines)
-        assert main(["measure", "--in", str(samples_csv), "--quotes", str(path)]) == code
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert captured.err == f"error: {err}\n"
-
-    @pytest.mark.parametrize(
-        "lines, err",
-        [
-            (["signal,outcome,x", "h,h"], "line 1, column 1: header must have exactly 2 columns"),
-            (["signal,result", "h,h"],
-             "line 1, column 2: unknown column 'result' (expected 'outcome')"),
-            (["# no header here"], "line 1, column 1: missing header line 'signal,outcome'"),
-            (["signal,outcome", ",h"], "line 2, column 1: empty signal field"),
-            (["signal,outcome", "h,"], "line 2, column 2: empty outcome field"),
-            (["signal,outcome", "h,h,h"], "line 2, column 1: expected 2 fields, got 3"),
-        ],
-        ids=["three-columns", "unknown-column", "comment-only", "empty-signal",
-             "empty-outcome", "three-fields"],
-    )
-    def test_bad_samples_file(self, tmp_path, capsys, lines, err):
-        path = tmp_path / "bad_samples.csv"
-        write_samples(path, lines)
-        assert main(["measure", "--in", str(path)]) == 2
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert captured.err == f"error: ParseError: {err}\n"
-
-    def test_quote_labels_matched_after_the_whole_sidecar(self, samples_csv, tmp_path, capsys):
-        # The extra label 'u' comes first, but labels are matched against the
-        # outcome alphabet only once every line has parsed.
-        path = tmp_path / "bad_quotes.csv"
-        write_samples(path, ["label,q", "u,0.5", "t,abc"])
-        assert main(["measure", "--in", str(samples_csv), "--quotes", str(path)]) == 2
-        assert capsys.readouterr().err == (
-            "error: ParseError: line 3, column 2: not a number: 'abc'\n"
-        )
-
-    def test_duplicate_directive_label_exit_2(self, tmp_path, capsys):
-        path = tmp_path / "dup.csv"
-        write_samples(path, ["# signals: a,a", "signal,outcome", "a,h", "a,t"])
-        assert main(["measure", "--in", str(path)]) == 2
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert captured.err == (
-            "error: ParseError: line 1, column 1: duplicate label 'a' in 'signals' directive\n"
-        )
-
-    def test_undecodable_samples_exit_2(self, tmp_path, capsys):
-        path = tmp_path / "bad_bytes.csv"
-        path.write_bytes(b"signal,outcome\n\xff,h\n")
-        assert main(["measure", "--in", str(path)]) == 2
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert captured.err == "error: ParseError: line 2, column 1: not valid UTF-8: byte 0xff\n"
-
-    def test_undecodable_byte_reported_at_its_line(self, tmp_path, capsys):
-        # The decoder reads the file in buffers, so the offset in its own
-        # error is into one buffer; the line has to come from the file.
-        path = tmp_path / "late_bad_byte.csv"
-        path.write_bytes(b"signal,outcome\n" + b"a,h\n" * 10**5 + b"\xff,h\n")
-        assert main(["measure", "--in", str(path)]) == 2
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert captured.err == (
-            "error: ParseError: line 100002, column 1: not valid UTF-8: byte 0xff\n"
-        )
-
-    def test_undecodable_byte_reported_in_its_field(self, tmp_path, capsys):
-        # A truncated 3-byte sequence in the outcome field, with CRLF lines.
-        path = tmp_path / "bad_outcome.csv"
-        path.write_bytes(b"signal,outcome\r\nh,h\r\nh,\xe2\x82\r\n")
-        assert main(["measure", "--in", str(path)]) == 2
-        assert capsys.readouterr().err == (
-            "error: ParseError: line 3, column 2: not valid UTF-8: byte 0xe2\n"
-        )
-
-    def test_undecodable_quote_sidecar_exit_2(self, samples_csv, tmp_path, capsys):
-        path = tmp_path / "bad_quotes.csv"
-        path.write_bytes(b"label,q\nh,0.5\n\xff,0.5\n")
-        assert main(["measure", "--in", str(samples_csv), "--quotes", str(path)]) == 2
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert captured.err == "error: ParseError: line 3, column 1: not valid UTF-8: byte 0xff\n"
-
-    @pytest.mark.parametrize(
-        "samples, quotes, err",
-        [
-            (b"signal,outcome\nh\n\xff,h\n", None,
-             "line 2, column 1: expected 2 fields, got 1"),
-            (None, b"label,q\nh\n\xff,0.5\n",
-             "line 2, column 1: expected 2 fields, got 1"),
-            (b"# note \xff\nsignal,outcome\nh\nh,h\n", None,
-             "line 1, column 1: not valid UTF-8: byte 0xff"),
-        ],
-        ids=["samples-malformed-line-first", "sidecar-malformed-line-first",
-             "byte-in-comment-before-header"],
-    )
-    def test_first_bad_line_reported_undecodable_or_not(
-        self, samples_csv, tmp_path, capsys, samples, quotes, err
-    ):
-        # An undecodable byte is a parse error on its own line, so it does
-        # not hide an earlier malformed line, nor come after a later one.
-        if samples is not None:
-            samples_csv = tmp_path / "samples_bytes.csv"
-            samples_csv.write_bytes(samples)
-        args = ["measure", "--in", str(samples_csv)]
-        if quotes is not None:
-            (tmp_path / "quotes_bytes.csv").write_bytes(quotes)
-            args += ["--quotes", str(tmp_path / "quotes_bytes.csv")]
-        assert main(args) == 2
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert captured.err == f"error: ParseError: {err}\n"
 
     def test_utf8_bom_accepted(self, samples_csv, quotes_csv, tmp_path, capsys):
         plain = ["measure", "--in", str(samples_csv), "--quotes", str(quotes_csv),
@@ -331,33 +113,6 @@ class TestMeasure:
         assert main([str(path) if a == str(quotes_csv) else a for a in plain]) == 0
         assert capsys.readouterr().out == expected
 
-    def test_small_sample_warning_is_one_line(self, tmp_path, capsys):
-        path = tmp_path / "small.csv"
-        write_samples(path, ["signal,outcome", "h,h", "t,t", "h,t"])
-        assert main(["measure", "--in", str(path), "--resamples", "100"]) == 0
-        captured = capsys.readouterr()
-        assert json.loads(captured.out)["small_sample"] is True
-        assert captured.err == (
-            "warning: only 3 samples for 4 cells; plug-in efficiency biases low at small N\n"
-        )
-
-    @pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
-    def test_non_finite_smoothing_exit_3(self, samples_csv, capsys, bad):
-        code = main(["measure", "--in", str(samples_csv), f"--smoothing={bad}"])
-        assert code == 3
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert captured.err.startswith("error: DomainViolation: ")
-        assert "smoothing" in captured.err and captured.err.count("\n") == 1
-
-    def test_smoothing_that_overflows_exit_3(self, samples_csv, capsys):
-        code = main(["measure", "--in", str(samples_csv), "--smoothing", "5e307"])
-        assert code == 3
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert captured.err.startswith("error: DomainViolation: ")
-        assert "smoothing" in captured.err and captured.err.count("\n") == 1
-
     def test_memory_error_exit_5(self, samples_csv, monkeypatch, capsys):
         def exhausted(config):
             raise MemoryError("cannot allocate")
@@ -370,6 +125,14 @@ class TestMeasure:
 
 
 class TestCoin:
+    test_fair_quotes_eff_q_is_eff = in_process("eff-q-is-eff")
+    test_report_parses = in_process("coin-report/")
+    test_domain_violation_exit_3 = in_process("coin-domain", "coin-domain-2")
+    test_empty_info_set_exit_3 = in_process("empty-info-set")
+    test_csv_syntax_in_info_set_exit_3 = in_process("csv-syntax-info-set")
+    test_unencodable_report_leaves_no_out_file = in_process("unencodable-out")
+    test_unencodable_info_set_on_stdout_exit_3 = in_process("unencodable-stdout/")
+
     def test_fair_predictable(self, capsys):
         code = main(["coin", "--p-tail", "0.5", "--accuracy", "0.9", "--q-tail", "0.5"])
         assert code == 0
@@ -383,75 +146,12 @@ class TestCoin:
         report = json.loads(capsys.readouterr().out)
         assert report["eff_q"] == 1.0
 
-    def test_fair_quotes_eff_q_is_eff(self, capsys):
-        # H(q) falls below H(X) here by rounding only
-        code = main(["coin", "--p-tail", "1e-06", "--accuracy", "0.9", "--q-tail", "1e-06"])
-        assert code == 0
-        report = json.loads(capsys.readouterr().out)
-        assert report["mispricing_gap"] == 0.0
-        assert report["eff_q"] == report["eff"]
-
     def test_mispriced_unpredictable(self, capsys):
         code = main(["coin", "--p-tail", "0.5", "--accuracy", "0.5", "--q-tail", "0.05"])
         assert code == 0
         report = json.loads(capsys.readouterr().out)
         assert report["eff_q"] == pytest.approx(oracles.FROZEN_EFFQ_005, abs=1e-12)
         assert report["closed_form_eff_q"] == pytest.approx(report["eff_q"], abs=1e-10)
-
-    def test_domain_violation_exit_3(self, capsys):
-        assert main(["coin", "--p-tail", "1.5", "--accuracy", "0.5", "--q-tail", "0.5"]) == 3
-        assert "DomainViolation" in capsys.readouterr().err
-
-    def test_empty_info_set_exit_3(self, capsys):
-        code = main(
-            ["coin", "--p-tail", "0.5", "--accuracy", "0.9", "--q-tail", "0.5", "--info-set", ""]
-        )
-        assert code == 3
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert captured.err == "error: DomainViolation: info-set label must be non-empty\n"
-
-    def test_csv_syntax_in_info_set_exit_3(self, capsys):
-        code = main(
-            ["coin", "--p-tail", "0.5", "--accuracy", "0.9", "--q-tail", "0.5",
-             "--format", "csv", "--info-set", "a,b\nx,1"]
-        )
-        assert code == 3
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert captured.err == (
-            "error: DomainViolation: info-set label must not contain a comma, "
-            "a double quote, CR or LF, got 'a,b\\nx,1'\n"
-        )
-
-    def test_unencodable_report_leaves_no_out_file(self, tmp_path, capsys):
-        out = tmp_path / "r.csv"
-        code = main(
-            ["coin", "--p-tail", "0.5", "--accuracy", "0.9", "--q-tail", "0.5",
-             "--format", "csv", "--info-set", "\udcff", "--out", str(out)]
-        )
-        assert code == 3
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert captured.err == (
-            "error: DomainViolation: info-set label must be valid UTF-8 text, got '\\udcff'\n"
-        )
-        assert not out.exists()
-
-    # A byte of argv that is not UTF-8 arrives as a lone surrogate; stdout
-    # must refuse it as --out does, not pass the raw byte through.
-    @pytest.mark.parametrize("fmt", ["csv", "json"])
-    def test_unencodable_info_set_on_stdout_exit_3(self, capsys, fmt):
-        code = main(
-            ["coin", "--p-tail", "0.5", "--accuracy", "0.9", "--q-tail", "0.5",
-             "--format", fmt, "--info-set", "x\udcff"]
-        )
-        assert code == 3
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert captured.err == (
-            "error: DomainViolation: info-set label must be valid UTF-8 text, got 'x\\udcff'\n"
-        )
 
     def test_unexpected_error_exit_1(self, monkeypatch, capsys):
         def broken(config):
@@ -462,7 +162,6 @@ class TestCoin:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == "error: RuntimeError: unexpected state\n"
-
 
     # ParseError is also an InfoEffError and a ValueError, so this pins the
     # order in which the exit-code table is searched, not only its entries.
@@ -495,6 +194,12 @@ class TestCoin:
 
 
 class TestSimulate:
+    test_report_is_strict_json = in_process("simulate-json")
+    test_byte_identical_reruns = in_process("simulate-rerun", "simulate-rerun-short")
+    test_trajectory_with_multiple_runs_rejected = in_process("multiple-runs-trajectory")
+    test_runs_below_one_exit_3 = in_process("runs-below-one/")
+    test_trajectory_points_below_one_exit_3 = in_process("trajectory-points/")
+
     def test_matches_target(self, capsys):
         code = main(
             ["simulate", "--accuracy", "0.9", "--rounds", "1000000", "--seed", "7"]
@@ -513,15 +218,6 @@ class TestSimulate:
         assert code == 0
         report = json.loads(capsys.readouterr().out)
         assert abs(report["aggregate_mean_growth"]) < 0.01
-
-    def test_byte_identical_reruns(self, capsys):
-        args = ["simulate", "--accuracy", "0.8", "--rounds", "20000", "--seed", "5",
-                "--runs", "3"]
-        assert main(args) == 0
-        first = capsys.readouterr().out
-        assert main(args) == 0
-        second = capsys.readouterr().out
-        assert first == second
 
     def test_csv_format(self, capsys):
         code = main(
@@ -544,50 +240,19 @@ class TestSimulate:
         assert lines[0] == "round,log2_wealth"
         assert len(lines) == 21
 
-    def test_trajectory_with_multiple_runs_rejected(self, tmp_path, capsys):
-        code = main(
-            ["simulate", "--accuracy", "0.9", "--rounds", "100", "--runs", "2",
-             "--trajectory-out", str(tmp_path / "t.csv")]
-        )
-        assert code == 3
-
-    @pytest.mark.parametrize("runs", ["0", "-2"])
-    def test_runs_below_one_exit_3(self, capsys, runs):
-        code = main(["simulate", "--accuracy", "0.9", "--rounds", "100", "--runs", runs])
-        assert code == 3
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert captured.err == f"error: DomainViolation: --runs must be >= 1, got {runs}\n"
-
-    @pytest.mark.parametrize("points", ["0", "-1"])
-    def test_trajectory_points_below_one_exit_3(self, tmp_path, capsys, points):
-        traj = tmp_path / "t.csv"
-        code = main(
-            ["simulate", "--accuracy", "0.9", "--rounds", "100",
-             "--trajectory-out", str(traj), "--trajectory-points", points]
-        )
-        assert code == 3
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert captured.err == (
-            f"error: DomainViolation: --trajectory-points must be >= 1, got {points}\n"
-        )
-        assert not traj.exists()
 
 
 class TestFigures:
+    test_byte_identical_across_runs = in_process("figures-rerun")
+    test_svg_for_every_figure = in_process("figures-svg")
+    test_open_domain_below_three_points_writes_nothing = in_process("open-domain/")
+    test_svg_below_two_curve_points_writes_nothing = in_process("svg-below-two")
+
     def test_all_csvs_written(self, tmp_path, capsys):
         code = main(["figures", "--which", "all", "--out-dir", str(tmp_path)])
         assert code == 0
         for n in (1, 2, 3, 4):
             assert (tmp_path / f"fig{n}.csv").exists()
-
-    def test_byte_identical_across_runs(self, tmp_path, capsys):
-        dir_a, dir_b = tmp_path / "a", tmp_path / "b"
-        assert main(["figures", "--which", "all", "--out-dir", str(dir_a)]) == 0
-        assert main(["figures", "--which", "all", "--out-dir", str(dir_b)]) == 0
-        for n in (1, 2, 3, 4):
-            assert (dir_a / f"fig{n}.csv").read_bytes() == (dir_b / f"fig{n}.csv").read_bytes()
 
     def test_fig1_peak(self, tmp_path, capsys):
         assert main(["figures", "--which", "1", "--out-dir", str(tmp_path)]) == 0
@@ -617,34 +282,6 @@ class TestFigures:
         table = [(float(a), float(b)) for a, b in rows]
         worst = min(table, key=lambda r: r[1])
         assert worst == (0.5, 1.0)
-
-    @pytest.mark.parametrize("fmt", ["csv", "svg"])
-    def test_open_domain_below_three_points_writes_nothing(self, tmp_path, capsys, fmt):
-        out_dir = tmp_path / "figs"
-        out_dir.mkdir()
-        code = main(
-            ["figures", "--points", "2", "--format", fmt, "--out-dir", str(out_dir)]
-        )
-        assert code == 3
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert captured.err == (
-            "error: DomainViolation: eff_vs_q grid needs at least 3 points, got 2\n"
-        )
-        assert list(out_dir.iterdir()) == []
-
-    def test_svg_below_two_curve_points_writes_nothing(self, tmp_path, capsys):
-        # 3 points leave one inside the open domain of figures 3 and 4
-        out_dir = tmp_path / "figs"
-        out_dir.mkdir()
-        code = main(
-            ["figures", "--points", "3", "--format", "svg", "--out-dir", str(out_dir)]
-        )
-        assert code == 3
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert captured.err == "error: ValueError: line_chart needs at least 2 points, got 1\n"
-        assert list(out_dir.iterdir()) == []
 
     def test_csv_at_three_points(self, tmp_path, capsys):
         assert main(["figures", "--points", "3", "--out-dir", str(tmp_path)]) == 0
@@ -964,6 +601,12 @@ json_scalars = st.one_of(
 # `cli.run` is the one output stage: files are written in order and stdout
 # last, and a failed run leaves no file that it created.
 class TestOutputStage:
+    test_failed_out_leaves_no_trajectory_file = in_process("failed-out-trajectory")
+    test_failed_out_keeps_a_file_named_with_a_trailing_slash = in_process("trailing-slash")
+    test_unopenable_out_is_one_error_line = in_process("unopenable-out/")
+    test_failed_write_removes_the_files_it_created = in_process("failed-write/")
+    test_undecodable_out_dir_on_stdout = in_process("undecodable-out-dir/")
+
     @pytest.mark.parametrize("fmt", ["json", "csv"])
     @pytest.mark.parametrize("command", ["measure", "coin", "simulate"])
     def test_out_file_holds_the_stdout_bytes(self, samples_csv, tmp_path, capsys, command, fmt):
@@ -987,115 +630,6 @@ class TestOutputStage:
         assert main([*argv, "--trajectory-out", str(out), "--out", str(out)]) == 0
         assert capsys.readouterr().out == ""
         assert out.read_text(encoding="utf-8") == printed
-
-    def test_failed_out_leaves_no_trajectory_file(self, tmp_path, capsys):
-        traj, bad = tmp_path / "t.csv", tmp_path / "nodir" / "x.json"
-        code = main(
-            ["simulate", "--accuracy", "0.9", "--rounds", "100",
-             "--trajectory-out", str(traj), "--out", str(bad)]
-        )
-        assert code == 4
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert captured.err == (
-            f"error: FileNotFoundError: [Errno 2] No such file or directory: {str(bad)!r}\n"
-        )
-        assert not traj.exists()
-
-    # `keep.csv/` names the file `keep.csv`: the run overwrites it, as a
-    # successful run would, and a later failure does not take it away.
-    def test_failed_out_keeps_a_file_named_with_a_trailing_slash(self, tmp_path, capsys):
-        argv = ["simulate", "--accuracy", "0.9", "--rounds", "100", "--trajectory-out"]
-        assert main([*argv, str(tmp_path / "t.csv"), "--out", str(tmp_path / "x.json")]) == 0
-        keep, bad = tmp_path / "keep.csv", tmp_path / "nodir" / "x.json"
-        keep.write_text("keep\n", encoding="utf-8")
-        assert main([*argv, f"{keep}/", "--out", str(bad)]) == 4
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert captured.err == (
-            f"error: FileNotFoundError: [Errno 2] No such file or directory: {str(bad)!r}\n"
-        )
-        assert keep.read_bytes() == (tmp_path / "t.csv").read_bytes()
-
-    # A destination whose open fails was not created by the run, so there is
-    # nothing to unlink and the failure stays one line.
-    @pytest.mark.parametrize(
-        "out, kind",
-        [("", "IsADirectoryError"), ("keep.csv/x", "NotADirectoryError"), ("a" * 300, "OSError")],
-        ids=["empty", "beneath_a_file", "name_too_long"],
-    )
-    def test_unopenable_out_is_one_error_line(self, tmp_path, capsys, monkeypatch, out, kind):
-        monkeypatch.chdir(tmp_path)
-        (tmp_path / "keep.csv").write_text("keep\n", encoding="utf-8")
-        argv = ["coin", "--p-tail", "0.5", "--accuracy", "0.9", "--q-tail", "0.5"]
-        assert main([*argv, "--out", out]) == 4
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert captured.err.startswith(f"error: {kind}: [Errno ")
-        assert captured.err.count("\n") == 1
-        assert sorted(path.name for path in tmp_path.iterdir()) == ["keep.csv"]
-        assert (tmp_path / "keep.csv").read_text(encoding="utf-8") == "keep\n"
-
-    # A regular file or a dangling symlink that existed before the run is not
-    # the run's own: it keeps what the run wrote through it.
-    @pytest.mark.parametrize("before", ["absent", "file", "dangling_symlink"])
-    def test_failed_write_removes_the_files_it_created(self, tmp_path, capsys, before):
-        out_dir, target = tmp_path / "figs", tmp_path / "target.csv"
-        (out_dir / "fig3.csv").mkdir(parents=True)
-        fig1 = out_dir / "fig1.csv"
-        if before == "file":
-            fig1.write_text("old\n", encoding="utf-8")
-        elif before == "dangling_symlink":
-            fig1.symlink_to(target)
-        code = main(["figures", "--points", "5", "--out-dir", str(out_dir)])
-        assert code == 4
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert captured.err == (
-            f"error: IsADirectoryError: [Errno 21] Is a directory: {str(out_dir / 'fig3.csv')!r}\n"
-        )
-        assert list((out_dir / "fig3.csv").iterdir()) == []
-        assert not (out_dir / "fig2.csv").exists()
-        written = (
-            "param,value\n0.0,0.0\n0.25,0.8112781244591328\n0.5,1.0\n"
-            "0.75,0.8112781244591328\n1.0,0.0\n"
-        )
-        if before == "absent":
-            assert not fig1.exists()
-        else:
-            assert fig1.is_symlink() == (before == "dangling_symlink")
-            assert fig1.read_text(encoding="utf-8") == written
-        # The target created through the dangling symlink is not unlinked.
-        assert target.exists() == (before == "dangling_symlink")
-
-    # A byte of argv that is not UTF-8 arrives as a lone surrogate. A strict
-    # stdout cannot print the path that holds it, so the run fails and takes
-    # its files back; a surrogateescape stdout prints the raw byte.
-    @pytest.mark.parametrize("errors", ["strict", "surrogateescape"])
-    def test_undecodable_out_dir_on_stdout(self, tmp_path, capsys, monkeypatch, errors):
-        stdout = io.TextIOWrapper(io.BytesIO(), encoding="utf-8", errors=errors)
-        monkeypatch.setattr(sys, "stdout", stdout)
-        out_dir = tmp_path / "\udcff"
-        code = main(["figures", "--points", "3", "--out-dir", str(out_dir)])
-        stdout.flush()
-        printed = stdout.buffer.getvalue()
-        err = capsys.readouterr().err
-        if errors == "strict":
-            assert code == 3
-            assert printed == b""
-            assert err == (
-                "error: UnicodeEncodeError: 'utf-8' codec can't encode character '\\udcff' "
-                f"in position {len(str(tmp_path)) + 1}: surrogates not allowed\n"
-            )
-            assert list(out_dir.iterdir()) == []
-        else:
-            assert code == 0
-            assert err == ""
-            names = [f"fig{n}.csv" for n in (1, 2, 3, 4)]
-            assert sorted(path.name for path in out_dir.iterdir()) == names
-            assert printed == b"".join(
-                bytes(tmp_path) + b"/\xff/" + name.encode() + b"\n" for name in names
-            )
 
 
 class TestRenderFlat:
@@ -1158,3 +692,14 @@ class TestCoinConsistencyGrid:
                     assert code == 0
                     report = json.loads(capsys.readouterr().out)
                     assert report["consistency_delta"] < 1e-10
+
+
+def test_every_case_runs_in_process_once():
+    # A case no test here claims would run only through the console script.
+    claimed = [
+        case_id
+        for cls in list(globals().values()) if isinstance(cls, type)
+        for test in vars(cls).values()
+        for case_id in getattr(test, "case_ids", ())
+    ]
+    assert sorted(claimed) == sorted(CASES)

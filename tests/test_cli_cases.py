@@ -1,0 +1,482 @@
+"""The CLI contract as one table of cases, run over two transports.
+
+Each case is one `infoeff` invocation: its argv (split as a shell would),
+the files it starts from, an optional environment, and what must hold
+afterwards: the exit code, the exact stderr, stdout, and the files left.
+Every run starts in a fresh directory, its working directory, so every
+path in a case is relative to it.
+
+- In-process: `tests/test_cli.py` runs each case through `cli.main`, each
+  under a test name of its own there (`test_... = in_process(...)`).
+- Console script: `test_console` runs each case through the installed
+  `infoeff` by `subprocess`, wherever that script is on PATH
+  (`pip install -e .`); elsewhere it skips.
+
+For every failing case the runner also asserts exactly one stderr line,
+starting `error: `, and an exit code that `cli.EXIT_CODES` documents.
+"""
+
+from __future__ import annotations
+
+import csv
+import io
+import itertools
+import json
+import os
+import shlex
+import shutil
+import subprocess
+import sys
+from collections.abc import Callable
+from dataclasses import dataclass, field
+from pathlib import Path
+from typing import NamedTuple
+
+import pytest
+
+from infoeff import cli
+
+SCRIPT = shutil.which("infoeff")
+
+
+class Symlink(NamedTuple):
+    target: str
+
+
+@dataclass(frozen=True)
+class Case:
+    """One invocation and what must hold after it.
+
+    `files` maps a path to its bytes, to [] for an empty directory or to a
+    Symlink. `stdout` is the exact bytes, or a check that takes them.
+    `after` maps a path to what it must be: None for absent, a list of the
+    names a directory holds, a file's text, or a Symlink. A `rerun` case
+    runs twice, in two fresh directories, which must end up the same.
+    """
+
+    argv: str
+    code: int = 0
+    stderr: str = ""
+    stdout: bytes | Callable[[bytes], None] = b""
+    files: dict = field(default_factory=dict)
+    env: dict = field(default_factory=dict)
+    after: dict = field(default_factory=dict)
+    rerun: bool = False
+
+
+def fails(argv: str, code: int, message: str, **fields) -> Case:
+    return Case(argv, code, f"error: {message}\n", **fields)
+
+
+def lines(*rows: str) -> bytes:
+    """The rows as a file's bytes; a lone surrogate stands for the byte it escapes."""
+    return "".join(f"{row}\n" for row in rows).encode("utf-8", "surrogateescape")
+
+
+def strict_json(check=lambda report: True):
+    """Stdout is one JSON object, with no NaN or Infinity, for which `check` holds."""
+
+    def refuse(constant):
+        raise ValueError(f"not strict JSON: {constant}")
+
+    def parse(out: bytes):
+        report = json.loads(out.decode("utf-8"), parse_constant=refuse)
+        assert check(report), report
+
+    return parse
+
+
+def csv_fields(n: int):
+    """Stdout is CSV with at least one row, each of `n` fields."""
+
+    def parse(out: bytes):
+        rows = list(csv.reader(io.StringIO(out.decode("utf-8"))))
+        assert rows and all(len(row) == n for row in rows), rows
+
+    return parse
+
+
+SAMPLES = lines("signal,outcome", *["h,h"] * 45, *["t,h"] * 5, *["h,t"] * 5, *["t,t"] * 45)
+SMALL_SAMPLES = lines("signal,outcome", "h,h", "t,t", "t,h")
+SMALL_WARNING = "warning: only 3 samples for 4 cells; plug-in efficiency biases low at small N\n"
+COIN = "coin --p-tail 0.5 --accuracy 0.9 --q-tail 0.5"
+FIG1_5PT = lines("param,value", "0.0,0.0", "0.25,0.8112781244591328", "0.5,1.0",
+                 "0.75,0.8112781244591328", "1.0,0.0").decode()
+FIGS = [f"fig{n}.csv" for n in (1, 2, 3, 4)]
+KEEP = {"keep.csv": b"keep\n"}
+
+
+def measure_fails(data: bytes, message: str, code: int = 2) -> Case:
+    """`measure` on a samples file of `data`."""
+    return fails("measure --in samples.csv", code, message, files={"samples.csv": data})
+
+
+def quotes_fail(rows, code: int, message: str, options: str = "") -> Case:
+    """`measure` on SAMPLES with a quote sidecar of `rows`."""
+    return fails(f"measure --in samples.csv --quotes quotes.csv {options}", code, message,
+                 files={"samples.csv": SAMPLES, "quotes.csv": lines(*rows)})
+
+
+CASES = {
+    # measure: its samples file
+    "empty-input": measure_fails(
+        b"", "ParseError: line 1, column 1: missing header line 'signal,outcome'"),
+    "degenerate": measure_fails(lines("signal,outcome", "h,h", "t,h", "h,h"),
+                                "DegenerateSystem: H(X) = 0: efficiency is 0/0 and undefined", 3),
+    # One observed outcome: the smoothing-0 marginal sums to 0.9999999999999999.
+    "single-outcome": fails(
+        "measure --smoothing 0 --in samples.csv", 3,
+        "DegenerateSystem: H(X) = 0: efficiency is 0/0 and undefined",
+        files={"samples.csv": lines("# outcomes: h,t", "signal,outcome",
+                                    "a,t", "b,t", "b,t", "b,t", "c,t", "a,t")}),
+    # Quotes make Eff_q defined, but Eff is still 0/0 on a constant outcome.
+    "degenerate-with-quotes": fails(
+        "measure --in samples.csv --quotes quotes.csv --smoothing 0 --resamples 100", 3,
+        "DegenerateSystem: estimated outcome marginal has zero entropy",
+        files={"samples.csv": lines("# outcomes: h,t", "signal,outcome", "a,h", "b,h", "a,h"),
+               "quotes.csv": lines("label,q", "h,0.5", "t,0.5")}),
+    "missing-file": fails("measure --in nope.csv", 4,
+                          "FileNotFoundError: [Errno 2] No such file or directory: 'nope.csv'"),
+    "duplicate-directive": measure_fails(
+        lines("# signals: a,a", "signal,outcome", "a,h", "a,t"),
+        "ParseError: line 1, column 1: duplicate label 'a' in 'signals' directive"),
+    **{f"samples-file/{name}": measure_fails(lines(*rows), f"ParseError: {message}")
+       for name, rows, message in [
+           ("three-columns", ["signal,outcome,x", "h,h"],
+            "line 1, column 1: header must have exactly 2 columns"),
+           ("unknown-column", ["signal,result", "h,h"],
+            "line 1, column 2: unknown column 'result' (expected 'outcome')"),
+           ("comment-only", ["# no header here"],
+            "line 1, column 1: missing header line 'signal,outcome'"),
+           ("empty-signal", ["signal,outcome", ",h"], "line 2, column 1: empty signal field"),
+           ("empty-outcome", ["signal,outcome", "h,"], "line 2, column 2: empty outcome field"),
+           ("three-fields", ["signal,outcome", "h,h,h"],
+            "line 2, column 1: expected 2 fields, got 3"),
+       ]},
+    # measure: a byte that is not UTF-8 is a parse error at its own line
+    "undecodable-samples": measure_fails(
+        b"signal,outcome\n\xff,h\n", "ParseError: line 2, column 1: not valid UTF-8: byte 0xff"),
+    # The decoder reads in buffers; the line has to come from the file.
+    "undecodable-late": measure_fails(
+        b"signal,outcome\n" + b"a,h\n" * 10**5 + b"\xff,h\n",
+        "ParseError: line 100002, column 1: not valid UTF-8: byte 0xff"),
+    # A truncated 3-byte sequence in the outcome field, with CRLF lines.
+    "undecodable-field": measure_fails(
+        b"signal,outcome\r\nh,h\r\nh,\xe2\x82\r\n",
+        "ParseError: line 3, column 2: not valid UTF-8: byte 0xe2"),
+    "undecodable-sidecar": quotes_fail(
+        ["label,q", "h,0.5", "\udcff,0.5"], 2,
+        "ParseError: line 3, column 1: not valid UTF-8: byte 0xff"),
+    "undecodable-sidecar-first-row": quotes_fail(
+        ["label,q", "\udcff,0.5", "t,0.5"], 2,
+        "ParseError: line 2, column 1: not valid UTF-8: byte 0xff"),
+    # Nor does it hide an earlier malformed line, or come after a later one.
+    "first-bad-line/samples-malformed-line-first": measure_fails(
+        b"signal,outcome\nh\n\xff,h\n", "ParseError: line 2, column 1: expected 2 fields, got 1"),
+    "first-bad-line/sidecar-malformed-line-first": quotes_fail(
+        ["label,q", "h", "\udcff,0.5"], 2,
+        "ParseError: line 2, column 1: expected 2 fields, got 1"),
+    "first-bad-line/byte-in-comment-before-header": measure_fails(
+        b"# note \xff\nsignal,outcome\nh\nh,h\n",
+        "ParseError: line 1, column 1: not valid UTF-8: byte 0xff"),
+    # measure: its quote sidecar
+    **{f"quote-sidecar/{name}": quotes_fail(rows, code, message)
+       for name, rows, code, message in [
+           ("header", ["lab,q", "h,0.5", "t,0.5"], 2,
+            "ParseError: line 1, column 1: unknown column 'lab' (expected 'label')"),
+           ("three-fields", ["label,q", "h,0.5,1", "t,0.5"], 2,
+            "ParseError: line 2, column 1: expected 2 fields, got 3"),
+           ("not-a-number", ["label,q", "h,half", "t,0.5"], 2,
+            "ParseError: line 2, column 2: not a number: 'half'"),
+           ("duplicate", ["label,q", "h,0.5", "h,0.5"], 2,
+            "ParseError: line 3, column 1: duplicate quote label 'h'"),
+           ("comment-only", ["# no header here"], 2,
+            "ParseError: line 1, column 1: missing header line 'label,q'"),
+           ("missing-label", ["label,q", "h,1.0"], 3,
+            "LabelMismatch: quote labels do not match outcome alphabet: missing ['t'], extra []"),
+           ("extra-label", ["label,q", "h,0.5", "t,0.25", "u,0.25"], 3,
+            "LabelMismatch: quote labels do not match outcome alphabet: missing [], extra ['u']"),
+           ("empty-label", ["label,q", ",0.5", "t,0.5"], 2,
+            "ParseError: line 2, column 1: empty label field"),
+           ("empty-q", ["label,q", "h,0.5", "t,"], 2,
+            "ParseError: line 3, column 2: empty q field"),
+           ("swapped-header", ["q,label", "h,0.5", "t,0.5"], 2,
+            "ParseError: line 1, column 1: unknown column 'q' (expected 'label')"),
+           ("unknown-column", ["label,x", "h,0.5", "t,0.5"], 2,
+            "ParseError: line 1, column 2: unknown column 'x' (expected 'q')"),
+           ("three-columns", ["label,q,x", "h,0.5", "t,0.5"], 2,
+            "ParseError: line 1, column 1: header must have exactly 2 columns"),
+           ("bad-directive", ["# outcomes: h,h", "label,q", "h,0.5", "t,0.5"], 2,
+            "ParseError: line 1, column 1: duplicate label 'h' in 'outcomes' directive"),
+           ("directive-before-header", ["# outcomes: h,t", "label,q", "h,0.5", "t,0.5"], 2,
+            "ParseError: line 1, column 1: 'outcomes' directive in a file headed 'label,q'"),
+           ("directive-after-header", ["label,q", "# signals: x,y", "h,0.5", "t,0.5"], 2,
+            "ParseError: line 2, column 1: 'signals' directive in a file headed 'label,q'"),
+           ("outcomes-directive-after-header", ["label,q", "# outcomes: h,t", "h,0.5", "t,0.5"],
+            2, "ParseError: line 2, column 1: 'outcomes' directive in a file headed 'label,q'"),
+       ]},
+    # Labels are matched against the outcome alphabet once every line parsed.
+    "labels-after-sidecar": quotes_fail(
+        ["label,q", "u,0.5", "t,abc"], 2, "ParseError: line 3, column 2: not a number: 'abc'"),
+    "quote-sum": quotes_fail(
+        ["label,q", "h,0.5", "t,0.6"], 3,
+        "QuoteSumNotOne: quotes sum to 1.1, not 1 within 1e-09 (no-cost constraint)"),
+    **{f"non-finite-quote/{bad}": quotes_fail(
+        ["label,q", f"h,{bad}", "t,0.5"], 3,
+        f"QuoteSumNotOne: quotes sum to {bad}, not 1 within 1e-09 (no-cost constraint)")
+       for bad in ("nan", "inf")},
+    "quote-values/negative": quotes_fail(
+        ["label,q", "h,1.5", "t,-0.5"], 3,
+        "NegativeWeight: distribution has a negative entry: [1.5, -0.5]", "--smoothing 0.5"),
+    "quote-values/zero-on-support": quotes_fail(
+        ["label,q", "h,0", "t,1"], 3,
+        "UnsupportedOutcome: q(x) = 0 for an outcome with p(x) > 0: cross-entropy is infinite",
+        "--smoothing 0"),
+    # The sidecar's values are checked against the estimated marginal, so a
+    # bad sum is reported after --resamples, --seed and --smoothing.
+    **{f"after-options/{name}": quotes_fail(["label,q", "h,0.5", "t,0.6"], 3, message, options)
+       for name, options, message in [
+           ("resamples", "--resamples 50",
+            "ResamplesBelowMinimum: resamples must be >= 100, got 50"),
+           ("seed", "--seed -1", "DomainViolation: seed must be nonnegative"),
+           ("smoothing", "--smoothing -1",
+            "DomainViolation: smoothing must be finite and >= 0, got -1.0"),
+       ]},
+    # measure: its run options
+    **{f"non-finite-smoothing/{bad}": fails(
+        f"measure --in samples.csv --smoothing={bad}", 3,
+        f"DomainViolation: smoothing must be finite and >= 0, got {bad}",
+        files={"samples.csv": SAMPLES})
+       for bad in ("nan", "inf", "-inf")},
+    "smoothing-overflow": fails(
+        "measure --in samples.csv --smoothing 5e307", 3,
+        "DomainViolation: smoothing 5e+307 overflows the denominator N + smoothing * 4 cells",
+        files={"samples.csv": SAMPLES}),
+    "small-sample": Case(
+        "measure --in samples.csv --resamples 100", stderr=SMALL_WARNING,
+        stdout=strict_json(lambda report: report["small_sample"] is True),
+        files={"samples.csv": SMALL_SAMPLES}),
+    "measure-rerun": Case("measure --in samples.csv --resamples 100 --seed 5", stderr=SMALL_WARNING,
+                          stdout=strict_json(), files={"samples.csv": SMALL_SAMPLES}, rerun=True),
+    # coin
+    "coin-report/json": Case("coin --p-tail 0.5 --accuracy 0.9 --q-tail 0.4", stdout=strict_json()),
+    "coin-report/csv-weak": Case(
+        "coin --p-tail 0.3 --accuracy 0.8 --q-tail 0.45 --info-set weak --format csv",
+        stdout=csv_fields(2)),
+    # H(q) falls below H(X) here by rounding only.
+    "eff-q-is-eff": Case(
+        "coin --p-tail 1e-06 --accuracy 0.9 --q-tail 1e-06",
+        stdout=strict_json(lambda r: r["mispricing_gap"] == 0.0 and r["eff_q"] == r["eff"])),
+    "coin-domain": fails("coin --p-tail 1.5 --accuracy 0.5 --q-tail 0.5", 3,
+                         "DomainViolation: p_tail must be in [0, 1], got 1.5"),
+    "coin-domain-2": fails("coin --p-tail 2 --accuracy 0.5 --q-tail 0.4", 3,
+                           "DomainViolation: p_tail must be in [0, 1], got 2.0"),
+    "empty-info-set": fails(f"{COIN} --info-set ''", 3,
+                            "DomainViolation: info-set label must be non-empty"),
+    "csv-syntax-info-set": fails(
+        f"{COIN} --format csv --info-set 'a,b\nx,1'", 3,
+        "DomainViolation: info-set label must not contain a comma, a double quote, CR or LF, "
+        "got 'a,b\\nx,1'"),
+    # A byte of argv that is not UTF-8 arrives as a lone surrogate; stdout
+    # must refuse it as --out does, not pass the raw byte through.
+    "unencodable-out": fails(
+        f"{COIN} --format csv --info-set \udcff --out r.csv", 3,
+        "DomainViolation: info-set label must be valid UTF-8 text, got '\\udcff'",
+        after={"r.csv": None}),
+    **{f"unencodable-stdout/{name}": fails(
+        f"{COIN} --format {fmt} --info-set {label}", 3,
+        f"DomainViolation: info-set label must be valid UTF-8 text, got {label!r}")
+       for name, fmt, label in [("csv", "csv", "x\udcff"), ("json", "json", "x\udcff"),
+                                ("csv-lone-byte", "csv", "\udcff")]},
+    # simulate
+    "simulate-json": Case("simulate --accuracy 0.9 --rounds 1000", stdout=strict_json()),
+    "simulate-rerun": Case("simulate --accuracy 0.8 --rounds 20000 --seed 5 --runs 3",
+                           stdout=strict_json(), rerun=True),
+    "simulate-rerun-short": Case("simulate --accuracy 0.9 --rounds 1000 --seed 5",
+                                 stdout=strict_json(), rerun=True),
+    "multiple-runs-trajectory": fails(
+        "simulate --accuracy 0.9 --rounds 100 --runs 2 --trajectory-out t.csv", 3,
+        "DomainViolation: --trajectory-out requires --runs 1", after={"t.csv": None}),
+    **{f"runs-below-one/{runs}": fails(f"simulate --accuracy 0.9 --rounds 100 --runs {runs}", 3,
+                                       f"DomainViolation: --runs must be >= 1, got {runs}")
+       for runs in ("0", "-2")},
+    **{f"trajectory-points/{points}": fails(
+        f"simulate --accuracy 0.9 --rounds 100 --trajectory-out t.csv --trajectory-points {points}",
+        3, f"DomainViolation: --trajectory-points must be >= 1, got {points}",
+        after={"t.csv": None})
+       for points in ("0", "-1")},
+    # figures
+    "figures-rerun": Case("figures --which all --out-dir figs",
+                          stdout="".join(f"figs/{name}\n" for name in FIGS).encode(), rerun=True),
+    "figures-svg": Case("figures --which all --format svg --out-dir figs",
+                        stdout=b"".join(f"figs/fig{n}.{ext}\n".encode()
+                                        for n in (1, 2, 3, 4) for ext in ("csv", "svg"))),
+    **{f"open-domain/{fmt}": fails(
+        f"figures --points 2 --format {fmt} --out-dir figs", 3,
+        "DomainViolation: eff_vs_q grid needs at least 3 points, got 2",
+        files={"figs": []}, after={"figs": []})
+       for fmt in ("csv", "svg")},
+    # 3 points leave one inside the open domain of figures 3 and 4.
+    "svg-below-two": fails("figures --points 3 --format svg --out-dir figs", 3,
+                           "ValueError: line_chart needs at least 2 points, got 1",
+                           files={"figs": []}, after={"figs": []}),
+    # The output stage: a failed run leaves no file that it created.
+    "failed-out-trajectory": fails(
+        "simulate --accuracy 0.9 --rounds 100 --trajectory-out t.csv --out nodir/x.json", 4,
+        "FileNotFoundError: [Errno 2] No such file or directory: 'nodir/x.json'",
+        after={"t.csv": None}),
+    # `keep.csv/` names the file `keep.csv`: the run overwrites it, as a
+    # successful run would, and a later failure does not take it away.
+    "trailing-slash": fails(
+        "simulate --accuracy 0.9 --rounds 100 --trajectory-points 2 --trajectory-out keep.csv/ "
+        "--out nodir/x.json", 4,
+        "FileNotFoundError: [Errno 2] No such file or directory: 'nodir/x.json'", files=KEEP,
+        after={"keep.csv": "round,log2_wealth\n1,0.8479969065549501\n100,56.2703656425141\n"}),
+    # A destination whose open fails was not created by the run, so there is
+    # nothing to unlink and the failure stays one line.
+    **{f"unopenable-out/{name}": fails(f"{COIN} --out {shlex.quote(out)}", 4, message, files=KEEP,
+                                       after={".": ["keep.csv"], "keep.csv": "keep\n"})
+       for name, out, message in [
+           ("empty", "", "IsADirectoryError: [Errno 21] Is a directory: '.'"),
+           ("beneath_a_file", "keep.csv/x",
+            "NotADirectoryError: [Errno 20] Not a directory: 'keep.csv/x'"),
+           ("name_too_long", "a" * 300, f"OSError: [Errno 36] File name too long: '{'a' * 300}'"),
+       ]},
+    # A regular file or a dangling symlink that existed before the run is not
+    # the run's own: it keeps what the run wrote through it.
+    **{f"failed-write/{name}": fails(
+        "figures --points 5 --out-dir figs", 4,
+        "IsADirectoryError: [Errno 21] Is a directory: 'figs/fig3.csv'",
+        files={"figs/fig3.csv": [], **before},
+        after={"figs/fig3.csv": [], "figs/fig2.csv": None, "figs/fig1.csv": fig1,
+               "target.csv": target})
+       for name, before, fig1, target in [
+           ("absent", {}, None, None),
+           ("file", {"figs/fig1.csv": b"old\n"}, FIG1_5PT, None),
+           ("dangling_symlink", {"figs/fig1.csv": Symlink("../target.csv")},
+            Symlink("../target.csv"), FIG1_5PT),
+       ]},
+    # A strict stdout cannot print a path that holds a lone surrogate, so the
+    # run fails and takes its files back; a surrogateescape one prints the byte.
+    "undecodable-out-dir/strict": fails(
+        "figures --points 3 --out-dir \udcff", 3,
+        "UnicodeEncodeError: 'utf-8' codec can't encode character '\\udcff' in position 0: "
+        "surrogates not allowed",
+        env={"PYTHONIOENCODING": "utf-8:strict"}, after={"\udcff": []}),
+    "undecodable-out-dir/surrogateescape": Case(
+        "figures --points 3 --out-dir \udcff",
+        stdout=b"".join(b"\xff/" + name.encode() + b"\n" for name in FIGS),
+        env={"PYTHONIOENCODING": "utf-8:surrogateescape"}, after={"\udcff": FIGS}),
+}
+
+
+def check_path(path: Path, expected) -> None:
+    if expected is None:
+        assert not os.path.lexists(path), path
+    elif isinstance(expected, Symlink):
+        assert os.readlink(path) == expected.target, path
+    elif isinstance(expected, list):
+        assert sorted(p.name for p in path.iterdir()) == sorted(expected), path
+    else:
+        assert path.read_text(encoding="utf-8") == expected, path
+
+
+def run_case(case: Case, transport, tmp: Path) -> None:
+    """Run `case` through `transport` in a fresh directory under `tmp` and check it."""
+    runs = []
+    for cwd in [tmp / "run1", tmp / "run2"][: 1 + case.rerun]:
+        cwd.mkdir(parents=True)
+        for name, data in case.files.items():
+            path = cwd / name
+            path.parent.mkdir(parents=True, exist_ok=True)
+            if isinstance(data, Symlink):
+                path.symlink_to(data.target)
+            elif isinstance(data, list):
+                path.mkdir()
+            else:
+                path.write_bytes(data)
+        code, out, err = transport(shlex.split(case.argv), case.env, cwd)
+        tree = {p.relative_to(cwd): p.read_bytes() for p in sorted(cwd.rglob("*")) if p.is_file()}
+        runs.append((code, out, err, tree))
+    assert all(run == runs[0] for run in runs), "two runs differ"
+    code, out, err, _ = runs[0]
+    assert (code, err) == (case.code, case.stderr)
+    if code != 0:
+        assert code in {exit_code for _, exit_code in cli.EXIT_CODES}
+        assert err.startswith("error: ") and err.count("\n") == 1 and err.endswith("\n")
+    if isinstance(case.stdout, bytes):
+        assert out == case.stdout
+    else:
+        case.stdout(out)
+    for name, expected in case.after.items():
+        check_path(tmp / "run1" / name, expected)
+
+
+def main_transport(capsys, monkeypatch):
+    """The in-process transport: `cli.main`, printing to a UTF-8 stdout.
+
+    That stdout's error handler is the one PYTHONIOENCODING names in the
+    case's environment, strict by default, as under pytest's capsys.
+    """
+
+    def transport(argv, env, cwd):
+        encoding, _, errors = env.get("PYTHONIOENCODING", "utf-8:strict").partition(":")
+        stdout = io.TextIOWrapper(io.BytesIO(), encoding=encoding, errors=errors)
+        with monkeypatch.context() as patch:
+            patch.chdir(cwd)
+            patch.setattr(sys, "stdout", stdout)
+            code = cli.main(argv)
+        stdout.flush()
+        return code, stdout.buffer.getvalue(), capsys.readouterr().err
+
+    return transport
+
+
+def in_process(*ids: str):
+    """A test method that runs the cases `ids` through `cli.main`, in order.
+
+    One id ending in '/' names a group: the test is then parametrized over
+    the group's cases, with the rest of each id as its pytest id. The ids
+    are kept on the method as `case_ids`.
+    """
+    if len(ids) == 1 and ids[0].endswith("/"):
+        group = [case_id for case_id in CASES if case_id.startswith(ids[0])]
+
+        @pytest.mark.parametrize("case_id", group, ids=[i[len(ids[0]):] for i in group])
+        def test(self, case_id, tmp_path, capsys, monkeypatch):
+            run_case(CASES[case_id], main_transport(capsys, monkeypatch), tmp_path)
+
+        test.case_ids = group
+    else:
+
+        def test(self, tmp_path, capsys, monkeypatch):
+            for n, case_id in enumerate(ids):
+                run_case(CASES[case_id], main_transport(capsys, monkeypatch), tmp_path / str(n))
+
+        test.case_ids = list(ids)
+    assert test.case_ids and set(test.case_ids) <= CASES.keys(), ids
+    return test
+
+
+def console(argv, env, cwd):
+    proc = subprocess.run([SCRIPT, *argv], cwd=cwd, env={**os.environ, **env},
+                          capture_output=True, check=False)
+    return proc.returncode, proc.stdout, proc.stderr.decode("utf-8")
+
+
+@pytest.mark.skipif(SCRIPT is None, reason="the infoeff console script is not on PATH")
+@pytest.mark.parametrize("case_id", CASES)
+def test_console(case_id, tmp_path):
+    run_case(CASES[case_id], console, tmp_path)
+
+
+def test_console_step_runs_this_module():
+    # CI holds no shell copy of the cases: a new contract check has one place
+    # to go, the table above.
+    workflow = Path(__file__).resolve().parents[1] / ".github" / "workflows" / "tests.yml"
+    steps = workflow.read_text(encoding="utf-8").split("- name: Console script\n")
+    assert len(steps) == 2
+    body = steps[1].split("run: |\n", 1)[1].splitlines()
+    indent = body[0][: len(body[0]) - len(body[0].lstrip())]
+    run = [line.strip() for line in itertools.takewhile(lambda line: line.startswith(indent), body)]
+    assert run == ["command -v infoeff", "python -m pytest -q -rs tests/test_cli_cases.py"]

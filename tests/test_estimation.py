@@ -313,6 +313,14 @@ class TestEstimateEfficiency:
         finite = np.isfinite(effs) & np.isfinite(effs_q)
         assert np.all(effs_q[finite] <= effs[finite])
 
+    def test_single_outcome_resamples_are_undefined(self):
+        # At smoothing 0 a resample that draws one outcome only has H(X) = 0,
+        # though its marginal may sum to 1 - 2^-53: all 331 such resamples of
+        # these 7 records are NaN (71 of them read Eff 0.0 while H(X) was
+        # 1.6e-16), and the 90 zeros are resamples that draw both outcomes.
+        effs, _ = estimation._bootstrap(np.array([[1.0, 0, 0], [2, 3, 1]]), 7, 0.0, None, 1000, 3)
+        assert (np.isnan(effs).sum(), (effs == 0.0).sum()) == (331, 90)
+
     def test_percentile_ci_without_a_finite_resample_is_the_point(self):
         assert estimation._percentile_ci(np.full(100, np.nan), 0.75) == (0.75, 0.75)
 

@@ -29,6 +29,12 @@ class TestEntropy:
     def test_degenerate_is_zero(self):
         assert entropy(make_distribution(["h", "t"], [1.0, 0.0])) == 0.0
 
+    def test_one_point_support_is_exactly_zero(self):
+        # A marginal summed from one nonzero row can miss 1 by a rounding
+        # step; H = 0 follows from the support, while a tiny second mass counts.
+        assert entropy(make_distribution(["h", "t"], [0.0, 1 - 2**-53])) == 0.0
+        assert entropy(make_distribution(["h", "t"], [1e-15, 1 - 1e-15])) > 0.0
+
     def test_biased_matches_frozen_oracle(self):
         h = entropy(make_distribution(["h", "t"], [0.9, 0.1]))
         assert h == pytest.approx(oracles.FROZEN_HB_09, abs=1e-14)
