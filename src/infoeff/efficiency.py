@@ -18,8 +18,10 @@ from __future__ import annotations
 from collections.abc import Sequence
 from dataclasses import dataclass
 
+import numpy as np
+
 from .errors import DegenerateSystem, DomainViolation
-from .measures import clamp_nonneg, conditional_entropy, cross_entropy, entropy
+from .measures import _conditional_entropies, _entropies, _neg_sum_plog2q, _quotes, clamp_nonneg
 from .probability import Distribution, JointSystem, marginal_outcome
 
 # Information-set labels. Metadata only: the math depends solely on the
@@ -74,28 +76,32 @@ class EfficiencyReport:
         return {k: v for k, v in vars(self).items() if v is not None}
 
 
-def _fields(h_x: float, h_xy: float, h_q: float | None = None) -> dict:
-    """Every gap and ratio of a report, from its entropies in bits.
+def _fields(joints: np.ndarray, q: np.ndarray | None = None) -> list[dict]:
+    """Every entropy, gap and ratio of the report on each joint of a stack (T, X, Y).
 
+    The one scorer, of both reports and of every bootstrap resample.
     A gap within 1e-12 bits below 0 is rounding and clamps to 0 (further
     below is NumericalInconsistency); each ratio follows its clamped gap.
     Eff is None when H(X) = 0, 1.0 when H(X) - H(X|Y) clamps, else
-    H(X|Y)/H(X). Given `h_q`, Eff_q is Eff when the mispricing gap
-    H(q) - H(X) clamps (fair quotes: Eff_q never exceeds Eff), 1.0 when
-    H(q) - H(X|Y) clamps, else H(X|Y)/H(q).
+    H(X|Y)/H(X). Given checked quote probabilities `q`, Eff_q is Eff when
+    the mispricing gap H(q) - H(X) clamps (fair quotes: Eff_q never exceeds
+    Eff), 1.0 when H(q) - H(X|Y) clamps, else H(X|Y)/H(q).
     """
-    gap = clamp_nonneg(h_x - h_xy, "H(X) - H(X|Y)")
-    eff = None if h_x == 0.0 else 1.0 if gap == 0.0 else h_xy / h_x
-    fields = dict(eff=eff, h_x=h_x, h_x_given_y=h_xy, g_max=gap, predictability_gap=gap)
-    if h_q is not None:
-        mispricing_gap = clamp_nonneg(h_q - h_x, "H(q) - H(X)")
-        g_max_q = clamp_nonneg(h_q - h_xy, "H(q) - H(X|Y)")
-        if mispricing_gap == 0.0:
-            eff_q = eff
-        else:
-            eff_q = 1.0 if g_max_q == 0.0 else h_xy / h_q
-        fields.update(h_q=h_q, eff_q=eff_q, g_max_q=g_max_q, mispricing_gap=mispricing_gap)
-    return fields
+    p_x = np.add.reduce(joints, axis=-1)
+    h_xs, h_xys = _entropies(p_x).tolist(), _conditional_entropies(joints).tolist()
+    h_qs = [None] * len(h_xs) if q is None else _neg_sum_plog2q(p_x, q).tolist()
+    reports = []
+    for h_x, h_xy, h_q in zip(h_xs, h_xys, h_qs):
+        gap = clamp_nonneg(h_x - h_xy, "H(X) - H(X|Y)")
+        eff = None if h_x == 0.0 else 1.0 if gap == 0.0 else h_xy / h_x
+        fields = dict(eff=eff, h_x=h_x, h_x_given_y=h_xy, g_max=gap, predictability_gap=gap)
+        if h_q is not None:
+            mispricing_gap = clamp_nonneg(h_q - h_x, "H(q) - H(X)")
+            g_max_q = clamp_nonneg(h_q - h_xy, "H(q) - H(X|Y)")
+            eff_q = eff if mispricing_gap == 0.0 else 1.0 if g_max_q == 0.0 else h_xy / h_q
+            fields.update(h_q=h_q, eff_q=eff_q, g_max_q=g_max_q, mispricing_gap=mispricing_gap)
+        reports.append(fields)
+    return reports
 
 
 def efficiency(joint: JointSystem, info_set: str = STRONG) -> EfficiencyReport:
@@ -104,7 +110,7 @@ def efficiency(joint: JointSystem, info_set: str = STRONG) -> EfficiencyReport:
     Raises DegenerateSystem when H(X) = 0: the ratio is 0/0 and the measure
     is undefined there; we refuse rather than define it.
     """
-    fields = _fields(entropy(marginal_outcome(joint)), conditional_entropy(joint))
+    fields = _fields(joint.joint[None])[0]
     if fields["h_x"] == 0.0:
         raise DegenerateSystem("H(X) = 0: efficiency is 0/0 and undefined")
     return EfficiencyReport(**fields, info_set=info_set)
@@ -122,9 +128,7 @@ def efficiency_with_quotes(
     Requires q(x) > 0 wherever p(x) > 0. Raises DegenerateSystem only when
     H(q) = 0, which forces q = p degenerate and Eff_q = 0/0.
     """
-    p_x = marginal_outcome(joint)
-    h_q = cross_entropy(p_x, quotes)
-    if h_q == 0.0:
+    fields = _fields(joint.joint[None], _quotes(quotes, marginal_outcome(joint)).probs)[0]
+    if fields["h_q"] == 0.0:
         raise DegenerateSystem("H(q) = 0: quote efficiency is 0/0 and undefined")
-    fields = _fields(entropy(p_x), conditional_entropy(joint), h_q)
     return EfficiencyReport(**fields, info_set=info_set)

@@ -20,8 +20,9 @@ bootstrap statistic depends on the records only through the contingency
 table, so the two are distributionally identical. One RNG stream, seeded
 by `seed`, draws the resamples in order, a block per `multinomial` call; a
 sized call draws its rows in sequence, so no resample depends on the block.
-Each resample's Eff and Eff_q come from the reports' own gap and ratio
-rules: exactly what `efficiency_with_quotes` reads on its smoothed table.
+One function, `efficiency._fields`, scores every report and every
+resample, so each resample's Eff and Eff_q are what `efficiency_with_quotes`
+reads on its smoothed table, bit for bit, by construction.
 
 Both input files share one line grammar: a mandatory header line
 (``signal,outcome`` for samples, ``label,q`` for the quote sidecar), then
@@ -55,7 +56,7 @@ from .errors import (
     ParseError,
     ResamplesBelowMinimum,
 )
-from .measures import _conditional_entropies, _entropies, _neg_sum_plog2q, _quotes
+from .measures import _quotes
 from .probability import Distribution, JointSystem, _labeled_array, marginal_outcome
 
 MIN_RESAMPLES = 100
@@ -281,7 +282,7 @@ def estimate_joint(samples: SampleSet, smoothing: float = DEFAULT_SMOOTHING) -> 
 def _bootstrap(
     counts: np.ndarray, n: int, smoothing: float, q: np.ndarray | None, resamples: int, seed: int
 ) -> tuple[np.ndarray, np.ndarray | None]:
-    """Eff (and Eff_q) of each resample under the report rules (_fields); NaN where 0/0."""
+    """Eff (and Eff_q) of each resample, scored by the reports' own _fields; NaN where 0/0."""
     p_flat = (counts / n).reshape(-1)
     per_block = max(1, BLOCK_CELLS // counts.size)
     ratios = np.empty((resamples, 2))  # eff, eff_q per resample; None is stored as NaN
@@ -290,12 +291,7 @@ def _bootstrap(
         block = slice(start, min(start + per_block, resamples))
         draws = rng.multinomial(n, p_flat, size=block.stop - block.start)
         joints = _smoothed_joint(draws.reshape(-1, *counts.shape).astype(float), n, smoothing)
-        p_x = np.sum(joints, axis=-1)
-        entropies = [_entropies(p_x), _conditional_entropies(joints)]
-        if q is not None:
-            entropies.append(_neg_sum_plog2q(p_x, np.broadcast_to(q, p_x.shape)))
-        fields = map(_fields, *(h.tolist() for h in entropies))
-        ratios[block] = [(f["eff"], f.get("eff_q")) for f in fields]
+        ratios[block] = [(f["eff"], f.get("eff_q")) for f in _fields(joints, q)]
     return ratios[:, 0], ratios[:, 1] if q is not None else None
 
 

@@ -38,7 +38,7 @@ def _neg_sum_plog2q(p: np.ndarray, q: np.ndarray) -> np.ndarray:
     """-sum p * log2 q over the last axis, with 0 * log2 q = 0.
 
     The one entropy kernel: H(p) is (p, p), the cross-entropy H(q) is
-    (p, q). p and q have the same shape; leading axes are a batch.
+    (p, q). q broadcasts against p; leading axes are a batch.
     """
     mask = p > 0.0
     # Cells with p <= 0 (including -0.0) are never written and stay +0.0.
@@ -48,13 +48,14 @@ def _neg_sum_plog2q(p: np.ndarray, q: np.ndarray) -> np.ndarray:
 
 
 def _entropies(p: np.ndarray) -> np.ndarray:
-    """H(p) of each vector along the last axis: exactly 0 on a one-point support.
+    """H(p) of each vector along the last axis: exactly +0.0 on a one-point support.
 
     A marginal summed from one nonzero row can miss 1 by a rounding step
     (0.9999999999999999, whose -p log2 p is 1.6e-16), so H = 0 is decided
     from the support, not by a tolerance: multiplying by False zeroes it.
+    Adding +0.0 turns the kernel's -0.0 (a negated sum of zeros) into +0.0.
     """
-    return _neg_sum_plog2q(p, p) * (np.add.reduce(p > 0.0, axis=-1) != 1)
+    return _neg_sum_plog2q(p, p) * (np.add.reduce(p > 0.0, axis=-1) != 1) + 0.0
 
 
 def _conditional_entropies(joint: np.ndarray) -> np.ndarray:
@@ -120,6 +121,7 @@ def cross_entropy(p: Distribution, q: Distribution | Sequence[float]) -> float:
     """H(q) = -sum_x p(x) log2 q(x), in bits.
 
     q is a Distribution or raw values under the one quote rule (_quotes);
-    q(x) = 0 where p(x) > 0 makes it infinite (UnsupportedOutcome).
+    q(x) = 0 where p(x) > 0 makes it infinite (UnsupportedOutcome). A
+    zero is +0.0, never -0.0.
     """
-    return float(_neg_sum_plog2q(p.probs, _quotes(q, p).probs))
+    return float(_neg_sum_plog2q(p.probs, _quotes(q, p).probs) + 0.0)

@@ -127,6 +127,7 @@ class TestMeasure:
 class TestCoin:
     test_fair_quotes_eff_q_is_eff = in_process("eff-q-is-eff")
     test_report_parses = in_process("coin-report/")
+    test_point_mass_prints_no_signed_zero = in_process("coin-point-mass")
     test_domain_violation_exit_3 = in_process("coin-domain", "coin-domain-2")
     test_empty_info_set_exit_3 = in_process("empty-info-set")
     test_csv_syntax_in_info_set_exit_3 = in_process("csv-syntax-info-set")

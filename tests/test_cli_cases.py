@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import csv
 import io
-import itertools
 import json
 import os
 import shlex
@@ -267,6 +266,13 @@ CASES = {
     "eff-q-is-eff": Case(
         "coin --p-tail 1e-06 --accuracy 0.9 --q-tail 1e-06",
         stdout=strict_json(lambda r: r["mispricing_gap"] == 0.0 and r["eff_q"] == r["eff"])),
+    # H(X) = 0 at a point mass: every entropy and gap there reads 0.0, not -0.0.
+    "coin-point-mass": Case("coin --p-tail 1.0 --accuracy 1.0 --q-tail 0.5", stdout=lines(
+        "{", '  "p_tail": 1.0,', '  "accuracy": 1.0,', '  "q_tail": 0.5,', '  "eff_q": 0.0,',
+        '  "h_x": 0.0,', '  "h_x_given_y": 0.0,', '  "h_q": 1.0,', '  "g_max": 0.0,',
+        '  "g_max_q": 1.0,', '  "predictability_gap": 0.0,', '  "mispricing_gap": 1.0,',
+        '  "info_set": "strong",', '  "closed_form_h_x": 0.0,', '  "delta_h_x": 0.0,',
+        '  "consistency_delta": 0.0', "}")),
     "coin-domain": fails("coin --p-tail 1.5 --accuracy 0.5 --q-tail 0.5", 3,
                          "DomainViolation: p_tail must be in [0, 1], got 1.5"),
     "coin-domain-2": fails("coin --p-tail 2 --accuracy 0.5 --q-tail 0.4", 3,
@@ -471,12 +477,18 @@ def test_console(case_id, tmp_path):
 
 
 def test_console_step_runs_this_module():
-    # CI holds no shell copy of the cases: a new contract check has one place
-    # to go, the table above.
+    # Tier-1 runs this module, and with it `test_console` through the script
+    # that `pip install -e` puts on PATH. The step before it only checks that
+    # the script is there, so a missing script fails the job, and CI holds no
+    # second run and no shell copy of the cases.
     workflow = Path(__file__).resolve().parents[1] / ".github" / "workflows" / "tests.yml"
-    steps = workflow.read_text(encoding="utf-8").split("- name: Console script\n")
-    assert len(steps) == 2
-    body = steps[1].split("run: |\n", 1)[1].splitlines()
-    indent = body[0][: len(body[0]) - len(body[0].lstrip())]
-    run = [line.strip() for line in itertools.takewhile(lambda line: line.startswith(indent), body)]
-    assert run == ["command -v infoeff", "python -m pytest -q -rs tests/test_cli_cases.py"]
+    text = workflow.read_text(encoding="utf-8")
+    commands = [line.split("run:", 1)[1].strip() for line in text.splitlines() if "run:" in line]
+    assert all(command and command[0] not in "|>" for command in commands)  # one line each
+    tier1 = text.split("\n  tier1:\n", 1)[1].split("\n  perfbench-selftest:\n", 1)[0]
+    assert tier1.count("run:") == 3 and commands[:3] == [
+        'pip install -e ".[test]"',
+        "command -v infoeff",
+        "PYTHONPATH=src${PYTHONPATH:+:$PYTHONPATH} python -m pytest -q --continue-on-collection-errors",
+    ]
+    assert [c for c in commands if "infoeff" in c or "test_cli_cases" in c] == ["command -v infoeff"]

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -27,7 +29,9 @@ class TestEntropy:
         assert entropy(make_distribution(["h", "t"], [0.5, 0.5])) == 1.0
 
     def test_degenerate_is_zero(self):
-        assert entropy(make_distribution(["h", "t"], [1.0, 0.0])) == 0.0
+        # +0.0: the kernel negates a sum of zeros, which must not read -0.0.
+        h = entropy(make_distribution(["h", "t"], [1.0, 0.0]))
+        assert h == 0.0 and math.copysign(1.0, h) == 1.0
 
     def test_one_point_support_is_exactly_zero(self):
         # A marginal summed from one nonzero row can miss 1 by a rounding
@@ -114,6 +118,10 @@ class TestCrossEntropy:
         assert value == pytest.approx(
             oracles.cross_entropy([0.5, 0.5], [0.05, 0.95]), abs=1e-14
         )
+
+    def test_point_mass_is_positive_zero(self):
+        p = make_distribution(["h", "t"], [1.0, 0.0])
+        assert math.copysign(1.0, cross_entropy(p, [1.0, 0.0])) == 1.0
 
     def test_unsupported_outcome(self):
         p = make_distribution(["h", "t"], [1.0, 0.0])
