@@ -18,14 +18,7 @@ from .coin import (
     coin_joint,
     sweep,
 )
-from .efficiency import (
-    SEMI_STRONG,
-    STRONG,
-    WEAK,
-    EfficiencyReport,
-    efficiency,
-    efficiency_with_quotes,
-)
+from .efficiency import EfficiencyReport, efficiency, efficiency_with_quotes
 from .errors import (
     AllZero,
     DegenerateSystem,
@@ -103,14 +96,11 @@ __all__ = [
     "ParseError",
     "QuoteSumNotOne",
     "ResamplesBelowMinimum",
-    "SEMI_STRONG",
-    "STRONG",
     "SampleSet",
     "SimulationResult",
     "SumNotOne",
     "UnsupportedAlphabet",
     "UnsupportedOutcome",
-    "WEAK",
     "ZeroProbabilitySignal",
     "bayes_posterior",
     "closed_form_efficiency_fair",

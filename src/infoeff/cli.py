@@ -29,7 +29,7 @@ import warnings
 from pathlib import Path
 
 from . import coin as coin_mod
-from .efficiency import STRONG, efficiency_with_quotes
+from .efficiency import efficiency_with_quotes
 from .errors import (
     DomainViolation,
     EmptyInput,
@@ -58,6 +58,7 @@ EXIT_CODES = (
     (Exception, 1),
 )
 
+_INFO_SET_HELP = "label echoed as info_set, changing no number: weak, semi_strong, strong or custom"
 FIGURES = {
     1: ("eff_vs_accuracy", "signal accuracy p(y|x)", "efficiency Eff(X|Y)"),
     2: ("entropy_vs_ptail", "p(x='t')", "entropy H(X) [bits]"),
@@ -82,6 +83,25 @@ def _render_flat(report: dict, fmt: str) -> str:
     return "{\n  " + inner[1:-1] + "\n}\n"
 
 
+def _info_set(label: str) -> str:
+    """The --info-set label, checked before a report echoes it as `info_set`.
+
+    A comma, a double quote, CR or LF would forge cells in a CSV report, and
+    a lone surrogate (an argv byte that is not UTF-8) fails on any destination.
+    """
+    if label == "":
+        raise DomainViolation("info-set label must be non-empty")
+    if any(c in label for c in ',"\r\n'):
+        raise DomainViolation(
+            f"info-set label must not contain a comma, a double quote, CR or LF, got {label!r}"
+        )
+    try:
+        label.encode("utf-8")
+    except UnicodeEncodeError:
+        raise DomainViolation(f"info-set label must be valid UTF-8 text, got {label!r}") from None
+    return label
+
+
 def cmd_measure(args: argparse.Namespace) -> dict:
     # Skip a leading BOM; keep each byte that is not UTF-8 for the parser to report.
     with open(args.input_path, encoding="utf-8-sig", errors="surrogateescape") as handle:
@@ -98,21 +118,21 @@ def cmd_measure(args: argparse.Namespace) -> dict:
             quotes=quotes,
             resamples=args.resamples,
             seed=args.seed,
-            info_set=args.info_set,
         )
+    # The label is checked before any warning is written: a failing run prints one line.
+    flat = {**report.point.as_dict(), "info_set": _info_set(args.info_set)}
+    flat.update((k, v) for k, v in vars(report).items() if k != "point" and v is not None)
     for warning in caught:  # one line each, without the source location
         sys.stderr.write(f"warning: {warning.message}\n")
-    flat = report.point.as_dict()
-    flat.update((k, v) for k, v in vars(report).items() if k != "point" and v is not None)
     return {args.out: _render_flat(flat, args.format)}
 
 
 def cmd_coin(args: argparse.Namespace) -> dict:
     params = coin_mod.CoinGameParams(args.p_tail, args.accuracy, args.q_tail)
     joint, quotes = coin_mod.coin_joint(params)
-    report = efficiency_with_quotes(joint, quotes, args.info_set)
+    report = efficiency_with_quotes(joint, quotes)
     flat = {"p_tail": params.p_tail, "accuracy": params.accuracy, "q_tail": params.q_tail}
-    flat.update(report.as_dict())
+    flat.update(report.as_dict(), info_set=_info_set(args.info_set))
 
     # Closed forms exist on specific parameter slices; compare wherever one
     # applies and surface the largest disagreement.
@@ -223,7 +243,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--smoothing", type=float, default=DEFAULT_SMOOTHING)
     p.add_argument("--resamples", type=int, default=DEFAULT_RESAMPLES)
     p.add_argument("--seed", type=int, default=DEFAULT_SEED)
-    p.add_argument("--info-set", dest="info_set", default=STRONG)
+    p.add_argument("--info-set", dest="info_set", default="strong", help=_INFO_SET_HELP)
     p.add_argument("--format", choices=["json", "csv"], default="json")
     p.add_argument("--out")
 
@@ -231,7 +251,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--p-tail", dest="p_tail", type=float, required=True)
     p.add_argument("--accuracy", type=float, required=True)
     p.add_argument("--q-tail", dest="q_tail", type=float, required=True)
-    p.add_argument("--info-set", dest="info_set", default=STRONG)
+    p.add_argument("--info-set", dest="info_set", default="strong", help=_INFO_SET_HELP)
     p.add_argument("--format", choices=["json", "csv"], default="json")
     p.add_argument("--out")
 

@@ -47,7 +47,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .efficiency import STRONG, EfficiencyReport, _fields, efficiency, efficiency_with_quotes
+from .efficiency import EfficiencyReport, _fields, _report
 from .errors import (
     DegenerateSystem,
     DomainViolation,
@@ -291,7 +291,7 @@ def _bootstrap(
         block = slice(start, min(start + per_block, resamples))
         draws = rng.multinomial(n, p_flat, size=block.stop - block.start)
         joints = _smoothed_joint(draws.reshape(-1, *counts.shape).astype(float), n, smoothing)
-        ratios[block] = [(f["eff"], f.get("eff_q")) for f in _fields(joints, q)]
+        ratios[block] = [(f["eff"], f["eff_q"]) for f in _fields(joints, q)]
     return ratios[:, 0], ratios[:, 1] if q is not None else None
 
 
@@ -312,15 +312,14 @@ def estimate_efficiency(
     quotes: Distribution | Sequence[float] | None = None,
     resamples: int = DEFAULT_RESAMPLES,
     seed: int = 0,
-    info_set: str = STRONG,
 ) -> EstimateReport:
     """Point efficiency estimate with a seeded 95% percentile-bootstrap CI.
 
     `quotes` (a Distribution or raw values, as for efficiency_with_quotes)
-    switches on the quote-efficiency fields; they are checked against the
-    estimated outcome marginal. Raises
-    DegenerateSystem when the estimated outcome marginal has zero entropy,
-    and ResamplesBelowMinimum when `resamples` < 100.
+    switches on the quote-efficiency fields; they are checked once, against
+    the estimated outcome marginal. Raises DegenerateSystem when the
+    estimated outcome marginal has zero entropy, and ResamplesBelowMinimum
+    when `resamples` < 100.
     """
     if resamples < MIN_RESAMPLES:
         raise ResamplesBelowMinimum(
@@ -330,13 +329,10 @@ def estimate_efficiency(
         raise DomainViolation("seed must be nonnegative")
 
     joint = estimate_joint(samples, smoothing)
-    if quotes is None:
-        point, q = efficiency(joint, info_set), None
-    else:
-        quotes = _quotes(quotes, marginal_outcome(joint))
-        point, q = efficiency_with_quotes(joint, quotes, info_set), quotes.probs
-        if point.eff is None:
-            raise DegenerateSystem("estimated outcome marginal has zero entropy")
+    q = None if quotes is None else _quotes(quotes, marginal_outcome(joint)).probs
+    point = _report(joint, q)
+    if point.eff is None:
+        raise DegenerateSystem("estimated outcome marginal has zero entropy")
 
     n = len(samples)
     counts = samples.counts()

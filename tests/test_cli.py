@@ -57,6 +57,12 @@ class TestMeasure:
     )
     test_first_bad_line_reported_undecodable_or_not = in_process("first-bad-line/")
     test_small_sample_warning_is_one_line = in_process("small-sample")
+    test_empty_info_set_exit_3 = in_process("measure-empty-info-set")
+    test_csv_syntax_in_info_set_exit_3 = in_process("measure-csv-syntax-info-set/")
+    test_unencodable_info_set_on_stdout_exit_3 = in_process("measure-unencodable-info-set/")
+    test_bad_info_set_on_a_small_sample_writes_no_warning = in_process(
+        "small-sample-empty-info-set"
+    )
     test_byte_identical_reruns = in_process("measure-rerun")
     test_non_finite_smoothing_exit_3 = in_process("non-finite-smoothing/")
     test_smoothing_that_overflows_exit_3 = in_process("smoothing-overflow")
@@ -129,6 +135,8 @@ class TestCoin:
     test_report_parses = in_process("coin-report/")
     test_point_mass_prints_no_signed_zero = in_process("coin-point-mass")
     test_domain_violation_exit_3 = in_process("coin-domain", "coin-domain-2")
+    test_non_ascii_info_set_is_echoed = in_process("non-ascii-info-set")
+    test_custom_info_set_moves_only_its_own_value = in_process("custom-info-set")
     test_empty_info_set_exit_3 = in_process("empty-info-set")
     test_csv_syntax_in_info_set_exit_3 = in_process("csv-syntax-info-set")
     test_unencodable_report_leaves_no_out_file = in_process("unencodable-out")

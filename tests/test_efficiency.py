@@ -1,13 +1,14 @@
+from dataclasses import fields
+
 import numpy as np
 import pytest
 
 import oracles
 from infoeff import (
-    STRONG,
     Channel,
     DegenerateSystem,
     Distribution,
-    DomainViolation,
+    EfficiencyReport,
     JointSystem,
     LabelMismatch,
     QuoteSumNotOne,
@@ -18,6 +19,7 @@ from infoeff import (
     joint_from_prior_channel,
     normalize,
 )
+from infoeff.efficiency import _fields
 
 INDEPENDENT_FAIR = JointSystem(("h", "t"), ("h", "t"), [[0.25, 0.25], [0.25, 0.25]])
 IDENTITY_FAIR = JointSystem(("h", "t"), ("h", "t"), [[0.5, 0.0], [0.0, 0.5]])
@@ -29,7 +31,6 @@ class TestEfficiency:
         report = efficiency(INDEPENDENT_FAIR)
         assert report.eff == 1.0
         assert report.g_max == 0.0
-        assert report.info_set == STRONG
 
     def test_identity_channel_is_fully_inefficient(self):
         report = efficiency(IDENTITY_FAIR)
@@ -158,37 +159,11 @@ class TestEfficiencyWithQuotes:
         assert report.eff_q == report.eff
 
 
-class TestInfoSetLabel:
-    def test_empty_label_rejected(self):
-        with pytest.raises(DomainViolation, match="info-set"):
-            efficiency(ACCURACY_09, "")
-        with pytest.raises(DomainViolation, match="info-set"):
-            efficiency_with_quotes(ACCURACY_09, (0.5, 0.5), "")
-
-    @pytest.mark.parametrize("label", ["a,b\nx,1", 'say "hi"', "cr\r", "lf\n", ","])
-    def test_csv_syntax_in_label_rejected(self, label):
-        with pytest.raises(DomainViolation, match="info-set"):
-            efficiency(ACCURACY_09, label)
-        with pytest.raises(DomainViolation, match="info-set"):
-            efficiency_with_quotes(ACCURACY_09, (0.5, 0.5), label)
-
-    @pytest.mark.parametrize("label", ["\udcff", "weak\ud800", "\udfffx"], ids=["alone", "last", "first"])
-    def test_lone_surrogate_in_label_rejected(self, label):
-        message = f"info-set label must be valid UTF-8 text, got {label!r}"
-        with pytest.raises(DomainViolation) as err:
-            efficiency(ACCURACY_09, label)
-        assert str(err.value) == message
-        with pytest.raises(DomainViolation, match="UTF-8"):
-            efficiency_with_quotes(ACCURACY_09, (0.5, 0.5), label)
-
-    def test_non_ascii_label_accepted(self):
-        assert efficiency(ACCURACY_09, "stärk ✓").info_set == "stärk ✓"
-
-    def test_custom_label_is_metadata(self):
-        custom = efficiency_with_quotes(ACCURACY_09, (0.4, 0.6), "bogus")
-        assert custom.info_set == "bogus"
-        strong = efficiency_with_quotes(ACCURACY_09, (0.4, 0.6), STRONG)
-        assert {**custom.as_dict(), "info_set": STRONG} == strong.as_dict()
+class TestReportFields:
+    def test_report_holds_exactly_the_scored_fields_in_order(self):
+        scored = _fields(ACCURACY_09.joint[None], np.array([0.4, 0.6]))[0]
+        assert [field.name for field in fields(EfficiencyReport)] == list(scored)
+        assert all(isinstance(value, float) for value in scored.values())
 
 
 class TestRefinementMonotonicity:

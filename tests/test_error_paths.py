@@ -1,7 +1,8 @@
 """Library error paths that no CLI path reaches, with their exact messages.
 
-Also the public surface: the names exported, the errors among them, and the
-names README's Layout table promises.
+Also the public surface: the names exported, the errors among them, the
+names README's Layout table promises, and README's library quickstart, run
+as written.
 """
 
 import ast
@@ -76,6 +77,29 @@ def test_readme_layout_names_exist():
         missing += [f"{module.__name__}.{n}" for n in names if not hasattr(module, n)]
     assert len(rows) == 7
     assert missing == []
+
+
+def test_readme_quickstart_gives_its_commented_values(tmp_path, monkeypatch):
+    # Each statement runs in turn; an expression commented with a number must
+    # equal it, or lie within 0.005 of it where the number reads `~`.
+    readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    quickstart = readme.split("\n## Library quickstart\n", 1)[1].split("\n## ", 1)[0]
+    block = quickstart.split("```python\n", 1)[1].split("```", 1)[0]
+    rows = ["h,h"] * 45 + ["t,h"] * 5 + ["h,t"] * 5 + ["t,t"] * 45
+    (tmp_path / "samples.csv").write_text("signal,outcome\n" + "\n".join(rows) + "\n")
+    monkeypatch.chdir(tmp_path)
+    namespace, claims = {}, []
+    for node in ast.parse(block).body:
+        claim = re.search(r"#\s*(~?)(\d[\d.]*)", block.splitlines()[node.end_lineno - 1])
+        if isinstance(node, ast.Expr) and claim:
+            value = eval(compile(ast.Expression(node.value), "README.md", "eval"), namespace)
+            near, number = claim.groups()
+            expected = pytest.approx(float(number), abs=0.005) if near else float(number)
+            claims.append((value, expected))
+        else:
+            exec(compile(ast.Module([node], type_ignores=[]), "README.md", "exec"), namespace)
+    assert len(claims) == 3
+    assert [value for value, _ in claims] == [expected for _, expected in claims]
 
 
 def test_oracles_import_nothing_from_the_library():

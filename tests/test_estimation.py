@@ -1,3 +1,4 @@
+import importlib
 import io
 import random
 import re
@@ -330,6 +331,25 @@ class TestEstimateEfficiency:
         report = estimate_efficiency(samples, quotes=quotes, resamples=200, seed=5)
         assert report.point.eff_q == pytest.approx(oracles.FROZEN_EFFQ_005, abs=0.05)
         assert report.eff_q_ci_low <= report.point.eff_q <= report.eff_q_ci_high
+
+    def test_quotes_checked_once(self, monkeypatch):
+        # One quote check on one outcome marginal serves the point report and
+        # the bootstrap, through whichever module calls them.
+        calls = []
+
+        def counted(name, fn):
+            def wrapper(*args):
+                calls.append(name)
+                return fn(*args)
+
+            return wrapper
+
+        for module in (estimation, importlib.import_module("infoeff.efficiency")):
+            for name in ("marginal_outcome", "_quotes"):
+                monkeypatch.setattr(module, name, counted(name, getattr(module, name)))
+        samples = draw_records(FAIR_PRIOR, ACC_09, 200, seed=7)
+        estimate_efficiency(samples, quotes=[0.4, 0.6], resamples=100, seed=7)
+        assert calls == ["marginal_outcome", "_quotes"]
 
     def test_degenerate_marginal(self):
         samples = SampleSet([[2]], ("s",), ("h",))
