@@ -143,11 +143,10 @@ def simulate(
     # min(searchsorted(cum, u, "right"), n - 1), integer for integer.
     cell_edges = np.cumsum(market.joint.joint.T)[:-1]
     rng = np.random.default_rng((seed, run_index))
-    # The rounds of a whole-run linspace, not the chunk boundaries; none at <= 0 points.
+    # The rounds of a whole-run linspace, not the chunk boundaries; none at <= 0
+    # points. With points <= rounds the step is at least 1, so they strictly increase.
     points = max(0, min(trajectory_points, rounds))
-    picks = np.linspace(1, rounds, points).astype(int)  # nondecreasing, from 1
-    # Repeats dropped by hand: np.unique imports numpy.ma, +1.2 MB of peak RSS.
-    sample_rounds = picks[np.diff(picks, prepend=0) > 0]
+    sample_rounds = np.linspace(1, rounds, points).astype(int)
     samples = []
     taken = 0
     log2_final = 0.0

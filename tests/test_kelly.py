@@ -2,6 +2,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 import oracles
 from infoeff import kelly
@@ -251,6 +253,20 @@ class TestSimulate:
         assert rounds[-1] == 1000
         assert result.trajectory_sample[-1][1] == result.final_log2_wealth
 
+    @given(st.integers(1, 20000).flatmap(lambda rounds: st.tuples(
+        st.just(rounds), st.integers(1, rounds))))
+    @example((kelly.SIM_CHUNK_ROUNDS + 1, kelly.SIM_CHUNK_ROUNDS + 1))
+    @example((20000, 19999))
+    def test_trajectory_rounds_strictly_increase(self, rounds_points):
+        rounds, points = rounds_points
+        market = coin_market(0.5, 0.9, 0.4)
+        strat = kelly_strategy(market.prior, market.channel)
+        result = simulate(market, strat, rounds, seed=1, trajectory_points=points)
+        sampled = [r for r, _ in result.trajectory_sample]
+        assert len(sampled) == points
+        assert sampled[0] == 1 and sampled[-1] == (rounds if points > 1 else 1)
+        assert all(a < b for a, b in zip(sampled, sampled[1:]))
+
     @pytest.mark.parametrize("points", [0, -3])
     def test_no_trajectory_at_nonpositive_points(self, points):
         market = coin_market(0.5, 0.9, 0.4)
@@ -380,13 +396,15 @@ def draw_contract_cases():
         "reckless": (coin_market(0.05, 0.5, 0.5), reckless, 1000, 12, 0),
         "zero_prior": (zero_prior, kelly_strategy(zero_prior.prior, zero_prior.channel),
                        20011, 3, 1),
+        "one_round": (three_by_four, kelly_strategy(three_by_four.prior, three_by_four.channel),
+                      1, 13, 2),
     }
 
 
 class TestDrawContract:
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     @pytest.mark.parametrize("chunk", [1, 7, kelly.SIM_CHUNK_ROUNDS])
-    @pytest.mark.parametrize("name", ["3x4", "reckless", "zero_prior"])
+    @pytest.mark.parametrize("name", ["3x4", "reckless", "zero_prior", "one_round"])
     def test_matches_seeded_run_oracle(self, monkeypatch, name, chunk):
         market, strat, rounds, seed, run_index = draw_contract_cases()[name]
         monkeypatch.setattr(kelly, "SIM_CHUNK_ROUNDS", chunk)
@@ -419,6 +437,12 @@ class TestExpectedGrowth:
         market = coin_market(0.5, 0.5, 0.5)
         strat = Channel(("h", "t"), ("h", "t"), [[1.0, 0.0], [1.0, 0.0]])
         assert expected_log2_growth(market, strat) == float("-inf")
+
+    def test_zero_cells_under_zero_stakes_add_nothing(self):
+        # The sure coin's Kelly strategy stakes 0 exactly where the joint is 0.
+        market = coin_market(0.5, 1.0, 0.5)
+        strat = kelly_strategy(market.prior, market.channel)
+        assert expected_log2_growth(market, strat) == 1.0
 
     def test_kelly_attains_closed_form(self):
         rng = np.random.default_rng(37)
