@@ -120,6 +120,28 @@ def _log2_payout_matrix(market: MarketParams, strategy: Channel) -> np.ndarray:
     return log2_pay
 
 
+def _drawn(at_least: np.ndarray) -> np.ndarray:
+    """Rounds per cell, N_c, from tallies whose row k counts the rounds in cells >= k."""
+    counts = at_least.copy()
+    counts[:-1] -= at_least[1:]
+    return counts
+
+
+def _log2_wealth(at_least: np.ndarray, flat_pay: np.ndarray) -> np.ndarray:
+    """sum_c N_c * flat_pay[c] for each column of at-least tallies shaped (cells, m).
+
+    An undrawn cell adds nothing, even where its payout is -inf. Cells add
+    one by one from +0.0, so a trajectory sample and the final value round
+    alike.
+    """
+    counts = _drawn(at_least)
+    terms = np.multiply(counts, flat_pay[:, None], out=np.zeros(counts.shape), where=counts > 0)
+    total = 0.0
+    for term in terms:
+        total = total + term
+    return total
+
+
 def simulate(
     market: MarketParams,
     strategy: Channel,
@@ -131,16 +153,19 @@ def simulate(
     """Run one betting simulation and return the realized log2 growth.
 
     Each round draws one cell (x, y) of the market's joint from one uniform
-    variate, then adds log2(b(x|y) * alpha_x) to the log wealth. The result
-    does not depend on SIM_CHUNK_ROUNDS.
+    variate and multiplies wealth by b(x|y) * alpha_x. The log wealth is
+    sum_c N_c * log2(b * alpha)_c over the cells drawn, from integer
+    tallies, so the result does not depend on SIM_CHUNK_ROUNDS.
     """
     if rounds < 1:
         raise DomainViolation(f"rounds must be >= 1, got {rounds}")
     if seed < 0 or run_index < 0:
         raise DomainViolation("seed and run_index must be nonnegative")
     flat_pay = _log2_payout_matrix(market, strategy).ravel()
+    ruin = np.isneginf(flat_pay)
     # A cell is the number of cumulative edges <= u, last edge dropped:
-    # min(searchsorted(cum, u, "right"), n - 1), integer for integer.
+    # min(searchsorted(cum, u, "right"), n - 1), integer for integer. So the
+    # rounds in cells >= k are those with u >= edge k - 1.
     cell_edges = np.cumsum(market.joint.joint.T)[:-1]
     rng = np.random.default_rng((seed, run_index))
     # The rounds of a whole-run linspace, not the chunk boundaries; none at <= 0
@@ -149,28 +174,34 @@ def simulate(
     sample_rounds = np.linspace(1, rounds, points).astype(int)
     samples = []
     taken = 0
-    log2_final = 0.0
+    at_least = np.zeros(len(flat_pay), dtype=np.int64)  # over the rounds played so far
     bankrupt_round = None
     for start in range(0, rounds, SIM_CHUNK_ROUNDS):
         size = min(SIM_CHUNK_ROUNDS, rounds - start)
         u = rng.random(size)
-        cells = np.zeros(size, dtype=np.intp)
-        for edge in cell_edges:
-            cells += edge <= u
-
-        per_round = flat_pay.take(cells)
-        per_round[0] += log2_final
-        log2_wealth = np.cumsum(per_round)
-        log2_final = float(log2_wealth[-1])
-        # No cell is +inf, so the sum turns -inf exactly at the first ruin.
-        if bankrupt_round is None and np.isneginf(log2_final):
-            bankrupt_round = start + int(np.argmax(np.isneginf(log2_wealth))) + 1
-
         stop = int(np.searchsorted(sample_rounds, start + size, side="right"))
-        picked = sample_rounds[taken:stop]
-        samples += zip(picked.tolist(), log2_wealth[picked - start - 1].tolist())
+        ends = sample_rounds[taken:stop] - start  # chunk prefixes that end at a sample
         taken = stop
+        if len(ends):
+            # Tally the pieces between sample rounds, then add them up in order.
+            starts = np.concatenate(([0], ends[ends < size]))
+            pieces = np.empty((len(flat_pay), len(starts)), dtype=np.int64)
+            pieces[0] = np.diff(starts, append=size)
+            for k, edge in enumerate(cell_edges, 1):
+                pieces[k] = np.add.reduceat(edge <= u, starts)
+            tallies = at_least[:, None] + np.cumsum(pieces, axis=1)
+            log2_wealth = _log2_wealth(tallies[:, : len(ends)], flat_pay)
+            samples += zip((start + ends).tolist(), log2_wealth.tolist())
+            at_least = tallies[:, -1]
+        else:
+            at_least += [size] + [np.count_nonzero(edge <= u) for edge in cell_edges]
+        if bankrupt_round is None and _drawn(at_least)[ruin].any():
+            cells = np.zeros(size, dtype=np.intp)
+            for edge in cell_edges:
+                cells += edge <= u
+            bankrupt_round = start + int(np.argmax(ruin[cells])) + 1
 
+    log2_final = float(_log2_wealth(at_least[:, None], flat_pay)[0])
     return SimulationResult(
         rounds=rounds,
         seed=seed,

@@ -91,14 +91,14 @@ def expected_growth(joint, alphas, allocations) -> float:
 
 
 
-def seeded_kelly_run(joint, strategy_rows, quotes, prior, rounds, seed, run_index):
-    """(final log2 wealth, first ruined 1-based round or None) of one seeded run.
+def seeded_kelly_draw(joint, strategy_rows, quotes, prior, rounds, seed, run_index):
+    """(flat log2 payout per cell, cell of each round) of one seeded run.
 
     `joint` is indexed [outcome][signal] and `strategy_rows` [signal][outcome].
     Round k takes the k-th double of PCG64(SeedSequence((seed, run_index)))
     and realizes the cell, in signal-major order, whose interval of the
-    cumulative joint holds it. It earns log2(stake) - log2(quote), or 0 for an
-    outcome of zero prior. The whole run is drawn and summed at once.
+    cumulative joint holds it. A cell pays log2(stake) - log2(quote), or 0 for
+    an outcome of zero prior. The whole run is drawn at once.
     """
     joint = np.asarray(joint, dtype=float)
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -106,9 +106,24 @@ def seeded_kelly_run(joint, strategy_rows, quotes, prior, rounds, seed, run_inde
     pay[:, np.asarray(prior) == 0.0] = 0.0
     rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence((seed, run_index))))
     cells = np.searchsorted(np.cumsum(joint.T)[:-1], rng.random(rounds), side="right")
-    log2_wealth = np.cumsum(pay.ravel()[cells])
-    ruined = np.flatnonzero(np.isneginf(log2_wealth))
-    return float(log2_wealth[-1]), (int(ruined[0]) + 1 if len(ruined) else None)
+    return pay.ravel(), cells
+
+
+def seeded_kelly_run(joint, strategy_rows, quotes, prior, rounds, seed, run_index):
+    """(final log2 wealth, first ruined 1-based round or None) of one seeded run.
+
+    Takes the arguments of seeded_kelly_draw. The final log2 wealth is
+    sum_c N_c * pay_c, where N_c counts the rounds drawn in cell c: cells in
+    order, each added once from +0.0, and undrawn cells left out.
+    """
+    pay, cells = seeded_kelly_draw(joint, strategy_rows, quotes, prior, rounds, seed, run_index)
+    total = 0.0
+    for count, log2_pay in zip(np.bincount(cells, minlength=pay.size).tolist(), pay.tolist()):
+        if count:
+            total += count * log2_pay
+    ruined = np.flatnonzero(np.isneginf(pay[cells]))
+    return total, (int(ruined[0]) + 1 if len(ruined) else None)
+
 
 def parse_samples(lines):
     """Line-by-line reference parse of a (signal, outcome) samples CSV.

@@ -1,3 +1,4 @@
+import math
 import tracemalloc
 
 import numpy as np
@@ -401,21 +402,36 @@ def draw_contract_cases():
     }
 
 
+def oracle_args(market, strat, rounds, seed, run_index):
+    """The arguments of the oracle's seeded run, as plain lists."""
+    prior = market.prior.probs.tolist()
+    joint = [[p * c for c in row] for p, row in zip(prior, market.channel.rows.tolist())]
+    return (joint, strat.rows.tolist(), market.quotes.probs.tolist(), prior,
+            rounds, seed, run_index)
+
+
 class TestDrawContract:
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     @pytest.mark.parametrize("chunk", [1, 7, kelly.SIM_CHUNK_ROUNDS])
     @pytest.mark.parametrize("name", ["3x4", "reckless", "zero_prior", "one_round"])
     def test_matches_seeded_run_oracle(self, monkeypatch, name, chunk):
-        market, strat, rounds, seed, run_index = draw_contract_cases()[name]
+        case = draw_contract_cases()[name]
         monkeypatch.setattr(kelly, "SIM_CHUNK_ROUNDS", chunk)
-        result = simulate(market, strat, rounds, seed, run_index)
-        prior = market.prior.probs.tolist()
-        joint = [[p * c for c in row] for p, row in zip(prior, market.channel.rows.tolist())]
-        expected = oracles.seeded_kelly_run(
-            joint, strat.rows.tolist(), market.quotes.probs.tolist(), prior,
-            rounds, seed, run_index,
-        )
+        result = simulate(*case)
+        expected = oracles.seeded_kelly_run(*oracle_args(*case))
         assert (result.final_log2_wealth, result.bankrupt_round) == expected
+
+    @pytest.mark.parametrize("name", ["3x4", "reckless", "zero_prior", "one_round"])
+    def test_error_is_within_cells_ulps_of_the_exact_sum(self, name):
+        # Each cell's product and each addition rounds once, so a run's error
+        # is bounded by the number of cells, not of rounds.
+        case = draw_contract_cases()[name]
+        pay, cells = oracles.seeded_kelly_draw(*oracle_args(*case))
+        exact = math.fsum(pay[cells].tolist())
+        counts = np.bincount(cells, minlength=pay.size).tolist()
+        size = math.fsum(abs(n * p) for n, p in zip(counts, pay.tolist()) if n)
+        final = simulate(*case).final_log2_wealth
+        assert final == exact or abs(final - exact) <= pay.size * math.ulp(size)
 
 class TestExpectedGrowth:
     def test_matches_direct_sum_oracle(self):
