@@ -333,8 +333,8 @@ GOLDEN_FIG3_9PT = (
 )
 GOLDEN_SIMULATE_CSV = (
     "run_index,rounds,seed,final_log2_wealth,mean_growth,target,abs_error\n"
-    "0,1000,7,543.6841064164911,0.5436841064164911,"
-    "0.5310044064107189,0.012679700005772232\n"
+    "0,1000,7,543.684106416488,0.543684106416488,"
+    "0.5310044064107189,0.012679700005769123\n"
 )
 
 # `simulate` over 100003 rounds, which no power-of-two chunk size divides.
@@ -350,41 +350,41 @@ GOLDEN_SIMULATE_JSON_3RUNS = (
     '  "run_results": [\n'
     '    {\n'
     '      "run_index": 0,\n'
-    '      "final_log2_wealth": 30135.286369360005,\n'
-    '      "mean_growth": 0.3013438233788987,\n'
-    '      "abs_error": 0.0011048501345363726,\n'
+    '      "final_log2_wealth": 30135.2863693584,\n'
+    '      "mean_growth": 0.30134382337888266,\n'
+    '      "abs_error": 0.0011048501345203299,\n'
     '      "bankrupt_round": null\n'
     '    },\n'
     '    {\n'
     '      "run_index": 1,\n'
-    '      "final_log2_wealth": 29575.30888106927,\n'
-    '      "mean_growth": 0.2957442164841982,\n'
-    '      "abs_error": 0.0044947567601641425,\n'
+    '      "final_log2_wealth": 29575.308881067212,\n'
+    '      "mean_growth": 0.2957442164841776,\n'
+    '      "abs_error": 0.004494756760184737,\n'
     '      "bankrupt_round": null\n'
     '    },\n'
     '    {\n'
     '      "run_index": 2,\n'
-    '      "final_log2_wealth": 29438.60511305325,\n'
-    '      "mean_growth": 0.2943772198139381,\n'
-    '      "abs_error": 0.005861753430424221,\n'
+    '      "final_log2_wealth": 29438.6051130515,\n'
+    '      "mean_growth": 0.29437721981392057,\n'
+    '      "abs_error": 0.005861753430441763,\n'
     '      "bankrupt_round": null\n'
     '    }\n'
     '  ],\n'
-    '  "aggregate_mean_growth": 0.2971550865590116,\n'
-    '  "aggregate_abs_error": 0.0030838866853507008\n'
+    '  "aggregate_mean_growth": 0.2971550865589936,\n'
+    '  "aggregate_abs_error": 0.003083886685368742\n'
     '}\n'
 )
 GOLDEN_TRAJECTORY_CSV = (
     "round,log2_wealth\n"
     "1,0.5849625007211563\n"
-    "12501,6904.108299168464\n"
-    "25001,13781.631635837712\n"
-    "37501,20735.51738505673\n"
-    "50002,27662.07680920506\n"
-    "62502,34716.475345961626\n"
-    "75002,41687.07387010862\n"
-    "87502,48706.50849433111\n"
-    "100003,55663.27995601831\n"
+    "12501,6904.108299167585\n"
+    "25001,13781.631635834448\n"
+    "37501,20735.51738505107\n"
+    "50002,27662.07680919702\n"
+    "62502,34716.47534595619\n"
+    "75002,41687.07387011945\n"
+    "87502,48706.50849435771\n"
+    "100003,55663.279956060636\n"
 )
 
 # `measure` on 1200 records over 10 outcomes and 9 declared signals, of
@@ -568,7 +568,7 @@ class TestGoldenOutputs:
         assert code == 0
         assert json.loads(capsys.readouterr().out)["run_results"][0][
             "final_log2_wealth"
-        ] == 55663.27995601831
+        ] == 55663.279956060636
         assert traj.read_text(encoding="utf-8") == GOLDEN_TRAJECTORY_CSV
 
     def test_coin_json_fair_worthless_bytes(self, capsys):

@@ -367,7 +367,7 @@ CASES = {
         "simulate --accuracy 0.9 --rounds 100 --trajectory-points 2 --trajectory-out keep.csv/ "
         "--out nodir/x.json", 4,
         "FileNotFoundError: [Errno 2] No such file or directory: 'nodir/x.json'", files=KEEP,
-        after={"keep.csv": "round,log2_wealth\n1,0.8479969065549501\n100,56.2703656425141\n"}),
+        after={"keep.csv": "round,log2_wealth\n1,0.8479969065549501\n100,56.27036564251419\n"}),
     # A destination whose open fails was not created by the run, so there is
     # nothing to unlink and the failure stays one line.
     **{f"unopenable-out/{name}": fails(f"{COIN} --out {shlex.quote(out)}", 4, message, files=KEEP,

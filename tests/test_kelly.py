@@ -330,10 +330,10 @@ def golden_runs():
 GOLDEN_SIMULATE_REPR = {
     "3x4": (
         "SimulationResult(rounds=20011, seed=13, run_index=2, "
-        "final_log2_wealth=2922.5148832378577, mean_growth=0.14604541918134314, "
-        "trajectory_sample=((1, 0.4474589769712213), (4003, 606.0614229397451), "
-        "(8005, 1173.2956419204027), (12007, 1802.1536662922465), "
-        "(16009, 2279.7628659324464), (20011, 2922.5148832378577)), "
+        "final_log2_wealth=2922.5148832378736, mean_growth=0.14604541918134395, "
+        "trajectory_sample=((1, 0.4474589769712213), (4003, 606.061422939752), "
+        "(8005, 1173.2956419204168), (12007, 1802.1536662923634), "
+        "(16009, 2279.7628659325637), (20011, 2922.5148832378736)), "
         "bankrupt_round=None)"
     ),
     "bankrupt": (
