@@ -21,10 +21,13 @@ uniform double from that stream, mapped through the cumulative joint
 p(x, y) to one (outcome, signal) cell in signal-major order: signal by
 signal, the outcomes in order within each. Per-round work grows with the
 number of cells, |X|*|Y|. Rounds are simulated in chunks of
-SIM_CHUNK_ROUNDS; the stream is read in order whatever the chunk size, and
-the log wealth is a cumulative sum that carries the previous chunk's total
-into the first element of the next, so the addition stays sequential and
-every bit matches a whole-run sum. Memory does not grow with `rounds`.
+SIM_CHUNK_ROUNDS and the stream is read in order whatever the chunk size.
+A run keeps integer tallies of the rounds drawn in each cell, N_c, and its
+log wealth is sum_c N_c * log2(b(x|y) * alpha_x), the growth rate's
+expectation over cells with counts for probabilities. It is summed cell by
+cell, only at the sampled rounds and at the end, so every bit is
+independent of the chunk size and the rounding error is bounded by the
+number of cells, not of rounds. Memory does not grow with `rounds`.
 """
 
 from __future__ import annotations
@@ -174,7 +177,7 @@ def simulate(
     sample_rounds = np.linspace(1, rounds, points).astype(int)
     samples = []
     taken = 0
-    at_least = np.zeros(len(flat_pay), dtype=np.int64)  # over the rounds played so far
+    at_least = np.zeros(len(flat_pay), dtype=np.int64)  # [k]: rounds so far in cells >= k
     bankrupt_round = None
     for start in range(0, rounds, SIM_CHUNK_ROUNDS):
         size = min(SIM_CHUNK_ROUNDS, rounds - start)

@@ -257,7 +257,7 @@ class TestSimulate:
     @given(st.integers(1, 20000).flatmap(lambda rounds: st.tuples(
         st.just(rounds), st.integers(1, rounds))))
     @example((kelly.SIM_CHUNK_ROUNDS + 1, kelly.SIM_CHUNK_ROUNDS + 1))
-    @example((20000, 19999))
+    @example((20000, 19999))  # a step just above 1, where truncation could repeat a round
     def test_trajectory_rounds_strictly_increase(self, rounds_points):
         rounds, points = rounds_points
         market = coin_market(0.5, 0.9, 0.4)
@@ -402,6 +402,9 @@ def draw_contract_cases():
     }
 
 
+DRAW_CASES = list(draw_contract_cases())
+
+
 def oracle_args(market, strat, rounds, seed, run_index):
     """The arguments of the oracle's seeded run, as plain lists."""
     prior = market.prior.probs.tolist()
@@ -413,7 +416,7 @@ def oracle_args(market, strat, rounds, seed, run_index):
 class TestDrawContract:
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     @pytest.mark.parametrize("chunk", [1, 7, kelly.SIM_CHUNK_ROUNDS])
-    @pytest.mark.parametrize("name", ["3x4", "reckless", "zero_prior", "one_round"])
+    @pytest.mark.parametrize("name", DRAW_CASES)
     def test_matches_seeded_run_oracle(self, monkeypatch, name, chunk):
         case = draw_contract_cases()[name]
         monkeypatch.setattr(kelly, "SIM_CHUNK_ROUNDS", chunk)
@@ -421,7 +424,7 @@ class TestDrawContract:
         expected = oracles.seeded_kelly_run(*oracle_args(*case))
         assert (result.final_log2_wealth, result.bankrupt_round) == expected
 
-    @pytest.mark.parametrize("name", ["3x4", "reckless", "zero_prior", "one_round"])
+    @pytest.mark.parametrize("name", DRAW_CASES)
     def test_error_is_within_cells_ulps_of_the_exact_sum(self, name):
         # Each cell's product and each addition rounds once, so a run's error
         # is bounded by the number of cells, not of rounds.
@@ -432,6 +435,7 @@ class TestDrawContract:
         size = math.fsum(abs(n * p) for n, p in zip(counts, pay.tolist()) if n)
         final = simulate(*case).final_log2_wealth
         assert final == exact or abs(final - exact) <= pay.size * math.ulp(size)
+
 
 class TestExpectedGrowth:
     def test_matches_direct_sum_oracle(self):
