@@ -57,12 +57,6 @@ class TestMeasure:
     )
     test_first_bad_line_reported_undecodable_or_not = in_process("first-bad-line/")
     test_small_sample_warning_is_one_line = in_process("small-sample")
-    test_empty_info_set_exit_3 = in_process("measure-empty-info-set")
-    test_csv_syntax_in_info_set_exit_3 = in_process("measure-csv-syntax-info-set/")
-    test_unencodable_info_set_on_stdout_exit_3 = in_process("measure-unencodable-info-set/")
-    test_bad_info_set_on_a_small_sample_writes_no_warning = in_process(
-        "small-sample-empty-info-set"
-    )
     test_byte_identical_reruns = in_process("measure-rerun")
     test_non_finite_smoothing_exit_3 = in_process("non-finite-smoothing/")
     test_smoothing_that_overflows_exit_3 = in_process("smoothing-overflow")
@@ -135,12 +129,6 @@ class TestCoin:
     test_report_parses = in_process("coin-report/")
     test_point_mass_prints_no_signed_zero = in_process("coin-point-mass")
     test_domain_violation_exit_3 = in_process("coin-domain", "coin-domain-2")
-    test_non_ascii_info_set_is_echoed = in_process("non-ascii-info-set")
-    test_custom_info_set_moves_only_its_own_value = in_process("custom-info-set")
-    test_empty_info_set_exit_3 = in_process("empty-info-set")
-    test_csv_syntax_in_info_set_exit_3 = in_process("csv-syntax-info-set")
-    test_unencodable_report_leaves_no_out_file = in_process("unencodable-out")
-    test_unencodable_info_set_on_stdout_exit_3 = in_process("unencodable-stdout/")
 
     def test_fair_predictable(self, capsys):
         code = main(["coin", "--p-tail", "0.5", "--accuracy", "0.9", "--q-tail", "0.5"])
@@ -656,12 +644,27 @@ class TestMalformedCommandLine:
             "infoeff measure: error: argument --seed: invalid int value: '0x10'"
         )
 
+    @pytest.mark.parametrize("command", ["measure", "coin"])
+    def test_info_set_is_not_an_option(self, samples_csv, capsys, command):
+        argv = {
+            "measure": ["measure", "--in", str(samples_csv)],
+            "coin": ["coin", "--p-tail", "0.3", "--accuracy", "0.8", "--q-tail", "0.45"],
+        }[command]
+        with pytest.raises(SystemExit) as excinfo:
+            main([*argv, "--info-set", "weak"])
+        assert excinfo.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines()[-1] == (
+            "infoeff: error: unrecognized arguments: --info-set weak"
+        )
+
 
 class TestParserReuse:
     def test_shared_parser_matches_fresh_parser(self, samples_csv, monkeypatch, capsys):
         point = ["--p-tail", "0.3", "--accuracy", "0.8", "--q-tail", "0.45"]
         sequence = [
-            ["coin", *point, "--info-set", "weak"],
+            ["coin", *point, "--format", "csv"],
             ["coin", *point],
             ["coin", *point[:4]],  # --q-tail missing: a parse error
             ["measure", "--in", str(samples_csv), "--resamples", "200"],
@@ -683,8 +686,8 @@ class TestParserReuse:
             fresh = [outcome(argv) for argv in sequence]
         assert shared == fresh
         assert [code for code, _, _ in shared] == [0, 0, ("SystemExit", 2), 0, 0]
-        assert json.loads(shared[0][1])["info_set"] == "weak"
-        assert json.loads(shared[1][1])["info_set"] == "strong"
+        assert shared[0][1].startswith("key,value\np_tail,0.3\n")
+        assert json.loads(shared[1][1])["p_tail"] == 0.3
         assert "--q-tail" in shared[2][2]
         assert shared[4] == shared[1]
 

@@ -106,11 +106,6 @@ POINT_MASS_JSON = lines(
     '  "g_max_q": 1.0,', '  "predictability_gap": 0.0,', '  "mispricing_gap": 1.0,',
     '  "info_set": "strong",', '  "closed_form_h_x": 0.0,', '  "delta_h_x": 0.0,',
     '  "consistency_delta": 0.0', "}")
-MEASURE = "measure --in samples.csv --resamples 100"
-# Each label that holds CSV syntax, and each position of a lone surrogate.
-CSV_SYNTAX_LABELS = {"comma-newline": "a,b\nx,1", "double-quote": 'say "hi"', "cr": "cr\r",
-                     "lf": "lf\n", "comma": ","}
-SURROGATE_LABELS = {"alone": "\udcff", "last": "weak\ud800", "first": "\udfffx"}
 FIG1_5PT = lines("param,value", "0.0,0.0", "0.25,0.8112781244591328", "0.5,1.0",
                  "0.75,0.8112781244591328", "1.0,0.0").decode()
 FIGS = [f"fig{n}.csv" for n in (1, 2, 3, 4)]
@@ -263,24 +258,6 @@ CASES = {
         "measure --in samples.csv --smoothing 5e307", 3,
         "DomainViolation: smoothing 5e+307 overflows the denominator N + smoothing * 4 cells",
         files={"samples.csv": SAMPLES}),
-    # measure: its --info-set label, checked once the numbers are computed
-    "measure-empty-info-set": fails(f"{MEASURE} --info-set ''", 3,
-                                    "DomainViolation: info-set label must be non-empty",
-                                    files={"samples.csv": SAMPLES}),
-    **{f"measure-csv-syntax-info-set/{name}": fails(
-        f"{MEASURE} --format csv --info-set {shlex.quote(label)}", 3,
-        "DomainViolation: info-set label must not contain a comma, a double quote, CR or LF, "
-        f"got {label!r}", files={"samples.csv": SAMPLES})
-       for name, label in CSV_SYNTAX_LABELS.items()},
-    **{f"measure-unencodable-info-set/{fmt}-{name}": fails(
-        f"{MEASURE} --format {fmt} --info-set {label}", 3,
-        f"DomainViolation: info-set label must be valid UTF-8 text, got {label!r}",
-        files={"samples.csv": SAMPLES})
-       for fmt in ("json", "csv") for name, label in SURROGATE_LABELS.items()},
-    # The label fails the run before its small-sample warning is written.
-    "small-sample-empty-info-set": fails(f"{MEASURE} --info-set ''", 3,
-                                         "DomainViolation: info-set label must be non-empty",
-                                         files={"samples.csv": SMALL_SAMPLES}),
     "small-sample": Case(
         "measure --in samples.csv --resamples 100", stderr=SMALL_WARNING,
         stdout=strict_json(lambda report: report["small_sample"] is True),
@@ -290,7 +267,7 @@ CASES = {
     # coin
     "coin-report/json": Case("coin --p-tail 0.5 --accuracy 0.9 --q-tail 0.4", stdout=strict_json()),
     "coin-report/csv-weak": Case(
-        "coin --p-tail 0.3 --accuracy 0.8 --q-tail 0.45 --info-set weak --format csv",
+        "coin --p-tail 0.3 --accuracy 0.8 --q-tail 0.45 --format csv",
         stdout=csv_fields(2)),
     # H(q) falls below H(X) here by rounding only.
     "eff-q-is-eff": Case(
@@ -302,28 +279,6 @@ CASES = {
                          "DomainViolation: p_tail must be in [0, 1], got 1.5"),
     "coin-domain-2": fails("coin --p-tail 2 --accuracy 0.5 --q-tail 0.4", 3,
                            "DomainViolation: p_tail must be in [0, 1], got 2.0"),
-    # coin: its --info-set label, echoed as given; a custom one moves no other byte
-    "non-ascii-info-set": Case(f"{COIN} --info-set 'stärk ✓'",
-                               stdout=strict_json(lambda r: r["info_set"] == "stärk ✓")),
-    "custom-info-set": Case(f"{POINT_MASS} --info-set bogus", stdout=POINT_MASS_JSON.replace(
-        b'"info_set": "strong"', b'"info_set": "bogus"')),
-    "empty-info-set": fails(f"{COIN} --info-set ''", 3,
-                            "DomainViolation: info-set label must be non-empty"),
-    "csv-syntax-info-set": fails(
-        f"{COIN} --format csv --info-set 'a,b\nx,1'", 3,
-        "DomainViolation: info-set label must not contain a comma, a double quote, CR or LF, "
-        "got 'a,b\\nx,1'"),
-    # A byte of argv that is not UTF-8 arrives as a lone surrogate; stdout
-    # must refuse it as --out does, not pass the raw byte through.
-    "unencodable-out": fails(
-        f"{COIN} --format csv --info-set \udcff --out r.csv", 3,
-        "DomainViolation: info-set label must be valid UTF-8 text, got '\\udcff'",
-        after={"r.csv": None}),
-    **{f"unencodable-stdout/{name}": fails(
-        f"{COIN} --format {fmt} --info-set {label}", 3,
-        f"DomainViolation: info-set label must be valid UTF-8 text, got {label!r}")
-       for name, fmt, label in [("csv", "csv", "x\udcff"), ("json", "json", "x\udcff"),
-                                ("csv-lone-byte", "csv", "\udcff")]},
     # simulate
     "simulate-json": Case("simulate --accuracy 0.9 --rounds 1000", stdout=strict_json()),
     "simulate-rerun": Case("simulate --accuracy 0.8 --rounds 20000 --seed 5 --runs 3",
@@ -495,10 +450,6 @@ def in_process(*ids: str):
 
 
 def console(argv, env, cwd):
-    try:
-        argv = [os.fsencode(arg) for arg in argv]
-    except UnicodeEncodeError:  # only U+DC80..U+DCFF stand for argv bytes
-        pytest.skip("a surrogate that stands for no byte cannot reach a command line")
     proc = subprocess.run([SCRIPT, *argv], cwd=cwd, env={**os.environ, **env},
                           capture_output=True, check=False)
     return proc.returncode, proc.stdout, proc.stderr.decode("utf-8")
