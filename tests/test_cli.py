@@ -389,7 +389,6 @@ GOLDEN_MEASURE_JSON = (
     '  "g_max_q": 1.2779189981067725,\n'
     '  "predictability_gap": 1.221007647184456,\n'
     '  "mispricing_gap": 0.05691135092231647,\n'
-    '  "info_set": "strong",\n'
     '  "ci_low": 0.6243177222209416,\n'
     '  "ci_high": 0.634123892490158,\n'
     '  "n_samples": 1200,\n'
@@ -408,7 +407,6 @@ GOLDEN_MEASURE_CSV = (
     "h_x_given_y,1.936799104430499\n"
     "g_max,1.3808768421993336\n"
     "predictability_gap,1.3808768421993336\n"
-    "info_set,strong\n"
     "ci_low,0.5756289207604902\n"
     "ci_high,0.5860671315612767\n"
     "n_samples,1200\n"
@@ -435,7 +433,6 @@ GOLDEN_COIN_FAIR_WORTHLESS_JSON = (
     '  "g_max_q": 0.12576938349798228,\n'
     '  "predictability_gap": 0.0,\n'
     '  "mispricing_gap": 0.12576938349798228,\n'
-    '  "info_set": "strong",\n'
     '  "closed_form_h_x": 1.0,\n'
     '  "delta_h_x": 0.0,\n'
     '  "closed_form_eff": 1.0,\n'
@@ -461,7 +458,6 @@ GOLDEN_COIN_FAIR_PREDICTIVE_JSON = (
     '  "g_max_q": 0.560451250937503,\n'
     '  "predictability_gap": 0.5310044064107189,\n'
     '  "mispricing_gap": 0.029446844526784144,\n'
-    '  "info_set": "strong",\n'
     '  "closed_form_h_x": 1.0,\n'
     '  "delta_h_x": 0.0,\n'
     '  "closed_form_eff": 0.4689955935892811,\n'
@@ -485,7 +481,6 @@ GOLDEN_COIN_BIASED_CSV = (
     "g_max_q,0.3041714895168053\n"
     "predictability_gap,0.23611392733893743\n"
     "mispricing_gap,0.06805756217786785\n"
-    "info_set,strong\n"
     "closed_form_h_x,0.8812908992306927\n"
     "delta_h_x,0.0\n"
     "consistency_delta,0.0\n"

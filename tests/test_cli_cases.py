@@ -104,8 +104,7 @@ POINT_MASS_JSON = lines(
     "{", '  "p_tail": 1.0,', '  "accuracy": 1.0,', '  "q_tail": 0.5,', '  "eff_q": 0.0,',
     '  "h_x": 0.0,', '  "h_x_given_y": 0.0,', '  "h_q": 1.0,', '  "g_max": 0.0,',
     '  "g_max_q": 1.0,', '  "predictability_gap": 0.0,', '  "mispricing_gap": 1.0,',
-    '  "info_set": "strong",', '  "closed_form_h_x": 0.0,', '  "delta_h_x": 0.0,',
-    '  "consistency_delta": 0.0', "}")
+    '  "closed_form_h_x": 0.0,', '  "delta_h_x": 0.0,', '  "consistency_delta": 0.0', "}")
 FIG1_5PT = lines("param,value", "0.0,0.0", "0.25,0.8112781244591328", "0.5,1.0",
                  "0.75,0.8112781244591328", "1.0,0.0").decode()
 FIGS = [f"fig{n}.csv" for n in (1, 2, 3, 4)]
