@@ -64,6 +64,11 @@ FIGURES = {
     3: ("eff_vs_q", "anticipated probability q(x='t')", "efficiency Eff_q(X|Y)"),
     4: ("hq_vs_q", "anticipated probability q(x='t')", "entropy H(q) [bits]"),
 }
+# The keys of a `simulate` run record that each format prints, in order.
+_SIMULATE_CSV_COLUMNS = ("run_index", "rounds", "seed", "final_log2_wealth", "mean_growth",
+                         "target", "abs_error")
+_SIMULATE_JSON_RUN_KEYS = ("run_index", "final_log2_wealth", "mean_growth", "abs_error",
+                           "bankrupt_round")
 
 
 def _csv(header: str, rows) -> str:
@@ -158,13 +163,13 @@ def cmd_simulate(args: argparse.Namespace) -> dict:
     if args.trajectory_out is not None:
         outputs[args.trajectory_out] = _csv("round,log2_wealth", results[0].trajectory_sample)
 
-    aggregate = sum(r.mean_growth for r in results) / len(results)
+    records = [{**vars(r), "target": target, "abs_error": abs(r.mean_growth - target)}
+               for r in results]
     if args.format == "csv":
-        header = "run_index,rounds,seed,final_log2_wealth,mean_growth,target,abs_error"
-        rows = [(r.run_index, r.rounds, r.seed, r.final_log2_wealth, r.mean_growth, target,
-                 abs(r.mean_growth - target)) for r in results]
-        outputs[args.out] = _csv(header, rows)
+        rows = ([record[key] for key in _SIMULATE_CSV_COLUMNS] for record in records)
+        outputs[args.out] = _csv(",".join(_SIMULATE_CSV_COLUMNS), rows)
     else:
+        aggregate = sum(r.mean_growth for r in results) / len(results)
         payload = {
             "p_tail": params.p_tail,
             "accuracy": params.accuracy,
@@ -173,16 +178,8 @@ def cmd_simulate(args: argparse.Namespace) -> dict:
             "seed": args.seed,
             "runs": args.runs,
             "target_bits_per_round": target,
-            "run_results": [
-                {
-                    "run_index": r.run_index,
-                    "final_log2_wealth": r.final_log2_wealth,
-                    "mean_growth": r.mean_growth,
-                    "abs_error": abs(r.mean_growth - target),
-                    "bankrupt_round": r.bankrupt_round,
-                }
-                for r in results
-            ],
+            "run_results": [{key: record[key] for key in _SIMULATE_JSON_RUN_KEYS}
+                            for record in records],
             "aggregate_mean_growth": aggregate,
             "aggregate_abs_error": abs(aggregate - target),
         }
