@@ -20,7 +20,7 @@ from .errors import (
     QuoteSumNotOne,
     UnsupportedOutcome,
 )
-from .probability import SUM_TOL, Distribution, JointSystem, _same_alphabet, marginal_outcome
+from .probability import SUM_TOL, Distribution, JointSystem, _same_alphabet
 
 CANCEL_TOL = 1e-12
 
@@ -87,9 +87,10 @@ def conditional_entropy(joint: JointSystem) -> float:
 
 
 def mutual_information(joint: JointSystem) -> float:
-    """M(X, Y) = H(X) - H(X|Y), in bits, clamped at -1e-12 to 0."""
-    value = entropy(marginal_outcome(joint)) - conditional_entropy(joint)
-    return clamp_nonneg(value, "mutual information")
+    """M(X, Y) = H(X) - H(X|Y), in bits: the reports' predictability gap, clamped as there."""
+    from .efficiency import _fields  # efficiency imports this module
+
+    return _fields(joint.joint[None])[0]["predictability_gap"]
 
 
 def _quotes(quotes: Distribution | Sequence[float], p: Distribution) -> Distribution:
