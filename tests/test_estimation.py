@@ -2,6 +2,7 @@ import importlib
 import io
 import random
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -370,6 +371,18 @@ class TestEstimateEfficiency:
         assert report.small_sample
         big = draw_records(FAIR_PRIOR, ACC_09, 2000, seed=6)
         assert not estimate_efficiency(big, resamples=100, seed=6).small_sample
+
+    @pytest.mark.parametrize("table, small", [([[15, 5], [5, 15]], False),
+                                              ([[15, 5], [5, 14]], True)], ids=["40", "39"])
+    def test_small_sample_boundary_is_ten_records_per_cell(self, table, small):
+        # N = 10·cells = 40 is the smallest N on 2x2 that is not flagged.
+        samples = SampleSet(table, ("a", "b"), ("h", "t"))
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            report = estimate_efficiency(samples, resamples=100, seed=0)
+        assert report.small_sample is small
+        message = f"only {len(samples)} samples for 4 cells; plug-in efficiency biases low at small N"
+        assert [str(w.message) for w in caught] == ([message] if small else [])
 
     def test_plugin_consistency_as_n_grows(self):
         truth = oracles.binary_entropy(0.9)

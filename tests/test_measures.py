@@ -21,7 +21,7 @@ from infoeff import (
     mutual_information,
     normalize,
 )
-from infoeff.measures import _neg_sum_plog2q, clamp_nonneg
+from infoeff.measures import CANCEL_TOL, _neg_sum_plog2q, clamp_nonneg
 
 
 class TestEntropy:
@@ -98,6 +98,9 @@ class TestMutualInformation:
 class TestClampNonneg:
     def test_cancellation_noise_clamps_to_zero(self):
         assert clamp_nonneg(-1e-13, "gap") == 0.0
+
+    def test_the_tolerance_itself_clamps_to_zero(self):
+        assert clamp_nonneg(-CANCEL_TOL, "gap") == 0.0
 
     def test_a_real_negative_raises(self):
         with pytest.raises(NumericalInconsistency) as excinfo:
