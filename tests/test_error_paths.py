@@ -1,10 +1,11 @@
 """Library error paths that no CLI path reaches, with their exact messages.
 
 Also the public surface: the names exported, the errors among them, the
-names README's Layout table promises, and README's library quickstart, run
-as written.
+names README's Layout table promises, the CLI options its inline code names,
+and README's library quickstart, run as written.
 """
 
+import argparse
 import ast
 import importlib
 import re
@@ -18,6 +19,7 @@ from infoeff import (
     DomainViolation,
     EmptyAlphabet,
     MarketParams,
+    cli,
     closed_form_entropy,
     coin_components,
     kelly_strategy,
@@ -77,6 +79,20 @@ def test_readme_layout_names_exist():
         missing += [f"{module.__name__}.{n}" for n in names if not hasattr(module, n)]
     assert len(rows) == 7
     assert missing == []
+
+
+def test_readme_options_exist():
+    # A deleted option must not linger in the prose; fenced examples are left out.
+    readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    prose = re.sub(r"```.*?```", "", readme, flags=re.S)
+    named = {option for span in re.findall(r"`([^`]+)`", prose)
+             for option in re.findall(r"(?<![\w-])--[a-z][a-z-]*", span)}
+    subcommands = next(action.choices for action in cli.build_parser()._actions
+                       if isinstance(action, argparse._SubParsersAction))
+    options = {option for parser in subcommands.values()
+               for action in parser._actions for option in action.option_strings}
+    assert "--out" in named
+    assert sorted(named - options) == []
 
 
 def test_readme_quickstart_gives_its_commented_values(tmp_path, monkeypatch):
