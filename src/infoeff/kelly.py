@@ -284,8 +284,8 @@ def _grid(resolution: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 def kelly_growth_target(market: MarketParams) -> float:
     """Closed-form optimal growth H(q) - H(X|Y) in bits/round.
 
-    Convenience wrapper used by the CLI to print the simulation target next
-    to the empirical growth.
+    Kept as a public name because the acceptance tests check the
+    brute-force grid optimum against it; `simulate` prints it as `target`.
     """
     report = efficiency_with_quotes(market.joint, market.quotes)
     assert report.g_max_q is not None
