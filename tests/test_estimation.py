@@ -381,7 +381,8 @@ class TestEstimateEfficiency:
             warnings.simplefilter("always")
             report = estimate_efficiency(samples, resamples=100, seed=0)
         assert report.small_sample is small
-        message = f"only {len(samples)} samples for 4 cells; plug-in efficiency biases low at small N"
+        message = (f"only {len(samples)} samples for 4 cells; "
+                   "plug-in efficiency biases low at small N")
         assert [str(w.message) for w in caught] == ([message] if small else [])
 
     def test_plugin_consistency_as_n_grows(self):
