@@ -12,8 +12,8 @@ same invocation produces byte-identical output. Exit codes: 0 ok, 1
 internal error (any other unexpected exception), 2 parse error, 3 domain
 error, 4 I/O error, 5 out of memory.
 
-Each subcommand returns its outputs; `run` alone writes them, files in order
-and stdout last. A failed run leaves no file it created at a path it was
+Each subcommand returns its outputs; `run` alone writes them: files in order,
+stdout, then warnings. A failed run leaves no file it created at a path it was
 given, but may leave the empty --out-dir of `figures`; an overwritten file is
 not restored, and a file created through a pre-existing symlink stays.
 """
@@ -95,19 +95,15 @@ def cmd_measure(args: argparse.Namespace) -> dict:
     if args.quotes_path is not None:
         with open(args.quotes_path, encoding="utf-8-sig", errors="surrogateescape") as handle:
             quotes = _read_quotes(handle, samples.outcome_labels)
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always", UserWarning)
-        report = estimate_efficiency(
-            samples,
-            smoothing=args.smoothing,
-            quotes=quotes,
-            resamples=args.resamples,
-            seed=args.seed,
-        )
+    report = estimate_efficiency(
+        samples,
+        smoothing=args.smoothing,
+        quotes=quotes,
+        resamples=args.resamples,
+        seed=args.seed,
+    )
     flat = report.point.as_dict()
     flat.update((k, v) for k, v in vars(report).items() if k != "point" and v is not None)
-    for warning in caught:  # one line each, without the source location
-        sys.stderr.write(f"warning: {warning.message}\n")
     return {args.out: _render_flat(flat, args.format)}
 
 
@@ -262,14 +258,16 @@ def run(args: argparse.Namespace) -> int:
 
     A subcommand returns an ordered mapping from destination (a path, or None
     for stdout) to text. Every file text is encoded as strict UTF-8 before any
-    file is created; the files are written in order, and stdout last. On any
-    error the files this run created at the paths it was given are unlinked,
-    and the error is one line. A file created through a symlink that existed
-    before the run is not the run's own and stays.
+    file is created; the files are written in order, stdout next, and then a
+    `warning:` line per warning. On any error the files this run created at
+    the paths it was given are unlinked, and the error is the one stderr line.
+    A file created through a symlink that existed before the run stays.
     """
     created = []
     try:
-        outputs = COMMANDS[args.subcommand](args)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always", UserWarning)
+            outputs = COMMANDS[args.subcommand](args)
         stdout = outputs.pop(None, None)
         encoded = {Path(path): text.encode("utf-8") for path, text in outputs.items()}
         for path, data in encoded.items():  # Path('') is '.', Path('a/') is 'a'
@@ -280,6 +278,8 @@ def run(args: argparse.Namespace) -> int:
                 handle.write(data)
         if stdout is not None:
             sys.stdout.write(stdout)
+        for warning in caught:  # one line each, without the source location
+            sys.stderr.write(f"warning: {warning.message}\n")
         return EXIT_OK
     except Exception as exc:  # every failure is one line, never a traceback
         for path in created:

@@ -28,11 +28,11 @@ Both input files share one line grammar: a mandatory header line
 (``signal,outcome`` for samples, ``label,q`` for the quote sidecar), then
 one record of two comma-separated non-empty fields per line. Blank lines
 and comment lines starting with '#' may appear anywhere. Directive comments
-``# signals: a,b`` / ``# outcomes: h,t`` optionally declare the samples'
-alphabets (and their order); otherwise alphabets are the sorted observed
-labels. A directive in the quote sidecar is a ParseError on its line. A
-byte that is not UTF-8, kept as a lone surrogate by errors="surrogateescape",
-is a ParseError on its line, met in file order like any other.
+``# signals: a,b`` / ``# outcomes: h,t`` before the samples header may declare
+its alphabets (and their order); otherwise alphabets are the sorted observed
+labels. Any other directive, a label outside a declared alphabet and a byte
+that is not UTF-8 (kept as a lone surrogate by errors="surrogateescape") are
+each a ParseError on its line, met in file order like any other.
 """
 
 from __future__ import annotations
@@ -118,13 +118,16 @@ class EstimateReport:
     eff_q_ci_high: float | None = None
 
 
-def _parse_line(raw: str, columns: tuple[str, str], in_header: bool = False) -> tuple[str, object]:
+def _parse_line(
+    raw: str, columns: tuple[str, str], in_header: bool = False, alphabets: Sequence = ()
+) -> tuple[str, object]:
     """Parse one raw line of a file headed `columns` into (kind, value).
 
     kind is "skip" (blank or plain comment), "directive" (value: key,
-    labels; only when `columns` is HEADER), "header" (only while
-    `in_header`), "record" (value: the two fields) or "error" (value:
-    column, reason). The line number is the caller's to add.
+    labels; only while `in_header` and when `columns` is HEADER), "header"
+    (only while `in_header`), "record" (value: the two fields, each in its
+    column's alphabet where `alphabets` holds a non-empty one) or "error"
+    (value: column, reason). The line number is the caller's to add.
     """
     if bad := re.search("[\udc80-\udcff]", raw):
         column = raw.count(",", 0, bad.start()) + 1
@@ -145,6 +148,8 @@ def _parse_line(raw: str, columns: tuple[str, str], in_header: bool = False) -> 
             return "error", (1, f"duplicate label {dup!r} in '{key}' directive")
         if columns != HEADER:  # the alphabets are the samples file's to declare
             return "error", (1, f"{key!r} directive in a file headed {','.join(columns)!r}")
+        if not in_header:  # so the alphabets are fixed before the first record
+            return "error", (1, f"{key!r} directive after the header")
         return "directive", (key, labels)
     fields = [f.strip() for f in line.split(",")]
     if in_header:
@@ -159,6 +164,9 @@ def _parse_line(raw: str, columns: tuple[str, str], in_header: bool = False) -> 
     if "" in fields:
         col = fields.index("")
         return "error", (col + 1, f"empty {columns[col]} field")
+    for col, (label, alphabet) in enumerate(zip(fields, alphabets)):
+        if alphabet and label not in alphabet:
+            return "error", (col + 1, f"{columns[col]} {label!r} not in declared alphabet")
     return "record", (fields[0], fields[1])
 
 
@@ -182,33 +190,23 @@ def read_samples(source: Iterable[str]) -> SampleSet:
     """Parse a (signal, outcome) CSV stream into a SampleSet.
 
     `source` is any iterable of text lines (an open file works). Raises
-    ParseError with the offending line/column, or EmptyInput when the header
-    is present but no records follow.
+    ParseError at the first bad line, or EmptyInput when the header is
+    present but no records follow.
     """
     lines = iter(source)
     declared, line_no = _read_header(lines, HEADER)
+    alphabets = [set(declared.get(key, ())) for key in ("signals", "outcomes")]  # empty: undeclared
 
-    tally: dict[tuple[str, str], list[int]] = {}  # (signal, outcome) -> [first line, count]
+    tally: Counter[tuple[str, str]] = Counter()
     while chunk := list(itertools.islice(lines, CHUNK_LINES)):
         # Counter keeps first-occurrence order, so the first error met is the
-        # first bad line, and each chunk.index scan resumes where the last
-        # one stopped: line numbers cost one pass over the chunk at most.
-        pos = 0
-        directives: dict[str, tuple[str, tuple[str, ...]]] = {}
+        # first bad line.
         for raw, count in Counter(chunk).items():
-            kind, value = _parse_line(raw, HEADER)
+            kind, value = _parse_line(raw, HEADER, alphabets=alphabets)
             if kind == "record":
-                if value in tally:
-                    tally[value][1] += count
-                else:
-                    pos = chunk.index(raw, pos)
-                    tally[value] = [line_no + pos + 1, count]
-            elif kind == "directive":
-                directives[raw] = value
+                tally[value] += count
             elif kind == "error":
-                raise ParseError(line_no + chunk.index(raw, pos) + 1, *value)
-        if directives:  # applied in file order, so the last one wins
-            declared.update(directives[raw] for raw in chunk if raw in directives)
+                raise ParseError(line_no + chunk.index(raw) + 1, *value)
         line_no += len(chunk)
 
     if not tally:
@@ -219,11 +217,7 @@ def read_samples(source: Iterable[str]) -> SampleSet:
     y_index = {lbl: j for j, lbl in enumerate(signal_labels)}
     x_index = {lbl: i for i, lbl in enumerate(outcome_labels)}
     table = np.zeros((len(outcome_labels), len(signal_labels)))
-    for (signal, outcome), (line, count) in tally.items():  # in order of first occurrence
-        if signal not in y_index:
-            raise ParseError(line, 1, f"signal {signal!r} not in declared alphabet")
-        if outcome not in x_index:
-            raise ParseError(line, 2, f"outcome {outcome!r} not in declared alphabet")
+    for (signal, outcome), count in tally.items():
         table[x_index[outcome], y_index[signal]] = count
     return SampleSet(table, signal_labels, outcome_labels)
 

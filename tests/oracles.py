@@ -132,8 +132,9 @@ def parse_samples(lines):
     each (signal, outcome) pair to its number of records, or a triple for
     the first problem: ("ParseError", line, column), or ("EmptyInput",
     number of lines read, None) when no record follows the header.
+    Directives declare the alphabets before the header and are errors after it.
     """
-    counts, first_line, declared = {}, {}, {}
+    counts, declared = {}, {}
     header_seen = False
     line_no = 0
     for line_no, raw in enumerate(lines, start=1):
@@ -145,7 +146,7 @@ def parse_samples(lines):
             key = key.strip().lower()
             if colon and key in ("signals", "outcomes"):
                 labels = tuple(tok.strip() for tok in rest.split(","))
-                if "" in labels or len(set(labels)) != len(labels):
+                if header_seen or "" in labels or len(set(labels)) != len(labels):
                     return ("ParseError", line_no, 1)
                 declared[key] = labels
             continue
@@ -160,20 +161,17 @@ def parse_samples(lines):
             return ("ParseError", line_no, 1)
         if fields[1] == "":
             return ("ParseError", line_no, 2)
+        for column, (label, key) in enumerate(zip(fields, ("signals", "outcomes")), start=1):
+            if key in declared and label not in declared[key]:
+                return ("ParseError", line_no, column)
         pair = (fields[0], fields[1])
         counts[pair] = counts.get(pair, 0) + 1
-        first_line.setdefault(pair, line_no)
     if not header_seen:
         return ("ParseError", 1, 1)
     if not counts:
         return ("EmptyInput", line_no, None)
     signals = declared.get("signals") or tuple(sorted({s for s, _ in counts}))
     outcomes = declared.get("outcomes") or tuple(sorted({o for _, o in counts}))
-    for (signal, outcome), line in sorted(first_line.items(), key=lambda item: item[1]):
-        if signal not in signals:
-            return ("ParseError", line, 1)
-        if outcome not in outcomes:
-            return ("ParseError", line, 2)
     return counts, signals, outcomes
 
 

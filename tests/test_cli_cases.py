@@ -6,8 +6,7 @@ afterwards: the exit code, the exact stderr, stdout, and the files left.
 Every run starts in a fresh directory, its working directory, so every
 path in a case is relative to it.
 
-- In-process: `tests/test_cli.py` runs each case through `cli.main`, each
-  under a test name of its own there (`test_... = in_process(...)`).
+- In-process: `test_in_process` runs each case through `cli.main`.
 - Console script: `test_console` runs each case through the installed
   `infoeff` by `subprocess`, wherever that script is on PATH
   (`pip install -e .`); elsewhere it skips.
@@ -145,6 +144,14 @@ CASES = {
     "duplicate-directive": measure_fails(
         lines("# signals: a,a", "signal,outcome", "a,h", "a,t"),
         "ParseError: line 1, column 1: duplicate label 'a' in 'signals' directive"),
+    # The alphabets are fixed before the first record, and each record is
+    # checked against them as it is read.
+    "samples-directive-after-header": measure_fails(
+        lines("signal,outcome", "a,h", "# signals: a,b", "b,t"),
+        "ParseError: line 3, column 1: 'signals' directive after the header"),
+    "undeclared-before-bad-line": measure_fails(
+        lines("# signals: a", "signal,outcome", "z,h", "a,h,t"),
+        "ParseError: line 3, column 1: signal 'z' not in declared alphabet"),
     **{f"samples-file/{name}": measure_fails(lines(*rows), f"ParseError: {message}")
        for name, rows, message in [
            ("three-columns", ["signal,outcome,x", "h,h"],
@@ -260,6 +267,11 @@ CASES = {
     "small-sample": Case(
         "measure --in samples.csv --resamples 100", stderr=SMALL_WARNING,
         stdout=strict_json(lambda report: report["small_sample"] is True),
+        files={"samples.csv": SMALL_SAMPLES}),
+    # A warning is written after every output, so a failed run prints only its error.
+    "small-sample-failed-out": fails(
+        "measure --in samples.csv --out nodir/x.json", 4,
+        "FileNotFoundError: [Errno 2] No such file or directory: 'nodir/x.json'",
         files={"samples.csv": SMALL_SAMPLES}),
     "measure-rerun": Case("measure --in samples.csv --resamples 100 --seed 5", stderr=SMALL_WARNING,
                           stdout=strict_json(), files={"samples.csv": SMALL_SAMPLES}, rerun=True),
@@ -422,36 +434,15 @@ def main_transport(capsys, monkeypatch):
     return transport
 
 
-def in_process(*ids: str):
-    """A test method that runs the cases `ids` through `cli.main`, in order.
-
-    One id ending in '/' names a group: the test is then parametrized over
-    the group's cases, with the rest of each id as its pytest id. The ids
-    are kept on the method as `case_ids`.
-    """
-    if len(ids) == 1 and ids[0].endswith("/"):
-        group = [case_id for case_id in CASES if case_id.startswith(ids[0])]
-
-        @pytest.mark.parametrize("case_id", group, ids=[i[len(ids[0]):] for i in group])
-        def test(self, case_id, tmp_path, capsys, monkeypatch):
-            run_case(CASES[case_id], main_transport(capsys, monkeypatch), tmp_path)
-
-        test.case_ids = group
-    else:
-
-        def test(self, tmp_path, capsys, monkeypatch):
-            for n, case_id in enumerate(ids):
-                run_case(CASES[case_id], main_transport(capsys, monkeypatch), tmp_path / str(n))
-
-        test.case_ids = list(ids)
-    assert test.case_ids and set(test.case_ids) <= CASES.keys(), ids
-    return test
-
-
 def console(argv, env, cwd):
     proc = subprocess.run([SCRIPT, *argv], cwd=cwd, env={**os.environ, **env},
                           capture_output=True, check=False)
     return proc.returncode, proc.stdout, proc.stderr.decode("utf-8")
+
+
+@pytest.mark.parametrize("case_id", CASES)
+def test_in_process(case_id, tmp_path, capsys, monkeypatch):
+    run_case(CASES[case_id], main_transport(capsys, monkeypatch), tmp_path)
 
 
 @pytest.mark.skipif(SCRIPT is None, reason="the infoeff console script is not on PATH")

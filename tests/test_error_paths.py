@@ -1,8 +1,8 @@
 """Library error paths that no CLI path reaches, with their exact messages.
 
 Also the public surface: the names exported, the errors among them, the
-names README's Layout table promises, the CLI options its inline code names,
-and README's library quickstart, run as written.
+names README's Layout table promises, the CLI options and parse errors its
+inline code names, and README's library quickstart, run as written.
 """
 
 import argparse
@@ -26,6 +26,7 @@ from infoeff import (
     make_distribution,
     simulate,
 )
+from test_cli_cases import CASES
 
 
 def _simulate(**kwargs):
@@ -93,6 +94,17 @@ def test_readme_options_exist():
                for action in parser._actions for option in action.option_strings}
     assert "--out" in named
     assert sorted(named - options) == []
+
+
+def test_readme_parse_errors_are_cases():
+    # Each `line N, column M: ...` README quotes is how some CLI case's stderr ends.
+    readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    prose = re.sub(r"```.*?```", "", readme, flags=re.S)
+    quoted = [" ".join(span.split()) for span in re.findall(r"`([^`]+)`", prose)]
+    messages = [span for span in quoted if re.match(r"line \d+, column \d+: ", span)]
+    endings = [case.stderr.rstrip("\n") for case in CASES.values()]
+    assert "line 3, column 1: signal 'z' not in declared alphabet" in messages
+    assert [m for m in messages if not any(end.endswith(m) for end in endings)] == []
 
 
 def test_readme_quickstart_gives_its_commented_values(tmp_path, monkeypatch):

@@ -68,16 +68,20 @@ class TestReadSamples:
         assert samples.signal_labels == ("hi", "lo")
 
     def test_label_outside_declared_alphabet(self):
-        # The error points at the first bad record, also when the directive
-        # comes after the records.
-        for text, line, column in [
-            ("# outcomes: h,t\nsignal,outcome\ns,x\n", 3, 2),
-            ("signal,outcome\na,h\nb,x\nc,h\nb,x\n# outcomes: h,t\n", 3, 2),
-            ("signal,outcome\na,h\nb,h\na,x\n# outcomes: h,t\n# signals: a\n", 3, 1),
+        # The error points at the first line that holds the label. A
+        # directive after the header cannot widen the alphabet: it is an
+        # error at its own line, after the records before it were read.
+        for text, line, column, reason in [
+            ("# outcomes: h,t\nsignal,outcome\ns,x\n", 3, 2,
+             "outcome 'x' not in declared alphabet"),
+            ("signal,outcome\na,h\nb,x\nc,h\nb,x\n# outcomes: h,t\n", 6, 1,
+             "'outcomes' directive after the header"),
+            ("signal,outcome\na,h\nb,h\na,x\n# outcomes: h,t\n# signals: a\n", 5, 1,
+             "'outcomes' directive after the header"),
         ]:
             with pytest.raises(ParseError) as err:
                 read_samples(sample_csv(text))
-            assert (err.value.line, err.value.column) == (line, column)
+            assert (err.value.line, err.value.column, err.value.reason) == (line, column, reason)
 
     def test_comments_and_blank_lines_skipped(self):
         text = "# a comment\nsignal,outcome\n\nh,t\n# another\nt,h\n"
@@ -143,7 +147,7 @@ def random_sample_text(rng: random.Random) -> str:
 GOOD = ["a,h", "b,t", "a,t", "b,h", "a,h"] * 3
 PARSER_CASES = [
     "signal,outcome\nsignal,outcome\nh,t\n",  # a second header line is a record
-    # Conflicting directives; the last one wins, also when an earlier line repeats it.
+    # A directive after the header is an error at its line, whatever it declares.
     "# signals: b,a\nsignal,outcome\na,h\n# signals: a\nb,h\n# signals: a,b,c\n",
     "# signals: a,b\nsignal,outcome\na,h\n# signals: b,a\nb,h\n# signals: a,b\nb,h\n",
     "signal,outcome\na,h\n#outcomes: h,t\na,t\n# Outcomes : t,h\na,h\n#outcomes: h,t\n",
@@ -154,6 +158,8 @@ PARSER_CASES = [
     "signal,outcome\n" + "a,h\n" * 9 + "c,h\n" + "a,h\n" * 9 + "# signals: a\n",
     "# signals: a,a\nsignal,outcome\na,h\n",  # a repeated label is a parse error
     "signal,outcome\na,h\n# outcomes: h,h\na,t\n",  # also after the header
+    "# signals: a\nsignal,outcome\na,h\nz,h\na,h,t\n",  # met before a later syntax error
+    "# signals: c,a\n# outcomes: t,h\nsignal,outcome\na,h\na,t\n",  # wider, in their order
 ] + [
     # A bad line at every position, so it is the first or the last line of a
     # chunk for each chunk size tested.
@@ -175,13 +181,13 @@ class TestReadSamplesAgainstOracle:
     def test_reference_cases_hit_each_outcome(self):
         results = [oracles.parse_samples(sample_csv(text)) for text in PARSER_CASES]
         assert results[0][0] == {("signal", "outcome"): 1, ("h", "t"): 1}
-        assert [r[1] for r in results[1:3]] == [("a", "b", "c"), ("a", "b")]
-        assert results[3][2] == ("h", "t")
+        assert results[1:4] == [("ParseError", 4, 1), ("ParseError", 4, 1), ("ParseError", 3, 1)]
         assert results[4][0] == {("a", "h"): 5}
         assert results[5][0] == {("a", "h"): 2, ("b", "t"): 2}
         assert results[6:9] == [("EmptyInput", 5, None), ("EmptyInput", 1, None),
-                                ("ParseError", 11, 1)]
-        assert results[9:11] == [("ParseError", 1, 1), ("ParseError", 3, 1)]
+                                ("ParseError", 21, 1)]
+        assert results[9:12] == [("ParseError", 1, 1), ("ParseError", 3, 1), ("ParseError", 4, 1)]
+        assert results[12] == ({("a", "h"): 1, ("a", "t"): 1}, ("c", "a"), ("t", "h"))
 
 
 def counts_sample_set(counts, signal_labels, outcome_labels) -> SampleSet:
