@@ -8,6 +8,9 @@ import oracles
 from infoeff import cli
 from infoeff.cli import main
 from infoeff.errors import DomainViolation, EmptyInput, ParseError
+# Each `test_... = in_process(...)` below runs cases of the CLI contract
+# table in tests/test_cli_cases.py through `cli.main`.
+from test_cli_cases import CASES, in_process
 
 
 def write_samples(path, lines):
@@ -31,6 +34,38 @@ def quotes_csv(tmp_path):
 
 
 class TestMeasure:
+    test_empty_input_exit_2 = in_process("empty-input")
+    test_degenerate_exit_3 = in_process("degenerate")
+    test_single_outcome_at_smoothing_0_exit_3 = in_process("single-outcome")
+    test_degenerate_with_quotes_exit_3 = in_process("degenerate-with-quotes")
+    test_missing_file_exit_4 = in_process("missing-file")
+    test_bad_quote_sum_exit_3 = in_process("quote-sum")
+    test_quote_values_checked_after_the_run_options = in_process(
+        "after-options/resamples", "after-options/seed", "after-options/smoothing"
+    )
+    test_bad_quote_values_exit_3 = in_process("quote-values/")
+    test_non_finite_quote_exit_3 = in_process("non-finite-quote/")
+    test_bad_quote_sidecar = in_process("quote-sidecar/")
+    test_bad_samples_file = in_process("samples-file/")
+    test_quote_labels_matched_after_the_whole_sidecar = in_process("labels-after-sidecar")
+    test_duplicate_directive_label_exit_2 = in_process("duplicate-directive")
+    test_directive_after_header_exit_2 = in_process("samples-directive-after-header")
+    test_undeclared_label_reported_before_a_later_bad_line = in_process(
+        "undeclared-before-bad-line"
+    )
+    test_undecodable_samples_exit_2 = in_process("undecodable-samples")
+    test_undecodable_byte_reported_at_its_line = in_process("undecodable-late")
+    test_undecodable_byte_reported_in_its_field = in_process("undecodable-field")
+    test_undecodable_quote_sidecar_exit_2 = in_process(
+        "undecodable-sidecar", "undecodable-sidecar-first-row"
+    )
+    test_first_bad_line_reported_undecodable_or_not = in_process("first-bad-line/")
+    test_small_sample_warning_is_one_line = in_process("small-sample")
+    test_failed_run_prints_no_warning = in_process("small-sample-failed-out")
+    test_byte_identical_reruns = in_process("measure-rerun")
+    test_non_finite_smoothing_exit_3 = in_process("non-finite-smoothing/")
+    test_smoothing_that_overflows_exit_3 = in_process("smoothing-overflow")
+
     def test_json_report_with_quotes(self, samples_csv, quotes_csv, capsys):
         code = main(
             ["measure", "--in", str(samples_csv), "--quotes", str(quotes_csv),
@@ -95,6 +130,11 @@ class TestMeasure:
 
 
 class TestCoin:
+    test_fair_quotes_eff_q_is_eff = in_process("eff-q-is-eff")
+    test_report_parses = in_process("coin-report/")
+    test_point_mass_prints_no_signed_zero = in_process("coin-point-mass")
+    test_domain_violation_exit_3 = in_process("coin-domain", "coin-domain-2")
+
     def test_fair_predictable(self, capsys):
         code = main(["coin", "--p-tail", "0.5", "--accuracy", "0.9", "--q-tail", "0.5"])
         assert code == 0
@@ -156,6 +196,12 @@ class TestCoin:
 
 
 class TestSimulate:
+    test_report_is_strict_json = in_process("simulate-json")
+    test_byte_identical_reruns = in_process("simulate-rerun", "simulate-rerun-short")
+    test_trajectory_with_multiple_runs_rejected = in_process("multiple-runs-trajectory")
+    test_runs_below_one_exit_3 = in_process("runs-below-one/")
+    test_trajectory_points_below_one_exit_3 = in_process("trajectory-points/")
+
     def test_matches_target(self, capsys):
         code = main(
             ["simulate", "--accuracy", "0.9", "--rounds", "1000000", "--seed", "7"]
@@ -199,6 +245,11 @@ class TestSimulate:
 
 
 class TestFigures:
+    test_byte_identical_across_runs = in_process("figures-rerun")
+    test_svg_for_every_figure = in_process("figures-svg")
+    test_open_domain_below_three_points_writes_nothing = in_process("open-domain/")
+    test_svg_below_two_curve_points_writes_nothing = in_process("svg-below-two")
+
     def test_all_csvs_written(self, tmp_path, capsys):
         code = main(["figures", "--which", "all", "--out-dir", str(tmp_path)])
         assert code == 0
@@ -547,6 +598,12 @@ json_scalars = st.one_of(
 # `cli.run` is the one output stage: files are written in order and stdout
 # last, and a failed run leaves no file that it created.
 class TestOutputStage:
+    test_failed_out_leaves_no_trajectory_file = in_process("failed-out-trajectory")
+    test_failed_out_keeps_a_file_named_with_a_trailing_slash = in_process("trailing-slash")
+    test_unopenable_out_is_one_error_line = in_process("unopenable-out/")
+    test_failed_write_removes_the_files_it_created = in_process("failed-write/")
+    test_undecodable_out_dir_on_stdout = in_process("undecodable-out-dir/")
+
     @pytest.mark.parametrize("fmt", ["json", "csv"])
     @pytest.mark.parametrize("command", ["measure", "coin", "simulate"])
     def test_out_file_holds_the_stdout_bytes(self, samples_csv, tmp_path, capsys, command, fmt):
@@ -647,3 +704,14 @@ class TestCoinConsistencyGrid:
                     assert code == 0
                     report = json.loads(capsys.readouterr().out)
                     assert report["consistency_delta"] < 1e-10
+
+
+def test_every_case_runs_in_process_once():
+    # A case no test here claims would run only through the console script.
+    claimed = [
+        case_id
+        for cls in list(globals().values()) if isinstance(cls, type)
+        for test in vars(cls).values()
+        for case_id in getattr(test, "case_ids", ())
+    ]
+    assert sorted(claimed) == sorted(CASES)

@@ -6,7 +6,8 @@ afterwards: the exit code, the exact stderr, stdout, and the files left.
 Every run starts in a fresh directory, its working directory, so every
 path in a case is relative to it.
 
-- In-process: `test_in_process` runs each case through `cli.main`.
+- In-process: `tests/test_cli.py` runs each case through `cli.main`, each
+  under a test name of its own there (`test_... = in_process(...)`).
 - Console script: `test_console` runs each case through the installed
   `infoeff` by `subprocess`, wherever that script is on PATH
   (`pip install -e .`); elsewhere it skips.
@@ -434,15 +435,36 @@ def main_transport(capsys, monkeypatch):
     return transport
 
 
+def in_process(*ids: str):
+    """A test method that runs the cases `ids` through `cli.main`, in order.
+
+    One id ending in '/' names a group: the test is then parametrized over
+    the group's cases, with the rest of each id as its pytest id. The ids
+    are kept on the method as `case_ids`.
+    """
+    if len(ids) == 1 and ids[0].endswith("/"):
+        group = [case_id for case_id in CASES if case_id.startswith(ids[0])]
+
+        @pytest.mark.parametrize("case_id", group, ids=[i[len(ids[0]):] for i in group])
+        def test(self, case_id, tmp_path, capsys, monkeypatch):
+            run_case(CASES[case_id], main_transport(capsys, monkeypatch), tmp_path)
+
+        test.case_ids = group
+    else:
+
+        def test(self, tmp_path, capsys, monkeypatch):
+            for n, case_id in enumerate(ids):
+                run_case(CASES[case_id], main_transport(capsys, monkeypatch), tmp_path / str(n))
+
+        test.case_ids = list(ids)
+    assert test.case_ids and set(test.case_ids) <= CASES.keys(), ids
+    return test
+
+
 def console(argv, env, cwd):
     proc = subprocess.run([SCRIPT, *argv], cwd=cwd, env={**os.environ, **env},
                           capture_output=True, check=False)
     return proc.returncode, proc.stdout, proc.stderr.decode("utf-8")
-
-
-@pytest.mark.parametrize("case_id", CASES)
-def test_in_process(case_id, tmp_path, capsys, monkeypatch):
-    run_case(CASES[case_id], main_transport(capsys, monkeypatch), tmp_path)
 
 
 @pytest.mark.skipif(SCRIPT is None, reason="the infoeff console script is not on PATH")
