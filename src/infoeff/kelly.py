@@ -22,12 +22,12 @@ p(x, y) to one (outcome, signal) cell in signal-major order: signal by
 signal, the outcomes in order within each. Per-round work grows with the
 number of cells, |X|*|Y|. Rounds are simulated in chunks of
 SIM_CHUNK_ROUNDS and the stream is read in order whatever the chunk size.
-A run keeps integer tallies of the rounds drawn in each cell, N_c, and its
-log wealth is sum_c N_c * log2(b(x|y) * alpha_x), the growth rate's
-expectation over cells with counts for probabilities. It is summed cell by
-cell, only at the sampled rounds and at the end, so every bit is
-independent of the chunk size and the rounding error is bounded by the
-number of cells, not of rounds. Memory does not grow with `rounds`.
+A run keeps integer tallies of the rounds drawn in each cell, N_c, that
+each chunk adds to; its log wealth is sum_c N_c * log2(b(x|y) * alpha_x),
+the growth rate's expectation over cells with counts for probabilities,
+summed cell by cell at the end and at each sampled round, from the tallies
+up to it. So every bit is independent of the chunk size, the rounding error
+is bounded by the number of cells, not of rounds, and memory is O(chunk).
 """
 
 from __future__ import annotations
@@ -158,7 +158,8 @@ def simulate(
     Each round draws one cell (x, y) of the market's joint from one uniform
     variate and multiplies wealth by b(x|y) * alpha_x. The log wealth is
     sum_c N_c * log2(b * alpha)_c over the cells drawn, from integer
-    tallies, so the result does not depend on SIM_CHUNK_ROUNDS.
+    tallies, so the result does not depend on SIM_CHUNK_ROUNDS, and a
+    trajectory sample at round r equals the result of a run of r rounds.
     """
     if rounds < 1:
         raise DomainViolation(f"rounds must be >= 1, got {rounds}")
@@ -186,22 +187,15 @@ def simulate(
         ends = sample_rounds[taken:stop] - start  # chunk prefixes that end at a sample
         taken = stop
         if len(ends):
-            # Tally the pieces between sample rounds, then add them up in order.
-            starts = np.concatenate(([0], ends[ends < size]))
-            pieces = np.empty((len(flat_pay), len(starts)), dtype=np.int64)
-            pieces[0] = np.diff(starts, append=size)
-            for k, edge in enumerate(cell_edges, 1):
-                pieces[k] = np.add.reduceat(edge <= u, starts)
-            tallies = at_least[:, None] + np.cumsum(pieces, axis=1)
-            log2_wealth = _log2_wealth(tallies[:, : len(ends)], flat_pay)
+            # The tallies at each sample: those before the chunk plus its pieces up to the sample.
+            starts = np.concatenate(([0], ends[:-1]))
+            head = u[: ends[-1]]
+            pieces = [ends - starts] + [np.add.reduceat(edge <= head, starts) for edge in cell_edges]
+            log2_wealth = _log2_wealth(at_least[:, None] + np.cumsum(pieces, axis=1), flat_pay)
             samples += zip((start + ends).tolist(), log2_wealth.tolist())
-            at_least = tallies[:, -1]
-        else:
-            at_least += [size] + [np.count_nonzero(edge <= u) for edge in cell_edges]
+        at_least += [size] + [np.count_nonzero(edge <= u) for edge in cell_edges]
         if bankrupt_round is None and _drawn(at_least)[ruin].any():
-            cells = np.zeros(size, dtype=np.intp)
-            for edge in cell_edges:
-                cells += edge <= u
+            cells = np.searchsorted(cell_edges, u, side="right")
             bankrupt_round = start + int(np.argmax(ruin[cells])) + 1
 
     log2_final = float(_log2_wealth(at_least[:, None], flat_pay)[0])
