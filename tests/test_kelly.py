@@ -268,6 +268,25 @@ class TestSimulate:
         assert sampled[0] == 1 and sampled[-1] == (rounds if points > 1 else 1)
         assert all(a < b for a, b in zip(sampled, sampled[1:]))
 
+    @pytest.mark.parametrize("chunk", [7, 1000, 2**14])
+    def test_trajectory_is_a_prefix_of_its_run(self, monkeypatch, chunk):
+        # Each sample is the final value of the run cut at its round, bit for
+        # bit, and sampling changes nothing about the run itself.
+        monkeypatch.setattr(kelly, "SIM_CHUNK_ROUNDS", chunk)
+        rng = np.random.default_rng(chunk)
+        for _ in range(50):
+            market, strat = sparse_market_and_strategy(rng)
+            rounds = int(rng.integers(1, 40001 if chunk > 7 else 1001))
+            points = int(rng.integers(1, 31))
+            seed, run_index = (int(n) for n in rng.integers(0, 100, size=2))
+            sampled = simulate(market, strat, rounds, seed, run_index, trajectory_points=points)
+            plain = simulate(market, strat, rounds, seed, run_index)
+            assert (sampled.final_log2_wealth.hex(), sampled.bankrupt_round) == (
+                plain.final_log2_wealth.hex(), plain.bankrupt_round)
+            for r, value in sampled.trajectory_sample:
+                prefix = simulate(market, strat, r, seed, run_index).final_log2_wealth
+                assert value.hex() == prefix.hex(), (r, rounds, points)
+
     @pytest.mark.parametrize("points", [0, -3])
     def test_no_trajectory_at_nonpositive_points(self, points):
         market = coin_market(0.5, 0.9, 0.4)
@@ -296,6 +315,21 @@ class TestSimulate:
                 abs(simulate(market, strat, 9 * 10**5, seed).mean_growth - target)
             )
         assert np.median(errors_large) < np.median(errors_small)
+
+
+def sparse_market_and_strategy(rng) -> tuple[MarketParams, Channel]:
+    """A random market with zero cells, and a strategy that stakes 0 on some outcomes."""
+    n_x, n_y = (int(n) for n in rng.integers(1, 5, size=2))
+    xs, ys = tuple(f"x{i}" for i in range(n_x)), tuple(f"y{j}" for j in range(n_y))
+
+    def rows(n, m):
+        r = rng.random((n, m)) * (rng.random((n, m)) < 0.7)
+        r[np.arange(n), rng.integers(m, size=n)] += 0.1  # no row is all zeros
+        return r / r.sum(axis=1, keepdims=True)
+
+    prior = normalize(xs, rows(1, n_x)[0])
+    market = MarketParams(prior, Channel(xs, ys, rows(n_x, n_y)), normalize(xs, rng.random(n_x) + 0.05))
+    return market, Channel(ys, xs, rows(n_y, n_x))
 
 
 def three_by_four_market() -> MarketParams:
