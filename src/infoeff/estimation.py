@@ -180,6 +180,8 @@ def _read_header(
         if kind == "error":
             raise ParseError(line_no, *value)
         if kind == "directive":
+            if value[0] in declared:
+                raise ParseError(line_no, 1, f"repeated {value[0]!r} directive")
             declared[value[0]] = value[1]
         elif kind == "header":
             return declared, line_no

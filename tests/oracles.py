@@ -1,6 +1,6 @@
 """Independent oracles for expected values, written before the library.
 
-Pure math/stdlib, plus numpy for the seeded Kelly run — nothing here
+Pure math/stdlib, plus numpy for the seeded draws — nothing here
 imports the package, so these stay independent of the code paths they
 check. The FROZEN_* constants were computed with these functions and
 pinned.
@@ -70,6 +70,44 @@ def conditional_entropy(joint) -> float:
     return total
 
 
+def exact_eff(joint) -> float:
+    """Eff = H(X|Y) / H(X) of a joint indexed [outcome][signal], by direct sums."""
+    return conditional_entropy(joint) / entropy([sum(row) for row in joint])
+
+
+def sample_table(joint, n, seed):
+    """Count table of n records drawn i.i.d. from `joint`, indexed [outcome][signal].
+
+    One multinomial draw over the cells in row-major order, from
+    PCG64(SeedSequence(seed)); returns nested lists of ints.
+    """
+    joint = np.asarray(joint, dtype=float)
+    counts = np.random.default_rng(seed).multinomial(n, joint.ravel())
+    return counts.reshape(joint.shape).tolist()
+
+
+def tables_2x2(n):
+    """Every 2x2 count table [[a, b], [c, d]] of total n, C(n + 3, 3) of them."""
+    for a in range(n + 1):
+        for b in range(n - a + 1):
+            for c in range(n - a - b + 1):
+                yield [[a, b], [c, n - a - b - c]]
+
+
+def multinomial_weight(table, joint) -> float:
+    """Probability of the count table `table` in a multinomial draw from `joint`.
+
+    Both are indexed [outcome][signal]; a zero cell of `joint` with a zero
+    count contributes a factor 1.
+    """
+    counts = [k for row in table for k in row]
+    weight, left = 1.0, sum(counts)
+    for k, p in zip(counts, [p for row in joint for p in row]):
+        weight *= math.comb(left, k) * p**k
+        left -= k
+    return weight
+
+
 def expected_growth(joint, alphas, allocations) -> float:
     """sum_{x,y} p(x,y) log2(allocation[y][x] * alpha[x]) by direct loop.
 
@@ -132,7 +170,8 @@ def parse_samples(lines):
     each (signal, outcome) pair to its number of records, or a triple for
     the first problem: ("ParseError", line, column), or ("EmptyInput",
     number of lines read, None) when no record follows the header.
-    Directives declare the alphabets before the header and are errors after it.
+    Directives declare the alphabets before the header, once each, and are
+    errors after it.
     """
     counts, declared = {}, {}
     header_seen = False
@@ -146,7 +185,8 @@ def parse_samples(lines):
             key = key.strip().lower()
             if colon and key in ("signals", "outcomes"):
                 labels = tuple(tok.strip() for tok in rest.split(","))
-                if header_seen or "" in labels or len(set(labels)) != len(labels):
+                repeated = key in declared or len(set(labels)) != len(labels)
+                if header_seen or repeated or "" in labels:
                     return ("ParseError", line_no, 1)
                 declared[key] = labels
             continue

@@ -50,6 +50,7 @@ class TestMeasure:
     test_quote_labels_matched_after_the_whole_sidecar = in_process("labels-after-sidecar")
     test_duplicate_directive_label_exit_2 = in_process("duplicate-directive")
     test_directive_after_header_exit_2 = in_process("samples-directive-after-header")
+    test_repeated_directive_exit_2 = in_process("repeated-directive")
     test_undeclared_label_reported_before_a_later_bad_line = in_process(
         "undeclared-before-bad-line"
     )

@@ -150,6 +150,9 @@ CASES = {
     "samples-directive-after-header": measure_fails(
         lines("signal,outcome", "a,h", "# signals: a,b", "b,t"),
         "ParseError: line 3, column 1: 'signals' directive after the header"),
+    "repeated-directive": measure_fails(
+        lines("# signals: a,b", "# signals: c", "signal,outcome", "c,h"),
+        "ParseError: line 2, column 1: repeated 'signals' directive"),
     "undeclared-before-bad-line": measure_fails(
         lines("# signals: a", "signal,outcome", "z,h", "a,h,t"),
         "ParseError: line 3, column 1: signal 'z' not in declared alphabet"),

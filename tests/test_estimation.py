@@ -160,6 +160,7 @@ PARSER_CASES = [
     "signal,outcome\na,h\n# outcomes: h,h\na,t\n",  # also after the header
     "# signals: a\nsignal,outcome\na,h\nz,h\na,h,t\n",  # met before a later syntax error
     "# signals: c,a\n# outcomes: t,h\nsignal,outcome\na,h\na,t\n",  # wider, in their order
+    "# outcomes: h,t\n# signals: a\n#Outcomes: h\nsignal,outcome\na,h\n",  # one of each kind
 ] + [
     # A bad line at every position, so it is the first or the last line of a
     # chunk for each chunk size tested.
@@ -188,6 +189,7 @@ class TestReadSamplesAgainstOracle:
                                 ("ParseError", 21, 1)]
         assert results[9:12] == [("ParseError", 1, 1), ("ParseError", 3, 1), ("ParseError", 4, 1)]
         assert results[12] == ({("a", "h"): 1, ("a", "t"): 1}, ("c", "a"), ("t", "h"))
+        assert results[13] == ("ParseError", 3, 1)
 
 
 def counts_sample_set(counts, signal_labels, outcome_labels) -> SampleSet:
