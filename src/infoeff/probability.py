@@ -147,8 +147,9 @@ class JointSystem:
     """Joint distribution p(outcome, signal), row-major by outcome.
 
     Invariants: finite cells >= 0, total sum = 1 within 1e-9. When built by
-    `joint_from_prior_channel`, marginalizing the signals out reproduces the
-    prior to within 1e-12.
+    `joint_from_prior_channel`, summing the signals out of row x gives
+    prior(x) times the sum of channel row x, so it is within prior(x) * 1e-9
+    of the prior, plus rounding.
     """
 
     outcome_labels: Labels

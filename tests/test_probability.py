@@ -24,6 +24,7 @@ from infoeff import (
     marginal_signal,
     normalize,
 )
+from infoeff.probability import SUM_TOL
 
 
 class TestMakeDistribution:
@@ -233,6 +234,21 @@ class TestJointFromPriorChannel:
             joint = joint_from_prior_channel(prior, chan)
             assert np.max(np.abs(marginal_outcome(joint).probs - prior.probs)) < 1e-12
             assert abs(float(np.sum(joint.joint)) - 1.0) < 1e-9
+
+    def test_marginal_misses_prior_by_the_row_tolerance(self):
+        # The largest second entry a channel row accepts beside 0.5.
+        high = 0.5 + SUM_TOL
+        while True:
+            try:
+                chan = Channel(("h", "t"), ("u", "v"), [[0.5, high], [0.5, 0.5]])
+                break
+            except SumNotOne:
+                high = np.nextafter(high, 0.0)
+        prior = make_distribution(["h", "t"], [0.5, 0.5])
+        marginal = marginal_outcome(joint_from_prior_channel(prior, chan)).probs
+        assert marginal[0] == 0.5 * (0.5 + high)
+        assert 0.5 * SUM_TOL * 0.999 < marginal[0] - 0.5 <= 0.5 * SUM_TOL
+        assert marginal[1] == 0.5
 
 
 class TestBayesPosterior:
