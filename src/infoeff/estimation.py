@@ -62,7 +62,7 @@ from .probability import Distribution, JointSystem, _labeled_array, marginal_out
 MIN_RESAMPLES = 100
 DEFAULT_SMOOTHING = 0.5
 DEFAULT_RESAMPLES = 1000
-BLOCK_CELLS = 2**16  # per bootstrap block; bounds memory whatever the resamples
+BLOCK_CELLS = 2**16  # per bootstrap block; bounds the draw, not the 16 B kept per resample
 CHUNK_LINES = 2**16  # lines tallied at a time; bounds parse memory whatever the records
 
 HEADER = ("signal", "outcome")
@@ -252,8 +252,9 @@ def _read_quotes(lines: Iterable[str], outcome_labels: tuple[str, ...]) -> list[
     return [values[lbl] for lbl in outcome_labels]
 
 
-def _smoothed_joint(counts: np.ndarray, n: int, smoothing: float) -> np.ndarray:
-    return (counts + smoothing) / (n + smoothing * (counts.shape[-2] * counts.shape[-1]))
+def _smoothed_joint(counts: np.ndarray, smoothing: float) -> np.ndarray:
+    totals = np.add.reduce(counts, axis=(-2, -1), keepdims=True)
+    return (counts + smoothing) / (totals + smoothing * (counts.shape[-2] * counts.shape[-1]))
 
 
 def estimate_joint(samples: SampleSet, smoothing: float = DEFAULT_SMOOTHING) -> JointSystem:
@@ -266,19 +267,20 @@ def estimate_joint(samples: SampleSet, smoothing: float = DEFAULT_SMOOTHING) -> 
     """
     if not 0.0 <= smoothing < math.inf:  # written so that NaN fails it too
         raise DomainViolation(f"smoothing must be finite and >= 0, got {smoothing!r}")
-    counts, n = samples.counts(), len(samples)
-    if not math.isfinite(n + smoothing * counts.size):
+    counts = samples.counts()
+    if not math.isfinite(len(samples) + smoothing * counts.size):
         raise DomainViolation(
             f"smoothing {smoothing!r} overflows the denominator N + smoothing * {counts.size} cells"
         )
-    joint = _smoothed_joint(counts, n, smoothing)
+    joint = _smoothed_joint(counts, smoothing)
     return JointSystem(samples.outcome_labels, samples.signal_labels, joint)
 
 
 def _bootstrap(
-    counts: np.ndarray, n: int, smoothing: float, q: np.ndarray | None, resamples: int, seed: int
+    counts: np.ndarray, smoothing: float, q: np.ndarray | None, resamples: int, seed: int
 ) -> tuple[np.ndarray, np.ndarray | None]:
     """Eff (and Eff_q) of each resample, scored by the reports' own _fields; NaN where 0/0."""
+    n = int(counts.sum())
     p_flat = (counts / n).reshape(-1)
     per_block = max(1, BLOCK_CELLS // counts.size)
     ratios = np.empty((resamples, 2))  # eff, eff_q per resample; None is stored as NaN
@@ -286,7 +288,7 @@ def _bootstrap(
     for start in range(0, resamples, per_block):
         block = slice(start, min(start + per_block, resamples))
         draws = rng.multinomial(n, p_flat, size=block.stop - block.start)
-        joints = _smoothed_joint(draws.reshape(-1, *counts.shape).astype(float), n, smoothing)
+        joints = _smoothed_joint(draws.reshape(-1, *counts.shape).astype(float), smoothing)
         ratios[block] = [(f["eff"], f["eff_q"]) for f in _fields(joints, q)]
     return ratios[:, 0], ratios[:, 1] if q is not None else None
 
@@ -340,7 +342,7 @@ def estimate_efficiency(
             stacklevel=2,
         )
 
-    effs, effs_q = _bootstrap(counts, n, smoothing, q, resamples, seed)
+    effs, effs_q = _bootstrap(counts, smoothing, q, resamples, seed)
     ci_low, ci_high = _percentile_ci(effs, point.eff)
     eff_q_ci = (None, None) if q is None else _percentile_ci(effs_q, point.eff_q)
 

@@ -27,7 +27,8 @@ each chunk adds to; its log wealth is sum_c N_c * log2(b(x|y) * alpha_x),
 the growth rate's expectation over cells with counts for probabilities,
 summed cell by cell at the end and at each sampled round, from the tallies
 up to it. So every bit is independent of the chunk size, the rounding error
-is bounded by the number of cells, not of rounds, and memory is O(chunk).
+is bounded by the number of cells, not of rounds, and memory is O(chunk +
+trajectory points), as each sampled round and its value are kept.
 """
 
 from __future__ import annotations
@@ -49,7 +50,7 @@ from .probability import (
     joint_from_prior_channel,
 )
 
-SIM_CHUNK_ROUNDS = 2**14  # rounds per chunk: simulate's memory is O(chunk)
+SIM_CHUNK_ROUNDS = 2**14  # rounds per chunk: simulate's memory is O(chunk + trajectory points)
 
 
 @dataclass(frozen=True, eq=False)

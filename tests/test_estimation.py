@@ -258,6 +258,15 @@ class TestEstimateJoint:
         with pytest.raises(DomainViolation, match="smoothing"):
             estimate_joint(samples, smoothing=5e307)
 
+    @pytest.mark.parametrize("smoothing", [0.0, 0.5])
+    def test_each_table_of_a_stack_is_divided_by_its_own_total(self, smoothing):
+        # Totals 8 and 4: a stack smoothed by one shared N would get one slice wrong.
+        tables = np.array([[[3.0, 1.0], [0.0, 4.0]], [[1.0, 1.0], [1.0, 1.0]]])
+        stack = estimation._smoothed_joint(tables, smoothing)
+        for table, joint in zip(tables, stack):
+            assert joint.tobytes() == estimation._smoothed_joint(table, smoothing).tobytes()
+            assert abs(joint.sum() - 1.0) <= 1e-12
+
 
 FAIR_PRIOR = make_distribution(("h", "t"), (0.5, 0.5))
 ACC_09 = Channel(("h", "t"), ("h", "t"), [[0.9, 0.1], [0.1, 0.9]])
@@ -302,12 +311,12 @@ class TestEstimateEfficiency:
     @pytest.mark.parametrize("block_cells", [1, 7 * 4, estimation.BLOCK_CELLS])
     def test_bootstrap_prefix_of_a_longer_run(self, monkeypatch, block_cells):
         samples = draw_records(FAIR_PRIOR, ACC_09, 2000, seed=4)
-        counts, n = samples.counts(), len(samples)
+        counts = samples.counts()
         assert counts.size == 4
         q = np.array([0.3, 0.7])
         monkeypatch.setattr(estimation, "BLOCK_CELLS", block_cells)
-        short = estimation._bootstrap(counts, n, 0.5, q, 200, 9)
-        long = estimation._bootstrap(counts, n, 0.5, q, 300, 9)
+        short = estimation._bootstrap(counts, 0.5, q, 200, 9)
+        long = estimation._bootstrap(counts, 0.5, q, 300, 9)
         for a, b in zip(short, long):
             assert a.tobytes() == b[:200].tobytes()
 
@@ -316,7 +325,7 @@ class TestEstimateEfficiency:
         # independent tables, where H(X|Y) can exceed H(X) by a rounding
         # step. The predictability gap clamps to 0 there, so Eff reads 1.0.
         effs, effs_q = estimation._bootstrap(
-            np.full((2, 2), 25.0), 100, 0.0, np.array([0.5, 0.5]), 1000, 1
+            np.full((2, 2), 25.0), 0.0, np.array([0.5, 0.5]), 1000, 1
         )
         assert np.nanmax(effs) <= 1.0
         assert [effs[i] for i in (135, 546, 626)] == [1.0, 1.0, 1.0]
@@ -328,7 +337,7 @@ class TestEstimateEfficiency:
         # though its marginal may sum to 1 - 2^-53: all 331 such resamples of
         # these 7 records are NaN (71 of them read Eff 0.0 while H(X) was
         # 1.6e-16), and the 90 zeros are resamples that draw both outcomes.
-        effs, _ = estimation._bootstrap(np.array([[1.0, 0, 0], [2, 3, 1]]), 7, 0.0, None, 1000, 3)
+        effs, _ = estimation._bootstrap(np.array([[1.0, 0, 0], [2, 3, 1]]), 0.0, None, 1000, 3)
         assert (np.isnan(effs).sum(), (effs == 0.0).sum()) == (331, 90)
 
     def test_percentile_ci_without_a_finite_resample_is_the_point(self):

@@ -127,9 +127,9 @@ class TestValidators:
             build()
 
     def test_row_sums_equal_vector_sums_bit_for_bit(self):
-        # Channel accepts all its rows from one reduction over the last axis;
-        # that decision is the per-row one only if each row's sum has the
-        # bits of the row summed alone.
+        # _bayes_rows sums every row of its cells in one reduction over the
+        # last axis; a posterior's bits do not depend on which other signals
+        # are asked for only if each row's sum has the bits of the row summed alone.
         rng = np.random.default_rng(7)
         for width in range(1, 65):
             rows = rng.random((6, width)) * 10.0 ** rng.uniform(-8, 8, (6, width))

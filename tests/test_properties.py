@@ -210,7 +210,7 @@ def test_each_resample_reads_as_its_own_report(counts, smoothing, data, seed):
     xs, ys = tuple(f"x{i}" for i in range(n_x)), tuple(f"y{j}" for j in range(n_y))
     q = normalize(xs, data.draw(st.lists(positive_weight, min_size=n_x, max_size=n_x)))
     n, resamples = int(counts.sum()), 100
-    effs, effs_q = _bootstrap(counts, n, smoothing, q.probs, resamples, seed)
+    effs, effs_q = _bootstrap(counts, smoothing, q.probs, resamples, seed)
     draws = np.random.default_rng(seed).multinomial(n, (counts / n).ravel(), size=resamples)
     expected = []
     for draw in draws:
