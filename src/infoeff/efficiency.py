@@ -18,6 +18,7 @@ Pure functions on immutable inputs; thread-safe.
 
 from __future__ import annotations
 
+import math
 from collections.abc import Sequence
 from dataclasses import dataclass
 
@@ -53,33 +54,36 @@ class EfficiencyReport:
         return {k: v for k, v in vars(self).items() if v is not None}
 
 
-def _fields(joints: np.ndarray, q: np.ndarray | None = None) -> list[dict]:
-    """The report's fields, in its order, on each joint of a stack (T, X, Y).
+def _ratio(h_xy: np.ndarray, h: np.ndarray, gap: np.ndarray) -> np.ndarray:
+    """H(X|Y)/h: 1.0 where the clamped gap h - H(X|Y) is 0, and NaN where h is (0/0)."""
+    # h = 0 forces the gap to 0, as H(X|Y) >= 0, so `where` never divides by 0.
+    return np.divide(h_xy, h, out=np.where(h == 0.0, np.nan, 1.0), where=gap != 0.0)
 
-    The one scorer, of both reports and of every bootstrap resample. The
-    quote fields are None without `q`. A gap within 1e-12 bits below 0 is
-    rounding and clamps to 0 (further below is NumericalInconsistency);
-    each ratio follows its clamped gap.
-    Eff is None when H(X) = 0, 1.0 when H(X) - H(X|Y) clamps, else
+
+def _fields(joints: np.ndarray, q: np.ndarray | None = None) -> dict[str, np.ndarray | None]:
+    """The report's fields, in its order, as columns over a stack of joints (T, X, Y).
+
+    The one scorer, of both reports and of every bootstrap resample: one
+    float64 array of length T per field, NaN for None. The quote fields are
+    None without `q`. A gap within 1e-12 bits below 0 is rounding and clamps
+    to 0 (further below is NumericalInconsistency); each ratio follows its
+    clamped gap. Eff is NaN when H(X) = 0, 1.0 when H(X) - H(X|Y) clamps, else
     H(X|Y)/H(X). Given checked quote probabilities `q`, Eff_q is Eff when
     the mispricing gap H(q) - H(X) clamps (fair quotes: Eff_q never exceeds
     Eff), 1.0 when H(q) - H(X|Y) clamps, else H(X|Y)/H(q).
     """
     p_x = np.add.reduce(joints, axis=-1)
-    h_xs, h_xys = _entropies(p_x).tolist(), _conditional_entropies(joints).tolist()
-    h_qs = [None] * len(h_xs) if q is None else _neg_sum_plog2q(p_x, q).tolist()
-    reports = []
-    for h_x, h_xy, h_q in zip(h_xs, h_xys, h_qs):
-        gap = clamp_nonneg(h_x - h_xy, "H(X) - H(X|Y)")
-        eff = None if h_x == 0.0 else 1.0 if gap == 0.0 else h_xy / h_x
-        eff_q = g_max_q = mispricing_gap = None
-        if h_q is not None:
-            mispricing_gap = clamp_nonneg(h_q - h_x, "H(q) - H(X)")
-            g_max_q = clamp_nonneg(h_q - h_xy, "H(q) - H(X|Y)")
-            eff_q = eff if mispricing_gap == 0.0 else 1.0 if g_max_q == 0.0 else h_xy / h_q
-        reports.append(dict(eff=eff, eff_q=eff_q, h_x=h_x, h_x_given_y=h_xy, h_q=h_q, g_max=gap,
-                            g_max_q=g_max_q, predictability_gap=gap, mispricing_gap=mispricing_gap))
-    return reports
+    h_x, h_xy = _entropies(p_x), _conditional_entropies(joints)
+    gap = clamp_nonneg(h_x - h_xy, "H(X) - H(X|Y)")
+    eff = _ratio(h_xy, h_x, gap)
+    eff_q = h_q = g_max_q = mispricing_gap = None
+    if q is not None:
+        h_q = _neg_sum_plog2q(p_x, q)
+        mispricing_gap = clamp_nonneg(h_q - h_x, "H(q) - H(X)")
+        g_max_q = clamp_nonneg(h_q - h_xy, "H(q) - H(X|Y)")
+        eff_q = np.where(mispricing_gap == 0.0, eff, _ratio(h_xy, h_q, g_max_q))
+    return dict(eff=eff, eff_q=eff_q, h_x=h_x, h_x_given_y=h_xy, h_q=h_q, g_max=gap,
+                g_max_q=g_max_q, predictability_gap=gap, mispricing_gap=mispricing_gap)
 
 
 def _report(joint: JointSystem, q: np.ndarray | None) -> EfficiencyReport:
@@ -88,7 +92,8 @@ def _report(joint: JointSystem, q: np.ndarray | None) -> EfficiencyReport:
     Raises DegenerateSystem when the ratio the report is for is 0/0: Eff
     (H(X) = 0) without quotes, Eff_q (H(q) = 0) with them.
     """
-    fields = _fields(joint.joint[None], q)[0]
+    fields = {name: None if column is None or math.isnan(column[0]) else float(column[0])
+              for name, column in _fields(joint.joint[None], q).items()}
     if q is None and fields["h_x"] == 0.0:
         raise DegenerateSystem("H(X) = 0: efficiency is 0/0 and undefined")
     if q is not None and fields["h_q"] == 0.0:

@@ -21,7 +21,8 @@ table, so the two are distributionally identical. One RNG stream, seeded
 by `seed`, draws the resamples in order, a block per `multinomial` call; a
 sized call draws its rows in sequence, so no resample depends on the block.
 One function, `efficiency._fields`, scores every report and every
-resample, so each resample's Eff and Eff_q are what `efficiency_with_quotes`
+resample: it returns one column per report field over a whole stack of
+tables, so each resample's Eff and Eff_q are what `efficiency_with_quotes`
 reads on its smoothed table, bit for bit, by construction.
 
 Both input files share one line grammar: a mandatory header line
@@ -40,6 +41,7 @@ from __future__ import annotations
 import itertools
 import math
 import re
+import sys
 import warnings
 from collections import Counter
 from collections.abc import Iterable, Iterator, Sequence
@@ -85,8 +87,11 @@ class SampleSet:
         table = _labeled_array(self, "table", outcome_labels="outcome", signal_labels="signal")
         if not np.all(np.isfinite(table) & (table >= 0.0) & (table == np.floor(table))):
             raise DomainViolation("counts must be finite nonnegative integers")
-        if np.sum(table) == 0.0:
+        total = float(np.sum(table))  # a float, so it compares exactly with sys.maxsize
+        if total == 0.0:
             raise EmptyInput("sample set has no records")
+        if total > sys.maxsize:  # so len() holds the sample size
+            raise DomainViolation(f"counts total {total!r}, more than {sys.maxsize} records")
 
     def __len__(self) -> int:
         return int(np.sum(self.table))
@@ -283,14 +288,17 @@ def _bootstrap(
     n = int(counts.sum())
     p_flat = (counts / n).reshape(-1)
     per_block = max(1, BLOCK_CELLS // counts.size)
-    ratios = np.empty((resamples, 2))  # eff, eff_q per resample; None is stored as NaN
+    effs, effs_q = np.empty(resamples), None if q is None else np.empty(resamples)
     rng = np.random.default_rng(seed)
     for start in range(0, resamples, per_block):
         block = slice(start, min(start + per_block, resamples))
         draws = rng.multinomial(n, p_flat, size=block.stop - block.start)
         joints = _smoothed_joint(draws.reshape(-1, *counts.shape).astype(float), smoothing)
-        ratios[block] = [(f["eff"], f["eff_q"]) for f in _fields(joints, q)]
-    return ratios[:, 0], ratios[:, 1] if q is not None else None
+        fields = _fields(joints, q)
+        effs[block] = fields["eff"]
+        if effs_q is not None:
+            effs_q[block] = fields["eff_q"]
+    return effs, effs_q
 
 
 def _percentile_ci(values: np.ndarray, point: float) -> tuple[float, float]:

@@ -25,12 +25,13 @@ from .probability import SUM_TOL, Distribution, JointSystem, _same_alphabet
 CANCEL_TOL = 1e-12
 
 
-def clamp_nonneg(value: float, what: str) -> float:
-    """Clamp tiny negative cancellation noise to 0; reject real negatives."""
-    if value < 0.0:
-        if value < -CANCEL_TOL:
-            raise NumericalInconsistency(f"{what} = {value!r} < -{CANCEL_TOL}")
-        return 0.0
+def clamp_nonneg(value: float | np.ndarray, what: str) -> np.ndarray:
+    """Clamp tiny negative noise to 0 in a float or an array; raise on its first real negative."""
+    value = np.array(value, dtype=float)  # a copy, clamped in place
+    bad = value[value < -CANCEL_TOL]
+    if bad.size:
+        raise NumericalInconsistency(f"{what} = {float(bad[0])!r} < -{CANCEL_TOL}")
+    value[value < 0.0] = 0.0
     return value
 
 
@@ -90,7 +91,7 @@ def mutual_information(joint: JointSystem) -> float:
     """M(X, Y) = H(X) - H(X|Y), in bits: the reports' predictability gap, clamped as there."""
     from .efficiency import _fields  # efficiency imports this module
 
-    return _fields(joint.joint[None])[0]["predictability_gap"]
+    return float(_fields(joint.joint[None])["predictability_gap"][0])
 
 
 def _quotes(quotes: Distribution | Sequence[float], p: Distribution) -> Distribution:

@@ -489,6 +489,7 @@ def test_console_step_runs_this_module():
     assert tier1.count("run:") == 3 and commands[:3] == [
         'pip install -e ".[test]"',
         "command -v infoeff",
-        "PYTHONPATH=src${PYTHONPATH:+:$PYTHONPATH} python -m pytest -q --continue-on-collection-errors",
+        "PYTHONPATH=src${PYTHONPATH:+:$PYTHONPATH} python -m pytest -q"
+        " --continue-on-collection-errors --durations=10",
     ]
     assert [c for c in commands if "infoeff" in c or "test_cli_cases" in c] == ["command -v infoeff"]

@@ -19,7 +19,8 @@ from infoeff import (
     joint_from_prior_channel,
     normalize,
 )
-from infoeff.efficiency import _fields
+from infoeff.efficiency import _fields, _report
+from infoeff.measures import _conditional_entropies, _entropies
 
 INDEPENDENT_FAIR = JointSystem(("h", "t"), ("h", "t"), [[0.25, 0.25], [0.25, 0.25]])
 IDENTITY_FAIR = JointSystem(("h", "t"), ("h", "t"), [[0.5, 0.0], [0.0, 0.5]])
@@ -161,9 +162,63 @@ class TestEfficiencyWithQuotes:
 
 class TestReportFields:
     def test_report_holds_exactly_the_scored_fields_in_order(self):
-        scored = _fields(ACCURACY_09.joint[None], np.array([0.4, 0.6]))[0]
+        q = np.array([0.4, 0.6])
+        scored = _fields(ACCURACY_09.joint[None], q)
         assert [field.name for field in fields(EfficiencyReport)] == list(scored)
-        assert all(isinstance(value, float) for value in scored.values())
+        for column in scored.values():
+            assert column.dtype == np.float64 and column.shape == (1,)
+        report = _report(ACCURACY_09, q)
+        assert all(type(value) is float for value in vars(report).values())
+        assert vars(report) == {name: column[0] for name, column in scored.items()}
+
+
+def random_stack(rng, n_x, n_y):
+    """Six random joints (X, Y), then one with H(X) = 0, one independent and one more random."""
+    alpha = rng.choice([0.1, 1.0])
+    joints = [rng.dirichlet(np.full(n_x * n_y, alpha)).reshape(n_x, n_y) for _ in range(6)]
+    degenerate = np.zeros((n_x, n_y))
+    degenerate[0] = rng.dirichlet(np.ones(n_y))
+    while True:  # an independent joint whose H(X) - H(X|Y) rounds below 0, so the gap clamps
+        independent = np.outer(rng.dirichlet(np.ones(n_x)), rng.dirichlet(np.ones(n_y)))
+        if _entropies(independent.sum(axis=-1)) < _conditional_entropies(independent):
+            break
+    last = rng.dirichlet(np.ones(n_x * n_y)).reshape(n_x, n_y)
+    return np.array([*joints, degenerate, independent, last])
+
+
+class TestColumnarFields:
+    """Each field of `_fields` on a stack is that field on each joint alone, bit for bit."""
+
+    def assert_columns_are_the_joints(self, stack, q):
+        columns = _fields(stack, q)
+        alone = [_fields(joint[None], q) for joint in stack]
+        for name, column in columns.items():
+            if q is None and name in ("eff_q", "h_q", "g_max_q", "mispricing_gap"):
+                assert column is None and all(fields[name] is None for fields in alone)
+            else:
+                assert column.dtype == np.float64 and column.shape == (len(stack),)
+                assert column.tobytes() == np.concatenate([f[name] for f in alone]).tobytes()
+        return columns
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_stack_fields_are_each_joints_fields(self, seed):
+        rng = np.random.default_rng(seed)
+        n_x, n_y = rng.integers(2, 9, size=2)
+        stack = random_stack(rng, n_x, n_y)
+        fair = stack[-1].sum(axis=-1)  # quotes fair to the last joint
+        for q in (None, rng.dirichlet(np.ones(n_x)), fair):
+            columns = self.assert_columns_are_the_joints(stack, q)
+            # H(X) = 0: Eff is NaN; the independent joint's gap clamps to 0 and its Eff is 1
+            assert np.isnan(columns["eff"][-3]) and columns["h_x"][-3] == 0.0
+            assert columns["predictability_gap"][-2] == 0.0 and columns["eff"][-2] == 1.0
+        # Fair quotes: the mispricing gap clamps to 0, and Eff_q is Eff
+        assert columns["mispricing_gap"][-1] == 0.0 and columns["eff_q"][-1] == columns["eff"][-1]
+
+    def test_quotes_fair_to_a_point_mass_leave_eff_q_nan(self):
+        # H(X) = 0 and q = p: the mispricing gap clamps, so Eff_q follows the NaN Eff
+        stack = np.array([[[0.3, 0.7], [0.0, 0.0]], [[0.5, 0.5], [0.0, 0.0]]])
+        columns = self.assert_columns_are_the_joints(stack, np.array([1.0, 0.0]))
+        assert np.isnan(columns["eff"]).all() and np.isnan(columns["eff_q"]).all()
 
 
 class TestRefinementMonotonicity:

@@ -213,6 +213,16 @@ class TestSampleSet:
         with pytest.raises(error):
             SampleSet(table, ("a", "b"), ("x", "y"))
 
+    def test_counts_totalling_more_than_maxsize_rejected(self):
+        # 2^63 - 1024 is the largest double at most sys.maxsize = 2^63 - 1,
+        # so it is the largest total whose len() Python can return.
+        largest = SampleSet([[2.0**62, 2.0**62 - 1024], [0, 0]], ("a", "b"), ("x", "y"))
+        assert len(largest) == 2**63 - 1024
+        assert estimate_joint(largest, 0.0).joint[0, 0] == 2**62 / (2**63 - 1024)
+        for table in ([[2.0**62, 2.0**62], [0, 0]], [[1e19, 1], [1, 1e19]]):
+            with pytest.raises(DomainViolation, match="more than 9223372036854775807 records"):
+                SampleSet(table, ("a", "b"), ("x", "y"))
+
     def test_table_is_frozen(self):
         samples = SampleSet([[1, 2], [3, 4]], ("a", "b"), ("x", "y"))
         assert len(samples) == 10

@@ -107,6 +107,15 @@ class TestClampNonneg:
             clamp_nonneg(-2e-12, "H(X) - H(X|Y)")
         assert str(excinfo.value) == "H(X) - H(X|Y) = -2e-12 < -1e-12"
 
+    def test_a_stack_clamps_each_value(self):
+        clamped = clamp_nonneg(np.array([0.5, -1e-13, -0.0, -CANCEL_TOL, 0.0]), "gap")
+        assert clamped.tobytes() == np.array([0.5, 0.0, -0.0, 0.0, 0.0]).tobytes()
+
+    def test_a_stack_names_its_first_real_negative(self):
+        with pytest.raises(NumericalInconsistency) as excinfo:
+            clamp_nonneg(np.array([[0.5, -1e-13], [-3e-12, -5e-12]]), "gap")
+        assert str(excinfo.value) == "gap = -3e-12 < -1e-12"
+
 
 class TestCrossEntropy:
     def test_equal_distributions_give_entropy(self):
