@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -491,6 +492,18 @@ GOLDEN_COIN_BIASED_CSV = (
     "delta_h_x,0.0\n"
     "consistency_delta,0.0\n"
 )
+# The SHA-256 of each file of `figures --which all --format svg` at the
+# default 1001 points, in the order the run lists them.
+GOLDEN_FIGURES_SVG_SHA256 = {
+    "fig1.csv": "b957fd9483f40d2004e40a73a8dfcaf1908687e68946a9f17b0693de5b390a5c",
+    "fig1.svg": "172970cce514e4a620b189172c8288392f7a27b8f0fafc51c82d116066b6fa33",
+    "fig2.csv": "b957fd9483f40d2004e40a73a8dfcaf1908687e68946a9f17b0693de5b390a5c",
+    "fig2.svg": "50c70d3015599c06d665c095ebbb0b467eb0ae23db469a2dd7736f3cba44de42",
+    "fig3.csv": "feb6987e0e03b93b49233a287d609cd027f8441dbea15da3f4ec4ff95c8c0441",
+    "fig3.svg": "b189c3f457282fc19520373180e086482bc1ea2018c4534680d97a4fd6929709",
+    "fig4.csv": "629ae0e38b64dbba69ab00a22d8b940931b22cca9704c4e6c4e7c698f0b2d684",
+    "fig4.svg": "c23d61d411ed6a1330c4926ccf0d11183fdbc265a385e07d634a1ebfba0e944e",
+}
 
 
 @pytest.fixture
@@ -531,6 +544,15 @@ class TestGoldenOutputs:
             ["figures", "--which", which, "--out-dir", str(tmp_path), "--points", "9"]
         ) == 0
         assert (tmp_path / f"fig{which}.csv").read_text(encoding="utf-8") == golden
+
+    def test_figures_svg_digests(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        assert main(["figures", "--which", "all", "--format", "svg", "--out-dir", "figs"]) == 0
+        assert capsys.readouterr().out == "".join(
+            f"figs/{name}\n" for name in GOLDEN_FIGURES_SVG_SHA256)
+        digests = {path.name: hashlib.sha256(path.read_bytes()).hexdigest()
+                   for path in (tmp_path / "figs").iterdir()}
+        assert digests == GOLDEN_FIGURES_SVG_SHA256
 
     def test_simulate_csv_bytes(self, capsys):
         code = main(
