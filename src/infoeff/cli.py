@@ -147,6 +147,10 @@ def cmd_simulate(args: argparse.Namespace) -> dict:
             raise DomainViolation(
                 f"--trajectory-points must be >= 1, got {args.trajectory_points}"
             )
+        if args.out is not None and os.path.realpath(args.out) == os.path.realpath(
+                args.trajectory_out):
+            raise DomainViolation(f"--trajectory-out {args.trajectory_out!r} and --out "
+                                  f"{args.out!r} name the same file")
         points = args.trajectory_points
 
     results = [
@@ -184,10 +188,7 @@ def cmd_simulate(args: argparse.Namespace) -> dict:
 
 
 def cmd_figures(args: argparse.Namespace) -> dict:
-    if args.which == "all":
-        numbers = [1, 2, 3, 4]
-    else:
-        numbers = [int(args.which)]
+    numbers = list(FIGURES) if args.which == "all" else [int(args.which)]
     out_dir = Path(args.out_dir)
     outputs = {}
     for n in numbers:
@@ -238,7 +239,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out")
 
     p = sub.add_parser("figures", help="regenerate the four reference curves")
-    p.add_argument("--which", choices=["1", "2", "3", "4", "all"], default="all")
+    p.add_argument("--which", choices=[*map(str, FIGURES), "all"], default="all")
     p.add_argument("--out-dir", dest="out_dir", default=".")
     p.add_argument("--points", type=int, default=1001)
     p.add_argument("--format", choices=["csv", "svg"], default="csv")

@@ -24,6 +24,21 @@ def _ticks(lo: float, hi: float) -> list[float]:
     return [lo + i * step for i in range(N_TICKS)]
 
 
+def _span(values: Sequence[float]) -> tuple[float, float]:
+    """The least and greatest value; equal values span that value +- 0.5."""
+    lo, hi = min(values), max(values)
+    return (lo - 0.5, hi + 0.5) if lo == hi else (lo, hi)
+
+
+def _line(x1, y1, x2, y2) -> str:
+    return f'<line x1="{x1}" y1="{y1}" x2="{x2}" y2="{y2}" stroke="black"/>'
+
+
+def _text(x, y, anchor: str, size: int, body: str, extra: str = "") -> str:
+    return (f'<text x="{x}" y="{y}" text-anchor="{anchor}" font-family="sans-serif" '
+            f'font-size="{size}"{extra}>{body}</text>')
+
+
 def line_chart(
     points: Sequence[tuple[float, float]],
     x_label: str,
@@ -38,14 +53,7 @@ def line_chart(
     """
     if len(points) < 2:
         raise ValueError(f"line_chart needs at least 2 points, got {len(points)}")
-    xs = [p[0] for p in points]
-    ys = [p[1] for p in points]
-    x_lo, x_hi = min(xs), max(xs)
-    y_lo, y_hi = min(ys), max(ys)
-    if y_hi == y_lo:
-        y_lo, y_hi = y_lo - 0.5, y_hi + 0.5
-    if x_hi == x_lo:
-        x_lo, x_hi = x_lo - 0.5, x_hi + 0.5
+    (x_lo, x_hi), (y_lo, y_hi) = map(_span, zip(*points))
 
     plot_w = WIDTH - MARGIN_LEFT - MARGIN_RIGHT
     plot_h = HEIGHT - MARGIN_TOP - MARGIN_BOTTOM
@@ -56,45 +64,27 @@ def line_chart(
     def py(y: float) -> float:
         return MARGIN_TOP + (y_hi - y) / (y_hi - y_lo) * plot_h
 
+    axis_y = MARGIN_TOP + plot_h
+    mid_y = f"{MARGIN_TOP + plot_h / 2:.1f}"
     parts = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{WIDTH}" height="{HEIGHT}" '
         f'viewBox="0 0 {WIDTH} {HEIGHT}">',
         f'<rect width="{WIDTH}" height="{HEIGHT}" fill="white"/>',
-        f'<text x="{WIDTH / 2:.1f}" y="18" text-anchor="middle" '
-        f'font-family="sans-serif" font-size="14">{title}</text>',
+        _text(f"{WIDTH / 2:.1f}", 18, "middle", 14, title),
+        _line(MARGIN_LEFT, axis_y, MARGIN_LEFT + plot_w, axis_y),
+        _line(MARGIN_LEFT, MARGIN_TOP, MARGIN_LEFT, axis_y),
     ]
-    axis_y = MARGIN_TOP + plot_h
-    parts.append(
-        f'<line x1="{MARGIN_LEFT}" y1="{axis_y}" x2="{MARGIN_LEFT + plot_w}" '
-        f'y2="{axis_y}" stroke="black"/>'
-    )
-    parts.append(
-        f'<line x1="{MARGIN_LEFT}" y1="{MARGIN_TOP}" x2="{MARGIN_LEFT}" '
-        f'y2="{axis_y}" stroke="black"/>'
-    )
     for t in _ticks(x_lo, x_hi):
-        x = px(t)
-        parts.append(f'<line x1="{x:.2f}" y1="{axis_y}" x2="{x:.2f}" y2="{axis_y + 5}" stroke="black"/>')
-        parts.append(
-            f'<text x="{x:.2f}" y="{axis_y + 20}" text-anchor="middle" '
-            f'font-family="sans-serif" font-size="11">{_fmt(t)}</text>'
-        )
+        x = f"{px(t):.2f}"
+        parts += [_line(x, axis_y, x, axis_y + 5), _text(x, axis_y + 20, "middle", 11, _fmt(t))]
     for t in _ticks(y_lo, y_hi):
         y = py(t)
-        parts.append(f'<line x1="{MARGIN_LEFT - 5}" y1="{y:.2f}" x2="{MARGIN_LEFT}" y2="{y:.2f}" stroke="black"/>')
-        parts.append(
-            f'<text x="{MARGIN_LEFT - 8}" y="{y + 4:.2f}" text-anchor="end" '
-            f'font-family="sans-serif" font-size="11">{_fmt(t)}</text>'
-        )
-    parts.append(
-        f'<text x="{MARGIN_LEFT + plot_w / 2:.1f}" y="{HEIGHT - 12}" text-anchor="middle" '
-        f'font-family="sans-serif" font-size="13">{x_label}</text>'
-    )
-    parts.append(
-        f'<text x="16" y="{MARGIN_TOP + plot_h / 2:.1f}" text-anchor="middle" '
-        f'font-family="sans-serif" font-size="13" '
-        f'transform="rotate(-90 16 {MARGIN_TOP + plot_h / 2:.1f})">{y_label}</text>'
-    )
+        parts += [_line(MARGIN_LEFT - 5, f"{y:.2f}", MARGIN_LEFT, f"{y:.2f}"),
+                  _text(MARGIN_LEFT - 8, f"{y + 4:.2f}", "end", 11, _fmt(t))]
+    parts += [
+        _text(f"{MARGIN_LEFT + plot_w / 2:.1f}", HEIGHT - 12, "middle", 13, x_label),
+        _text(16, mid_y, "middle", 13, y_label, f' transform="rotate(-90 16 {mid_y})"'),
+    ]
     coords = " ".join(f"{px(x):.2f},{py(y):.2f}" for x, y in points)
     parts.append(f'<polyline points="{coords}" fill="none" stroke="#1f6fb2" stroke-width="1.5"/>')
     parts.append("</svg>")

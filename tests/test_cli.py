@@ -251,6 +251,7 @@ class TestFigures:
     test_svg_for_every_figure = in_process("figures-svg")
     test_open_domain_below_three_points_writes_nothing = in_process("open-domain/")
     test_svg_below_two_curve_points_writes_nothing = in_process("svg-below-two")
+    test_one_figure_writes_only_its_files = in_process("figures-one")
 
     def test_all_csvs_written(self, tmp_path, capsys):
         code = main(["figures", "--which", "all", "--out-dir", str(tmp_path)])
@@ -626,6 +627,7 @@ class TestOutputStage:
     test_unopenable_out_is_one_error_line = in_process("unopenable-out/")
     test_failed_write_removes_the_files_it_created = in_process("failed-write/")
     test_undecodable_out_dir_on_stdout = in_process("undecodable-out-dir/")
+    test_one_file_for_trajectory_and_report_exit_3 = in_process("same-file/")
 
     @pytest.mark.parametrize("fmt", ["json", "csv"])
     @pytest.mark.parametrize("command", ["measure", "coin", "simulate"])
@@ -642,14 +644,6 @@ class TestOutputStage:
         assert capsys.readouterr().out == ""
         assert out.read_bytes() == printed.encode("utf-8")
 
-    def test_repeated_destination_keeps_the_last_text(self, tmp_path, capsys):
-        argv = ["simulate", "--accuracy", "0.9", "--rounds", "100"]
-        assert main(argv) == 0
-        printed = capsys.readouterr().out
-        out = tmp_path / "x"
-        assert main([*argv, "--trajectory-out", str(out), "--out", str(out)]) == 0
-        assert capsys.readouterr().out == ""
-        assert out.read_text(encoding="utf-8") == printed
 
 
 class TestRenderFlat:
@@ -666,6 +660,15 @@ class TestMalformedCommandLine:
         assert capsys.readouterr().err.splitlines()[-1] == (
             "infoeff measure: error: argument --seed: invalid int value: '0x10'"
         )
+
+    def test_unknown_figure_exits_2(self, tmp_path, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["figures", "--which", "5", "--out-dir", str(tmp_path / "figs")])
+        assert excinfo.value.code == 2
+        # Only the prefix: argparse lists the choices differently across versions.
+        assert capsys.readouterr().err.splitlines()[-1].startswith(
+            "infoeff figures: error: argument --which: invalid choice: '5'")
+        assert not (tmp_path / "figs").exists()
 
     @pytest.mark.parametrize("command", ["measure", "coin"])
     def test_info_set_is_not_an_option(self, samples_csv, capsys, command):

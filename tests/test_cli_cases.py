@@ -311,12 +311,27 @@ CASES = {
         3, f"DomainViolation: --trajectory-points must be >= 1, got {points}",
         after={"t.csv": None})
        for points in ("0", "-1")},
+    # One file for both outputs would keep only the report, however its path is spelled.
+    **{f"same-file/{name}": fails(
+        f"simulate --accuracy 0.9 --rounds 100 --trajectory-points 3 --trajectory-out {traj} "
+        f"--out {out}{options}", 3,
+        f"DomainViolation: --trajectory-out {traj!r} and --out {out!r} name the same file",
+        after={".": []})
+       for name, traj, out, options in [
+           ("same", "r.json", "r.json", ""),
+           ("dot-slash", "r.json", "./r.json", ""),
+           ("trailing-slash", "r.json", "r.json/", ""),
+           ("csv", "r2.csv", "r2.csv", " --format csv"),
+       ]},
     # figures
     "figures-rerun": Case("figures --which all --out-dir figs",
                           stdout="".join(f"figs/{name}\n" for name in FIGS).encode(), rerun=True),
     "figures-svg": Case("figures --which all --format svg --out-dir figs",
                         stdout=b"".join(f"figs/fig{n}.{ext}\n".encode()
                                         for n in (1, 2, 3, 4) for ext in ("csv", "svg"))),
+    "figures-one": Case("figures --which 3 --format svg --out-dir figs",
+                        stdout=b"figs/fig3.csv\nfigs/fig3.svg\n",
+                        after={"figs": ["fig3.csv", "fig3.svg"]}),
     **{f"open-domain/{fmt}": fails(
         f"figures --points 2 --format {fmt} --out-dir figs", 3,
         "DomainViolation: eff_vs_q grid needs at least 3 points, got 2",
