@@ -273,7 +273,8 @@ def estimate_joint(samples: SampleSet, smoothing: float = DEFAULT_SMOOTHING) -> 
     if not 0.0 <= smoothing < math.inf:  # written so that NaN fails it too
         raise DomainViolation(f"smoothing must be finite and >= 0, got {smoothing!r}")
     counts = samples.counts()
-    if not math.isfinite(len(samples) + smoothing * counts.size):
+    # N < 2^63 is far below an ulp of the largest double: only the product can overflow.
+    if not math.isfinite(smoothing * counts.size):
         raise DomainViolation(
             f"smoothing {smoothing!r} overflows the denominator N + smoothing * {counts.size} cells"
         )

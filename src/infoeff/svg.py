@@ -35,6 +35,8 @@ def _line(x1, y1, x2, y2) -> str:
 
 
 def _text(x, y, anchor: str, size: int, body: str, extra: str = "") -> str:
+    # xml.sax.saxutils.escape's three replacements; importing it imports urllib.request.
+    body = body.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
     return (f'<text x="{x}" y="{y}" text-anchor="{anchor}" font-family="sans-serif" '
             f'font-size="{size}"{extra}>{body}</text>')
 

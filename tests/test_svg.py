@@ -1,4 +1,5 @@
 import re
+from xml.dom.minidom import parseString
 
 from infoeff.svg import line_chart
 
@@ -17,3 +18,9 @@ def test_constant_x_spans_its_value_plus_minus_half():
     assert x_ticks == ["0", "0.25", "0.5", "0.75", "1"]
     # The curve runs up the middle of the plot: x = 70 + 550 / 2.
     assert '<polyline points="345.00,385.00 345.00,30.00"' in svg
+
+
+def test_label_text_is_escaped():
+    svg = line_chart([(0, 0), (1, 1)], "p < q & r", "y", title="t")
+    texts = parseString(svg).getElementsByTagName("text")
+    assert "p < q & r" in [node.firstChild.data for node in texts]

@@ -31,9 +31,6 @@ mutant from the code:
   Near 1 a float sum minus 1 is exact and a multiple of 2^-53, and neither
   1e-9 nor 1e-13 is one (1e-9 * 2^53 = 9007199.25..., 1e-13 * 2^53 =
   900.72...), so no input lands on either boundary.
-- estimation.py:estimate_joint: len(samples) + smoothing * counts.size [+ -> -]
-  N is below 2^63, far under an ulp of the largest double, so the sum
-  overflows only where the product is infinite, and the difference then too.
 - kelly.py:simulate: edge <= u [<= -> <]
 - kelly.py:simulate: edge <= head [<= -> <]
   The two differ only when a uniform double lands exactly on a cell edge.
