@@ -52,6 +52,9 @@ class CoinGameParams:
             raise DomainViolation(f"accuracy must be in [0, 1], got {self.accuracy!r}")
         if not 0.0 < self.q_tail < 1.0:
             raise DomainViolation(f"q_tail must be in (0, 1), got {self.q_tail!r}")
+        # Adding +0.0 turns -0.0 into 0.0, so no report echoes a negative zero.
+        object.__setattr__(self, "p_tail", self.p_tail + 0.0)
+        object.__setattr__(self, "accuracy", self.accuracy + 0.0)
 
     @property
     def alpha_tail(self) -> float:

@@ -360,7 +360,7 @@ def estimate_efficiency(
         ci_low=ci_low,
         ci_high=ci_high,
         n_samples=n,
-        smoothing=float(smoothing),
+        smoothing=float(smoothing) + 0.0,  # -0.0 is stored as 0.0
         resamples=resamples,
         seed=seed,
         small_sample=small,

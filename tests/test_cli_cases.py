@@ -10,9 +10,6 @@ Each transport is one test parametrized over `CASES`, so a new case is one
 new row of the table and runs through both:
 
 - In-process: `test_in_process` runs each case through `cli.main`.
-  `tests/test_cli.py::TestMeasure` still runs its cases a second time
-  under its older names (`test_... = in_process(...)`); those aliases
-  are to go, so add no new one.
 - Console script: `test_console` runs each case through the installed
   `infoeff` by `subprocess`, wherever that script is on PATH
   (`pip install -e .`); elsewhere it skips.
@@ -27,6 +24,7 @@ import csv
 import io
 import json
 import os
+import re
 import shlex
 import shutil
 import subprocess
@@ -98,6 +96,11 @@ def csv_fields(n: int):
         assert rows and all(len(row) == n for row in rows), rows
 
     return parse
+
+
+def no_negative_zero(out: bytes):
+    """Stdout prints no number as -0.0."""
+    assert re.search(rb"-0\.0\b", out) is None, out
 
 
 SAMPLES = lines("signal,outcome", *["h,h"] * 45, *["t,h"] * 5, *["h,t"] * 5, *["t,t"] * 45)
@@ -295,6 +298,13 @@ CASES = {
         stdout=strict_json(lambda r: r["mispricing_gap"] == 0.0 and r["eff_q"] == r["eff"])),
     # H(X) = 0 at a point mass: every entropy and gap there reads 0.0, not -0.0.
     "coin-point-mass": Case(POINT_MASS, stdout=POINT_MASS_JSON),
+    # A parameter given as -0 is echoed as 0.0, by every report that echoes it.
+    **{f"negative-zero/{name}": Case(argv, stdout=no_negative_zero, files={"samples.csv": SAMPLES})
+       for name, argv in [
+           ("coin", "coin --p-tail -0 --accuracy -0 --q-tail 0.5 --format csv"),
+           ("simulate", "simulate --p-tail -0 --accuracy 0.9 --rounds 10"),
+           ("measure", "measure --in samples.csv --smoothing -0 --resamples 100"),
+       ]},
     "coin-domain": fails("coin --p-tail 1.5 --accuracy 0.5 --q-tail 0.5", 3,
                          "DomainViolation: p_tail must be in [0, 1], got 1.5"),
     "coin-domain-2": fails("coin --p-tail 2 --accuracy 0.5 --q-tail 0.4", 3,
@@ -456,30 +466,6 @@ def main_transport(capsys, monkeypatch):
         return code, stdout.buffer.getvalue(), capsys.readouterr().err
 
     return transport
-
-
-def in_process(*ids: str):
-    """A test method that runs the cases `ids` through `cli.main`, in order.
-
-    One id ending in '/' names a group: the test is then parametrized over
-    the group's cases, with the rest of each id as its pytest id.
-    """
-    if len(ids) == 1 and ids[0].endswith("/"):
-        group = [case_id for case_id in CASES if case_id.startswith(ids[0])]
-        assert group, ids
-
-        @pytest.mark.parametrize("case_id", group, ids=[i[len(ids[0]):] for i in group])
-        def test(self, case_id, tmp_path, capsys, monkeypatch):
-            run_case(CASES[case_id], main_transport(capsys, monkeypatch), tmp_path)
-
-        return test
-    assert ids and set(ids) <= CASES.keys(), ids
-
-    def test(self, tmp_path, capsys, monkeypatch):
-        for n, case_id in enumerate(ids):
-            run_case(CASES[case_id], main_transport(capsys, monkeypatch), tmp_path / str(n))
-
-    return test
 
 
 def console(argv, env, cwd):

@@ -11,14 +11,16 @@ tier-1 runs on it with `-x --hypothesis-seed=0`. A run that fails, errors,
 or outlasts ten times the unmutated run (at least 60 s) kills its mutant.
 Each run starts without a Hypothesis example database or bytecode cache, so
 a run depends on its own mutant only. Tier-1 takes about 30 s unmutated on
-a 2-vCPU machine, so one full check takes tens of minutes (98 mutants took
-about 18 minutes).
+a 2-vCPU machine, so one full check takes tens of minutes; its summary
+line gives the mutant count and the total wall time.
 
 Each run's verdict is printed as it ends, with its wall time, and the total
 wall time at the end. Every survivor is then printed, marked `equivalent`
 when it is recorded below.
 The exit status is 0 when every survivor is recorded, 1 when one is not,
-and 2 when the unmutated tree fails.
+and 2 when the unmutated tree fails. Before any run the check stops with
+status 1 when a function named in TARGETS is gone, or when no mutant carries
+a recorded equivalent, naming it.
 
 Needs nothing beyond the standard library, pytest and hypothesis.
 
@@ -110,12 +112,18 @@ def mutants() -> list[tuple[str, str, str]]:
     found = []
     for module, names in TARGETS.items():
         source = (ROOT / PACKAGE / module).read_text(encoding="utf-8")
-        for i in range(len(_sites(ast.parse(source), names))):
+        parsed = ast.parse(source)
+        defined = {f.name for f in ast.walk(parsed) if isinstance(f, ast.FunctionDef)}
+        if missing := sorted(set(names or ()) - defined):
+            sys.exit(f"{module} defines no function {', '.join(missing)}: update TARGETS")
+        for i in range(len(_sites(parsed, names))):
             tree = ast.parse(source)  # a fresh tree per mutant, walked in the same order
             func, node, k = _sites(tree, names)[i]
             text = ast.unparse(node)
             old, new = _swap(node, k)
             found.append((module, f"{module}:{func}: {text} [{old} -> {new}]", ast.unparse(tree)))
+    if stale := sorted(EQUIVALENT - {key for _, key, _ in found}):
+        sys.exit(f"no mutant carries the recorded equivalent {'; '.join(stale)}: update the list")
     return found
 
 
