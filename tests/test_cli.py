@@ -9,6 +9,10 @@ import oracles
 from infoeff import cli
 from infoeff.cli import main
 from infoeff.errors import DomainViolation, EmptyInput, ParseError
+# Each `test_... = in_process(...)` below runs cases of the CLI contract
+# table in tests/test_cli_cases.py through `cli.main`, as `test_in_process`
+# there also does.
+from test_cli_cases import in_process
 
 
 def write_samples(path, lines):
@@ -32,6 +36,39 @@ def quotes_csv(tmp_path):
 
 
 class TestMeasure:
+    test_empty_input_exit_2 = in_process("empty-input")
+    test_degenerate_exit_3 = in_process("degenerate")
+    test_single_outcome_at_smoothing_0_exit_3 = in_process("single-outcome")
+    test_degenerate_with_quotes_exit_3 = in_process("degenerate-with-quotes")
+    test_missing_file_exit_4 = in_process("missing-file")
+    test_bad_quote_sum_exit_3 = in_process("quote-sum")
+    test_quote_values_checked_after_the_run_options = in_process(
+        "after-options/resamples", "after-options/seed", "after-options/smoothing"
+    )
+    test_bad_quote_values_exit_3 = in_process("quote-values/")
+    test_non_finite_quote_exit_3 = in_process("non-finite-quote/")
+    test_bad_quote_sidecar = in_process("quote-sidecar/")
+    test_bad_samples_file = in_process("samples-file/")
+    test_quote_labels_matched_after_the_whole_sidecar = in_process("labels-after-sidecar")
+    test_duplicate_directive_label_exit_2 = in_process("duplicate-directive")
+    test_directive_after_header_exit_2 = in_process("samples-directive-after-header")
+    test_repeated_directive_exit_2 = in_process("repeated-directive")
+    test_undeclared_label_reported_before_a_later_bad_line = in_process(
+        "undeclared-before-bad-line"
+    )
+    test_undecodable_samples_exit_2 = in_process("undecodable-samples")
+    test_undecodable_byte_reported_at_its_line = in_process("undecodable-late")
+    test_undecodable_byte_reported_in_its_field = in_process("undecodable-field")
+    test_undecodable_quote_sidecar_exit_2 = in_process(
+        "undecodable-sidecar", "undecodable-sidecar-first-row"
+    )
+    test_first_bad_line_reported_undecodable_or_not = in_process("first-bad-line/")
+    test_small_sample_warning_is_one_line = in_process("small-sample")
+    test_failed_run_prints_no_warning = in_process("small-sample-failed-out")
+    test_byte_identical_reruns = in_process("measure-rerun")
+    test_non_finite_smoothing_exit_3 = in_process("non-finite-smoothing/")
+    test_smoothing_that_overflows_exit_3 = in_process("smoothing-overflow")
+
     def test_json_report_with_quotes(self, samples_csv, quotes_csv, capsys):
         code = main(
             ["measure", "--in", str(samples_csv), "--quotes", str(quotes_csv),

@@ -10,6 +10,9 @@ Each transport is one test parametrized over `CASES`, so a new case is one
 new row of the table and runs through both:
 
 - In-process: `test_in_process` runs each case through `cli.main`.
+  `tests/test_cli.py::TestMeasure` still runs its cases a second time
+  under its older names (`test_... = in_process(...)`); those aliases
+  are to go, so add no new one.
 - Console script: `test_console` runs each case through the installed
   `infoeff` by `subprocess`, wherever that script is on PATH
   (`pip install -e .`); elsewhere it skips.
@@ -466,6 +469,30 @@ def main_transport(capsys, monkeypatch):
         return code, stdout.buffer.getvalue(), capsys.readouterr().err
 
     return transport
+
+
+def in_process(*ids: str):
+    """A test method that runs the cases `ids` through `cli.main`, in order.
+
+    One id ending in '/' names a group: the test is then parametrized over
+    the group's cases, with the rest of each id as its pytest id.
+    """
+    if len(ids) == 1 and ids[0].endswith("/"):
+        group = [case_id for case_id in CASES if case_id.startswith(ids[0])]
+        assert group, ids
+
+        @pytest.mark.parametrize("case_id", group, ids=[i[len(ids[0]):] for i in group])
+        def test(self, case_id, tmp_path, capsys, monkeypatch):
+            run_case(CASES[case_id], main_transport(capsys, monkeypatch), tmp_path)
+
+        return test
+    assert ids and set(ids) <= CASES.keys(), ids
+
+    def test(self, tmp_path, capsys, monkeypatch):
+        for n, case_id in enumerate(ids):
+            run_case(CASES[case_id], main_transport(capsys, monkeypatch), tmp_path / str(n))
+
+    return test
 
 
 def console(argv, env, cwd):
