@@ -40,7 +40,7 @@ import numpy as np
 
 from .efficiency import efficiency_with_quotes
 from .errors import DomainViolation, UnsupportedAlphabet
-from .measures import _quotes
+from .measures import _quotes, _sum_in_order
 from .probability import (
     Channel,
     Distribution,
@@ -131,19 +131,15 @@ def _drawn(at_least: np.ndarray) -> np.ndarray:
     return counts
 
 
-def _log2_wealth(at_least: np.ndarray, flat_pay: np.ndarray) -> np.ndarray:
-    """sum_c N_c * flat_pay[c] for each column of at-least tallies shaped (cells, m).
+def _log2_wealth(weights: np.ndarray, flat_pay: np.ndarray) -> np.ndarray:
+    """sum_c w_c * flat_pay[c] for each column of per-cell weights shaped (cells, m).
 
-    An undrawn cell adds nothing, even where its payout is -inf. Cells add
-    one by one from +0.0, so a trajectory sample and the final value round
-    alike.
+    The one growth sum, with round tallies N_c for log wealth and p(x, y) for
+    expected growth: a zero-weight cell adds nothing, even where its payout is
+    -inf, and cells add in order (_sum_in_order), so every caller rounds alike.
     """
-    counts = _drawn(at_least)
-    terms = np.multiply(counts, flat_pay[:, None], out=np.zeros(counts.shape), where=counts > 0)
-    total = 0.0
-    for term in terms:
-        total = total + term
-    return total
+    terms = np.multiply(weights, flat_pay[:, None], out=np.zeros(weights.shape), where=weights > 0)
+    return _sum_in_order(terms)
 
 
 def simulate(
@@ -178,28 +174,26 @@ def simulate(
     points = max(0, min(trajectory_points, rounds))
     sample_rounds = np.linspace(1, rounds, points).astype(int)
     samples = []
-    taken = 0
     at_least = np.zeros(len(flat_pay), dtype=np.int64)  # [k]: rounds so far in cells >= k
     bankrupt_round = None
     for start in range(0, rounds, SIM_CHUNK_ROUNDS):
         size = min(SIM_CHUNK_ROUNDS, rounds - start)
         u = rng.random(size)
-        stop = int(np.searchsorted(sample_rounds, start + size, side="right"))
-        ends = sample_rounds[taken:stop] - start  # chunk prefixes that end at a sample
-        taken = stop
+        first, stop = np.searchsorted(sample_rounds, (start, start + size), side="right")
+        ends = sample_rounds[first:stop] - start  # chunk prefixes that end at a sample
         if len(ends):
             # The tallies at each sample: those before the chunk plus its pieces up to the sample.
             starts = np.concatenate(([0], ends[:-1]))
             head = u[: ends[-1]]
             pieces = [ends - starts] + [np.add.reduceat(edge <= head, starts) for edge in cell_edges]
-            log2_wealth = _log2_wealth(at_least[:, None] + np.cumsum(pieces, axis=1), flat_pay)
-            samples += zip((start + ends).tolist(), log2_wealth.tolist())
+            drawn = _drawn(at_least[:, None] + np.cumsum(pieces, axis=1))
+            samples += zip((start + ends).tolist(), _log2_wealth(drawn, flat_pay).tolist())
         at_least += [size] + [np.count_nonzero(edge <= u) for edge in cell_edges]
         if bankrupt_round is None and _drawn(at_least)[ruin].any():
             cells = np.searchsorted(cell_edges, u, side="right")
             bankrupt_round = start + int(np.argmax(ruin[cells])) + 1
 
-    log2_final = float(_log2_wealth(at_least[:, None], flat_pay)[0])
+    log2_final = float(_log2_wealth(_drawn(at_least)[:, None], flat_pay)[0])
     return SimulationResult(
         rounds=rounds,
         seed=seed,
@@ -215,13 +209,12 @@ def expected_log2_growth(market: MarketParams, strategy: Channel) -> float:
     """Exact expected log2 growth per round of a fixed strategy, in bits.
 
     sum_{x,y} p(x,y) log2(b(x|y) * alpha_x), computed analytically
-    (no simulation). A zero stake on an outcome that can occur with its
-    signal is a -inf cell, so the sum is -inf: no cell is +inf or nan.
+    (no simulation): simulate's log wealth sum, _log2_wealth, with p(x, y) in
+    signal-major order for the round tallies. A zero stake on an outcome that
+    can occur with its signal is a -inf cell, so the sum is -inf, never nan.
     """
-    log2_pay = _log2_payout_matrix(market, strategy).T  # (n_x, n_y), as the joint
-    joint = market.joint.joint
-    mask = joint > 0.0
-    return float(np.add.reduce(joint[mask] * log2_pay[mask]))
+    flat_pay = _log2_payout_matrix(market, strategy).ravel()
+    return float(_log2_wealth(market.joint.joint.T.reshape(-1, 1), flat_pay)[0])
 
 
 def grid_search_optimal(
@@ -257,11 +250,9 @@ def grid_search_optimal(
         value += np.where(p1 > 0.0, p1 * (log2_1mf + log2_alpha[1]), 0.0)
     best = value.argmax(axis=1)
 
-    total = 0.0
-    for j, i in enumerate(best):  # in signal order, one addition at a time
-        total += float(value[j, i])
     f = fractions[best]
     rows = np.array((f, 1.0 - f)).T  # the Channel stores a C-ordered copy
+    total = float(_sum_in_order(value[np.arange(len(best)), best]))  # in signal order
     return Channel(market.channel.output_labels, market.prior.labels, rows), total
 
 

@@ -59,22 +59,28 @@ def _entropies(p: np.ndarray) -> np.ndarray:
     return _neg_sum_plog2q(p, p) * (np.add.reduce(p > 0.0, axis=-1) != 1) + 0.0
 
 
-def _conditional_entropies(joint: np.ndarray) -> np.ndarray:
-    """H(X|Y) of each joint in a stack shaped (..., X, Y).
+def _sum_in_order(terms: np.ndarray) -> np.ndarray:
+    """terms[0] + terms[1] + ... along the first axis, one at a time from +0.0.
 
-    Every sum runs along a contiguous last axis, and signals accumulate
-    one by one from +0.0, so degenerate slices stay bit-exact against the
-    marginal entropy.
+    The rule of every bit-exact total: an accumulation is sequential (np.add.reduce
+    may sum pairwise), and the closing + 0.0 turns an all -0.0 sum into +0.0.
+    """
+    return np.add.accumulate(terms, axis=0)[-1] + 0.0
+
+
+def _conditional_entropies(joint: np.ndarray) -> np.ndarray:
+    """H(X|Y) of each joint in a stack shaped (T, X, Y) or of one joint (X, Y).
+
+    Every entropy runs along a contiguous last axis, and the signals' terms
+    add in order (_sum_in_order), so degenerate slices stay bit-exact
+    against the marginal entropy.
     """
     columns = np.ascontiguousarray(joint.swapaxes(-1, -2))
     p_y = np.add.reduce(columns, axis=-1)
     # A zero-probability column is all zeros, so dividing it by 1 keeps it so.
     cond = columns / np.where(p_y > 0.0, p_y, 1.0)[..., None]
     terms = p_y * _neg_sum_plog2q(cond, cond)
-    total = 0.0
-    for j in range(terms.shape[-1]):
-        total = total + terms[..., j]
-    return total
+    return _sum_in_order(terms.T)
 
 
 def entropy(dist: Distribution) -> float:

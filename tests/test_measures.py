@@ -21,7 +21,13 @@ from infoeff import (
     mutual_information,
     normalize,
 )
-from infoeff.measures import CANCEL_TOL, _neg_sum_plog2q, clamp_nonneg
+from infoeff.measures import (
+    CANCEL_TOL,
+    _conditional_entropies,
+    _neg_sum_plog2q,
+    _sum_in_order,
+    clamp_nonneg,
+)
 
 
 class TestEntropy:
@@ -206,3 +212,47 @@ class TestKernel:
         # sum p log2 q is -inf where a supported cell is quoted at 0; a cell
         # with p = -0.0 contributes +0.0, whatever its quote.
         assert (-got).tolist() == [-np.inf, 0.0, -np.inf]
+
+
+def left_fold(terms):
+    """terms[0] + terms[1] + ..., one Python addition at a time from +0.0."""
+    total = 0.0
+    for term in terms:
+        total = total + term
+    return np.asarray(total)
+
+
+def summands():
+    """Seeded 1-D and 2-D arrays of 1 to 64 terms over 16 decades, and all -0.0 ones."""
+    rng = np.random.default_rng(35)
+    arrays = [np.full(3, -0.0)]
+    for n in range(1, 65):
+        for shape in [(n,), (n, 3)]:
+            terms = rng.standard_normal(shape) * 10.0 ** rng.integers(-8, 9, shape)
+            if len(shape) == 2:
+                terms[:, 1] = -0.0
+            arrays.append(terms)
+    return arrays
+
+
+class TestSumInOrder:
+    def test_bitwise_equal_to_a_left_fold(self):
+        arrays = summands()
+        for terms in arrays:
+            got = np.asarray(_sum_in_order(terms))
+            assert got.shape == terms.shape[1:] and got.tobytes() == left_fold(terms).tobytes()
+        # A pairwise sum gives other bits on this data, so np.sum would fail above.
+        assert any((np.add.reduce(terms, axis=0) + 0.0).tobytes() != left_fold(terms).tobytes()
+                   for terms in arrays)
+
+    def test_conditional_entropies_add_signals_in_order(self):
+        rng = np.random.default_rng(36)
+        stack = rng.dirichlet(np.full(4 * 12, 0.5), size=50).reshape(50, 4, 12)
+        stack[0, :, 3] = 0.0  # a signal that never occurs
+        # The H(X|Y) of one signal's column is that signal's term, p(y) H(X|Y=y).
+        terms = np.stack([_conditional_entropies(stack[..., [y]]) for y in range(12)], axis=-1)
+        expected = np.array([left_fold(row) for row in terms])
+        assert _conditional_entropies(stack).tobytes() == expected.tobytes()
+        for joint, h in zip(stack, expected):
+            assert np.asarray(_conditional_entropies(joint)).tobytes() == h.tobytes()
+        assert (np.add.reduce(terms, axis=-1) + 0.0).tobytes() != expected.tobytes()

@@ -1,6 +1,6 @@
 """Mutation check of the numeric core: which operator swaps does tier-1 miss?
 
-Usage: python tools/mutate.py
+Usage: python tools/mutate.py [-h | --help]
 
 The checkout is copied, without `.git`, to a temporary directory, and only
 that copy is ever rewritten. Tier-1 first runs there on the target modules
@@ -18,9 +18,12 @@ Each run's verdict is printed as it ends, with its wall time, and the total
 wall time at the end. Every survivor is then printed, marked `equivalent`
 when it is recorded below.
 The exit status is 0 when every survivor is recorded, 1 when one is not,
-and 2 when the unmutated tree fails. Before any run the check stops with
-status 1 when a function named in TARGETS is gone, or when no mutant carries
-a recorded equivalent, naming it.
+and 2 when the unmutated tree fails or an argument other than -h or --help
+is given. Before any run the check stops with status 1 when a function named
+in TARGETS is gone, or when no mutant carries a recorded equivalent, naming
+it. SIGTERM stops the check with status 143 as an exception would: the
+running tier-1, in a session of its own, is killed with its process group,
+and the temporary copy is removed.
 
 Needs nothing beyond the standard library, pytest and hypothesis.
 
@@ -40,9 +43,12 @@ mutant from the code:
 
 from __future__ import annotations
 
+import argparse
 import ast
+import contextlib
 import os
 import shutil
+import signal
 import subprocess
 import sys
 import tempfile
@@ -132,15 +138,22 @@ def tier1(tree: Path, timeout: float) -> str:
     shutil.rmtree(tree / ".hypothesis", ignore_errors=True)
     env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1")
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(tree / "src"), env.get("PYTHONPATH")]))
-    try:
-        done = subprocess.run([sys.executable, *TIER1], cwd=tree, env=env, timeout=timeout,
-                              stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL)
-    except subprocess.TimeoutExpired:
-        return "timeout"
-    return "passed" if done.returncode == 0 else "failed"
+    with subprocess.Popen([sys.executable, *TIER1], cwd=tree, env=env, start_new_session=True,
+                          stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL) as child:
+        try:
+            return "passed" if child.wait(timeout) == 0 else "failed"
+        except subprocess.TimeoutExpired:
+            return "timeout"
+        finally:  # whatever the way out, nothing the run started outlives it
+            with contextlib.suppress(ProcessLookupError):
+                os.killpg(child.pid, signal.SIGKILL)
 
 
 def main() -> int:
+    argparse.ArgumentParser(prog="python tools/mutate.py", description=__doc__,
+                            formatter_class=argparse.RawDescriptionHelpFormatter).parse_args()
+    # SystemExit unwinds the `with` blocks: the run's process group and the copy go.
+    signal.signal(signal.SIGTERM, lambda signum, frame: sys.exit(128 + signum))
     found = mutants()
     with tempfile.TemporaryDirectory() as tmp:
         tree = Path(tmp) / "repo"
