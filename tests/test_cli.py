@@ -36,6 +36,12 @@ def quotes_csv(tmp_path):
 
 
 class TestMeasure:
+    test_empty_input_exit_2 = in_process("empty-input")
+    test_degenerate_exit_3 = in_process("degenerate")
+    test_single_outcome_at_smoothing_0_exit_3 = in_process("single-outcome")
+    test_degenerate_with_quotes_exit_3 = in_process("degenerate-with-quotes")
+    test_missing_file_exit_4 = in_process("missing-file")
+    test_bad_quote_sum_exit_3 = in_process("quote-sum")
     test_quote_values_checked_after_the_run_options = in_process(
         "after-options/resamples", "after-options/seed", "after-options/smoothing"
     )
