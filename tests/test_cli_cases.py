@@ -4,7 +4,10 @@ Each case is one `infoeff` invocation: its argv (split as a shell would),
 the files it starts from, an optional environment, and what must hold
 afterwards: the exit code, the exact stderr, stdout, and the files left.
 Every run starts in a fresh directory, its working directory, so every
-path in a case is relative to it.
+path in a case is relative to it. The byte-exact golden outputs are rows
+too (`golden/...`), as are the same runs written by `--out`
+(`out-file/...`) and the looser checks of a report's values
+(`report/...`).
 
 Each transport is one test parametrized over `CASES`, so a new case is one
 new row of the table and runs through both:
@@ -24,6 +27,7 @@ starting `error: `, and an exit code that `cli.EXIT_CODES` documents.
 from __future__ import annotations
 
 import csv
+import hashlib
 import io
 import json
 import os
@@ -33,12 +37,13 @@ import shutil
 import subprocess
 import sys
 from collections.abc import Callable
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import NamedTuple
 
 import pytest
 
+import oracles
 from infoeff import cli
 
 SCRIPT = shutil.which("infoeff")
@@ -55,8 +60,9 @@ class Case:
     `files` maps a path to its bytes, to [] for an empty directory or to a
     Symlink. `stdout` is the exact bytes, or a check that takes them.
     `after` maps a path to what it must be: None for absent, a list of the
-    names a directory holds, a file's text, or a Symlink. A `rerun` case
-    runs twice, in two fresh directories, which must end up the same.
+    names a directory holds, a file's text or a check that takes its bytes,
+    or a Symlink. A `rerun` case runs twice, in two fresh directories,
+    which must end up the same.
     """
 
     argv: str
@@ -106,6 +112,34 @@ def no_negative_zero(out: bytes):
     assert re.search(rb"-0\.0\b", out) is None, out
 
 
+def text(check):
+    """The bytes are UTF-8 text for which `check` holds."""
+
+    def parse(data: bytes):
+        assert check(data.decode("utf-8")), data
+
+    return parse
+
+
+def figure(check):
+    """The bytes are a figure's CSV whose (param, value) rows, as floats, pass `check`."""
+
+    def parse(data: bytes):
+        table = [tuple(map(float, row.split(","))) for row in data.decode().splitlines()[1:]]
+        assert check(table), table
+
+    return parse
+
+
+def sha256(digest: str):
+    """The bytes hash to `digest` under SHA-256."""
+
+    def parse(data: bytes):
+        assert hashlib.sha256(data).hexdigest() == digest, digest
+
+    return parse
+
+
 SAMPLES = lines("signal,outcome", *["h,h"] * 45, *["t,h"] * 5, *["h,t"] * 5, *["t,t"] * 45)
 SMALL_SAMPLES = lines("signal,outcome", "h,h", "t,t", "t,h")
 SMALL_WARNING = "warning: only 3 samples for 4 cells; plug-in efficiency biases low at small N\n"
@@ -119,7 +153,222 @@ POINT_MASS_JSON = lines(
 FIG1_5PT = lines("param,value", "0.0,0.0", "0.25,0.8112781244591328", "0.5,1.0",
                  "0.75,0.8112781244591328", "1.0,0.0").decode()
 FIGS = [f"fig{n}.csv" for n in (1, 2, 3, 4)]
+FIGS_OUT = "".join(f"figs/{name}\n" for name in FIGS).encode()  # what `figures` prints
 KEEP = {"keep.csv": b"keep\n"}
+
+# Byte-exact golden outputs: any change here is a behavioral change and
+# must be deliberate.
+GOLDEN_FIG1_9PT = (
+    "param,value\n"
+    "0.0,0.0\n"
+    "0.125,0.5435644431995964\n"
+    "0.25,0.8112781244591328\n"
+    "0.375,0.954434002924965\n"
+    "0.5,1.0\n"
+    "0.625,0.954434002924965\n"
+    "0.75,0.8112781244591328\n"
+    "0.875,0.5435644431995964\n"
+    "1.0,0.0\n"
+)
+# Figure 3 drops the open-domain endpoints 0 and 1 from its 9-point grid.
+GOLDEN_FIG3_9PT = (
+    "param,value\n"
+    "0.125,0.626439817509864\n"
+    "0.25,0.8281444907572746\n"
+    "0.375,0.9555162266262184\n"
+    "0.5,1.0\n"
+    "0.625,0.9555162266262184\n"
+    "0.75,0.8281444907572746\n"
+    "0.875,0.626439817509864\n"
+)
+GOLDEN_SIMULATE_CSV = (
+    "run_index,rounds,seed,final_log2_wealth,mean_growth,target,abs_error\n"
+    "0,1000,7,543.684106416488,0.543684106416488,"
+    "0.5310044064107189,0.012679700005769123\n"
+)
+
+# `simulate` over 100003 rounds, which no power-of-two chunk size divides.
+GOLDEN_SIMULATE_JSON_3RUNS = (
+    '{\n'
+    '  "p_tail": 0.4,\n'
+    '  "accuracy": 0.8,\n'
+    '  "q_tail": 0.3,\n'
+    '  "rounds": 100003,\n'
+    '  "seed": 11,\n'
+    '  "runs": 3,\n'
+    '  "target_bits_per_round": 0.30023897324436233,\n'
+    '  "run_results": [\n'
+    '    {\n'
+    '      "run_index": 0,\n'
+    '      "final_log2_wealth": 30135.2863693584,\n'
+    '      "mean_growth": 0.30134382337888266,\n'
+    '      "abs_error": 0.0011048501345203299,\n'
+    '      "bankrupt_round": null\n'
+    '    },\n'
+    '    {\n'
+    '      "run_index": 1,\n'
+    '      "final_log2_wealth": 29575.308881067212,\n'
+    '      "mean_growth": 0.2957442164841776,\n'
+    '      "abs_error": 0.004494756760184737,\n'
+    '      "bankrupt_round": null\n'
+    '    },\n'
+    '    {\n'
+    '      "run_index": 2,\n'
+    '      "final_log2_wealth": 29438.6051130515,\n'
+    '      "mean_growth": 0.29437721981392057,\n'
+    '      "abs_error": 0.005861753430441763,\n'
+    '      "bankrupt_round": null\n'
+    '    }\n'
+    '  ],\n'
+    '  "aggregate_mean_growth": 0.2971550865589936,\n'
+    '  "aggregate_abs_error": 0.003083886685368742\n'
+    '}\n'
+)
+GOLDEN_TRAJECTORY_CSV = (
+    "round,log2_wealth\n"
+    "1,0.5849625007211563\n"
+    "12501,6904.108299167585\n"
+    "25001,13781.631635834448\n"
+    "37501,20735.51738505107\n"
+    "50002,27662.07680919702\n"
+    "62502,34716.47534595619\n"
+    "75002,41687.07387011945\n"
+    "87502,48706.50849435771\n"
+    "100003,55663.279956060636\n"
+)
+
+# `measure` on 1200 records over 10 outcomes and 9 declared signals, of
+# which s8 never occurs: with smoothing 0 its column is empty in the point
+# estimate and in every resample.
+GOLDEN_MEASURE_JSON = (
+    '{\n'
+    '  "eff": 0.6320024945128028,\n'
+    '  "eff_q": 0.6213449257951271,\n'
+    '  "h_x": 3.317978054139107,\n'
+    '  "h_x_given_y": 2.096970406954651,\n'
+    '  "h_q": 3.3748894050614235,\n'
+    '  "g_max": 1.221007647184456,\n'
+    '  "g_max_q": 1.2779189981067725,\n'
+    '  "predictability_gap": 1.221007647184456,\n'
+    '  "mispricing_gap": 0.05691135092231647,\n'
+    '  "ci_low": 0.6243177222209416,\n'
+    '  "ci_high": 0.634123892490158,\n'
+    '  "n_samples": 1200,\n'
+    '  "smoothing": 0.5,\n'
+    '  "resamples": 200,\n'
+    '  "seed": 3,\n'
+    '  "small_sample": false,\n'
+    '  "eff_q_ci_low": 0.6098160918051216,\n'
+    '  "eff_q_ci_high": 0.6232648254738979\n'
+    '}\n'
+)
+GOLDEN_MEASURE_CSV = (
+    "key,value\n"
+    "eff,0.583781880927202\n"
+    "h_x,3.3176759466298327\n"
+    "h_x_given_y,1.936799104430499\n"
+    "g_max,1.3808768421993336\n"
+    "predictability_gap,1.3808768421993336\n"
+    "ci_low,0.5756289207604902\n"
+    "ci_high,0.5860671315612767\n"
+    "n_samples,1200\n"
+    "smoothing,0.0\n"
+    "resamples,200\n"
+    "seed,3\n"
+    "small_sample,False\n"
+)
+
+# `coin` on the fair-coin, worthless-signal slice, where every closed form
+# applies; on the fair coin with a predictive signal, where all but Eff_q's
+# do; and at a biased point, where only H(X) has one.
+GOLDEN_COIN_FAIR_WORTHLESS_JSON = (
+    '{\n'
+    '  "p_tail": 0.5,\n'
+    '  "accuracy": 0.5,\n'
+    '  "q_tail": 0.3,\n'
+    '  "eff": 1.0,\n'
+    '  "eff_q": 0.8882813964018167,\n'
+    '  "h_x": 1.0,\n'
+    '  "h_x_given_y": 1.0,\n'
+    '  "h_q": 1.1257693834979823,\n'
+    '  "g_max": 0.0,\n'
+    '  "g_max_q": 0.12576938349798228,\n'
+    '  "predictability_gap": 0.0,\n'
+    '  "mispricing_gap": 0.12576938349798228,\n'
+    '  "closed_form_h_x": 1.0,\n'
+    '  "delta_h_x": 0.0,\n'
+    '  "closed_form_eff": 1.0,\n'
+    '  "delta_eff": 0.0,\n'
+    '  "closed_form_h_q": 1.1257693834979823,\n'
+    '  "delta_h_q": 0.0,\n'
+    '  "closed_form_eff_q": 0.8882813964018167,\n'
+    '  "delta_eff_q": 0.0,\n'
+    '  "consistency_delta": 0.0\n'
+    '}\n'
+)
+GOLDEN_COIN_FAIR_PREDICTIVE_JSON = (
+    '{\n'
+    '  "p_tail": 0.5,\n'
+    '  "accuracy": 0.9,\n'
+    '  "q_tail": 0.4,\n'
+    '  "eff": 0.4689955935892811,\n'
+    '  "eff_q": 0.45558019443429243,\n'
+    '  "h_x": 1.0,\n'
+    '  "h_x_given_y": 0.4689955935892811,\n'
+    '  "h_q": 1.0294468445267841,\n'
+    '  "g_max": 0.5310044064107189,\n'
+    '  "g_max_q": 0.560451250937503,\n'
+    '  "predictability_gap": 0.5310044064107189,\n'
+    '  "mispricing_gap": 0.029446844526784144,\n'
+    '  "closed_form_h_x": 1.0,\n'
+    '  "delta_h_x": 0.0,\n'
+    '  "closed_form_eff": 0.4689955935892811,\n'
+    '  "delta_eff": 0.0,\n'
+    '  "closed_form_h_q": 1.0294468445267841,\n'
+    '  "delta_h_q": 0.0,\n'
+    '  "consistency_delta": 0.0\n'
+    '}\n'
+)
+GOLDEN_COIN_BIASED_CSV = (
+    "key,value\n"
+    "p_tail,0.3\n"
+    "accuracy,0.8\n"
+    "q_tail,0.45\n"
+    "eff,0.7320817365241727\n"
+    "eff_q,0.6795997445811393\n"
+    "h_x,0.8812908992306927\n"
+    "h_x_given_y,0.6451769718917553\n"
+    "h_q,0.9493484614085606\n"
+    "g_max,0.23611392733893743\n"
+    "g_max_q,0.3041714895168053\n"
+    "predictability_gap,0.23611392733893743\n"
+    "mispricing_gap,0.06805756217786785\n"
+    "closed_form_h_x,0.8812908992306927\n"
+    "delta_h_x,0.0\n"
+    "consistency_delta,0.0\n"
+)
+# The SHA-256 of each file of `figures --which all --format svg` at the
+# default 1001 points, in the order the run lists them.
+GOLDEN_FIGURES_SVG_SHA256 = {
+    "fig1.csv": "b957fd9483f40d2004e40a73a8dfcaf1908687e68946a9f17b0693de5b390a5c",
+    "fig1.svg": "172970cce514e4a620b189172c8288392f7a27b8f0fafc51c82d116066b6fa33",
+    "fig2.csv": "b957fd9483f40d2004e40a73a8dfcaf1908687e68946a9f17b0693de5b390a5c",
+    "fig2.svg": "50c70d3015599c06d665c095ebbb0b467eb0ae23db469a2dd7736f3cba44de42",
+    "fig3.csv": "feb6987e0e03b93b49233a287d609cd027f8441dbea15da3f4ec4ff95c8c0441",
+    "fig3.svg": "b189c3f457282fc19520373180e086482bc1ea2018c4534680d97a4fd6929709",
+    "fig4.csv": "629ae0e38b64dbba69ab00a22d8b940931b22cca9704c4e6c4e7c698f0b2d684",
+    "fig4.svg": "c23d61d411ed6a1330c4926ccf0d11183fdbc265a385e07d634a1ebfba0e944e",
+}
+
+
+# The 1200 records of GOLDEN_MEASURE_JSON and GOLDEN_MEASURE_CSV, and the
+# rows of the former's quote sidecar.
+WIDE = lines("# signals: " + ",".join(f"s{j}" for j in range(9)), "signal,outcome",
+             *[f"s{(x + (i // 10) % 3) % 8},x{x}"
+               for i in range(1200) for x in [(i * 7 + i // 13) % 10]])
+WIDE_QUOTES = [f"x{k},{v}" for k, v in enumerate(["0.05", "0.15"] + ["0.1"] * 8)]
+WIDE_FILES = {"wide.csv": WIDE, "quotes.csv": lines("label,q", *WIDE_QUOTES)}
+BOM = b"\xef\xbb\xbf"
 
 
 def measure_fails(data: bytes, message: str, code: int = 2) -> Case:
@@ -131,6 +380,34 @@ def quotes_fail(rows, code: int, message: str, options: str = "") -> Case:
     """`measure` on SAMPLES with a quote sidecar of `rows`."""
     return fails(f"measure --in samples.csv --quotes quotes.csv {options}", code, message,
                  files={"samples.csv": SAMPLES, "quotes.csv": lines(*rows)})
+
+
+def to_out_file(case: Case) -> Case:
+    """`case` with `--out report`: the file holds what it printed, and stdout nothing."""
+    return replace(case, argv=f"{case.argv} --out report", stdout=b"",
+                   after={"report": case.stdout.decode()})
+
+
+# The runs whose golden output is their stdout.
+GOLDEN_STDOUT = {
+    "measure-json-quotes": Case(
+        "measure --in wide.csv --quotes quotes.csv --resamples 200 --seed 3",
+        stdout=GOLDEN_MEASURE_JSON.encode(), files=WIDE_FILES),
+    "measure-csv": Case(
+        "measure --in wide.csv --smoothing 0 --resamples 200 --seed 3 --format csv",
+        stdout=GOLDEN_MEASURE_CSV.encode(), files={"wide.csv": WIDE}),
+    "coin-fair-worthless-json": Case("coin --p-tail 0.5 --accuracy 0.5 --q-tail 0.3",
+                                     stdout=GOLDEN_COIN_FAIR_WORTHLESS_JSON.encode()),
+    "coin-fair-predictive-json": Case("coin --p-tail 0.5 --accuracy 0.9 --q-tail 0.4",
+                                      stdout=GOLDEN_COIN_FAIR_PREDICTIVE_JSON.encode()),
+    "coin-biased-csv": Case("coin --p-tail 0.3 --accuracy 0.8 --q-tail 0.45 --format csv",
+                            stdout=GOLDEN_COIN_BIASED_CSV.encode()),
+    "simulate-csv": Case("simulate --accuracy 0.9 --rounds 1000 --seed 7 --format csv",
+                         stdout=GOLDEN_SIMULATE_CSV.encode()),
+    "simulate-json-3-runs": Case(
+        "simulate --p-tail 0.4 --accuracy 0.8 --q-tail 0.3 --rounds 100003 --runs 3 --seed 11",
+        stdout=GOLDEN_SIMULATE_JSON_3RUNS.encode()),
+}
 
 
 CASES = {
@@ -406,6 +683,97 @@ CASES = {
         "figures --points 3 --out-dir \udcff",
         stdout=b"".join(b"\xff/" + name.encode() + b"\n" for name in FIGS),
         env={"PYTHONIOENCODING": "utf-8:surrogateescape"}, after={"\udcff": FIGS}),
+    # golden: byte-exact outputs, and the same reports written by --out
+    **{f"golden/{name}": case for name, case in GOLDEN_STDOUT.items()},
+    **{f"out-file/{name}": to_out_file(GOLDEN_STDOUT[golden]) for name, golden in [
+        ("measure-json", "measure-json-quotes"), ("measure-csv", "measure-csv"),
+        ("coin-json", "coin-fair-predictive-json"), ("coin-csv", "coin-biased-csv"),
+        ("simulate-json", "simulate-json-3-runs"), ("simulate-csv", "simulate-csv"),
+    ]},
+    **{f"golden/fig{n}-csv-9pt": Case(f"figures --which {n} --out-dir figs --points 9",
+                                      stdout=f"figs/fig{n}.csv\n".encode(),
+                                      after={f"figs/fig{n}.csv": golden})
+       for n, golden in [(1, GOLDEN_FIG1_9PT), (3, GOLDEN_FIG3_9PT)]},
+    "golden/figures-svg-digests": Case(
+        "figures --which all --format svg --out-dir figs",
+        stdout="".join(f"figs/{name}\n" for name in GOLDEN_FIGURES_SVG_SHA256).encode(),
+        after={"figs": list(GOLDEN_FIGURES_SVG_SHA256),
+               **{f"figs/{name}": sha256(digest)
+                  for name, digest in GOLDEN_FIGURES_SVG_SHA256.items()}}),
+    "golden/simulate-trajectory": Case(
+        "simulate --accuracy 0.9 --q-tail 0.6 --rounds 100003 --seed 5 "
+        "--trajectory-out trajectory.csv --trajectory-points 9",
+        stdout=strict_json(
+            lambda r: r["run_results"][0]["final_log2_wealth"] == 55663.279956060636),
+        after={"trajectory.csv": GOLDEN_TRAJECTORY_CSV}),
+    # report: a report's values, each within its tolerance
+    "report/measure-json-quotes": Case(
+        "measure --in samples.csv --quotes quotes.csv --resamples 200 --seed 1",
+        stdout=strict_json(
+            lambda r: r["eff"] == pytest.approx(oracles.FROZEN_HB_09, abs=0.05)
+            and "eff_q" in r and "h_q" in r and r["n_samples"] == 100
+            and r["ci_low"] <= r["eff"] <= r["ci_high"]),
+        files={"samples.csv": SAMPLES, "quotes.csv": lines("label,q", "h,0.5", "t,0.5")}),
+    "report/measure-json-no-quotes": Case(
+        "measure --in samples.csv --resamples 200",
+        stdout=strict_json(lambda r: "eff_q" not in r and "h_q" not in r),
+        files={"samples.csv": SAMPLES}),
+    "report/measure-csv-out-file": Case(
+        "measure --in samples.csv --resamples 200 --format csv --out report.csv",
+        files={"samples.csv": SAMPLES},
+        after={"report.csv": text(lambda s: s.startswith("key,value\n") and "\neff," in s)}),
+    # A BOM on either input, or blank and comment lines in the sidecar,
+    # change no byte of the report.
+    **{f"report/{name}": replace(GOLDEN_STDOUT["measure-json-quotes"], files=files)
+       for name, files in [
+           ("bom-samples", {**WIDE_FILES, "wide.csv": BOM + WIDE}),
+           ("bom-sidecar", {**WIDE_FILES, "quotes.csv": BOM + WIDE_FILES["quotes.csv"]}),
+           ("sidecar-comments", {**WIDE_FILES, "quotes.csv": lines(
+               "label,q", "", "# quoted at the close", *WIDE_QUOTES)}),
+       ]},
+    "report/coin-fair-predictable": Case(COIN, stdout=strict_json(
+        lambda r: r["eff"] == pytest.approx(oracles.FROZEN_HB_09, abs=1e-12)
+        and r["consistency_delta"] < 1e-10)),
+    "report/coin-biased-fair-quotes": Case("coin --p-tail 0.9 --accuracy 0.5 --q-tail 0.9",
+                                           stdout=strict_json(lambda r: r["eff_q"] == 1.0)),
+    "report/coin-mispriced": Case(
+        "coin --p-tail 0.5 --accuracy 0.5 --q-tail 0.05", stdout=strict_json(
+            lambda r: r["eff_q"] == pytest.approx(oracles.FROZEN_EFFQ_005, abs=1e-12)
+            and r["closed_form_eff_q"] == pytest.approx(r["eff_q"], abs=1e-10))),
+    "report/simulate-matches-target": Case(
+        "simulate --accuracy 0.9 --rounds 1000000 --seed 7", stdout=strict_json(
+            lambda r: r["target_bits_per_round"] == pytest.approx(oracles.FROZEN_GMAX_09, abs=1e-12)
+            and r["run_results"][0]["abs_error"] < 0.01)),
+    "report/simulate-efficient-near-zero": Case(
+        "simulate --accuracy 0.5 --rounds 100000 --seed 3",
+        stdout=strict_json(lambda r: abs(r["aggregate_mean_growth"]) < 0.01)),
+    "report/simulate-csv": Case(
+        "simulate --accuracy 0.9 --rounds 5000 --seed 2 --runs 2 --format csv",
+        stdout=text(lambda s: s.startswith(
+            "run_index,rounds,seed,final_log2_wealth,mean_growth,target,abs_error\n")
+            and s.count("\n") == 3)),
+    "report/simulate-trajectory-out": Case(
+        "simulate --accuracy 0.9 --rounds 5000 --seed 2 --trajectory-out trajectory.csv "
+        "--trajectory-points 20", stdout=strict_json(),
+        after={"trajectory.csv": text(
+            lambda s: s.startswith("round,log2_wealth\n") and s.count("\n") == 21)}),
+    "report/figures-all-csv": Case("figures --which all --out-dir figs",
+                                   stdout=FIGS_OUT, after={"figs": FIGS}),
+    **{f"report/fig{n}-{name}": Case(f"figures --which {n} --out-dir figs",
+                                     stdout=f"figs/fig{n}.csv\n".encode(),
+                                     after={f"figs/fig{n}.csv": figure(check)})
+       for n, name, check in [
+           (1, "peak", lambda t: max(t, key=lambda r: r[1]) == (0.5, 1.0)),
+           (2, "endpoints", lambda t: t[0] == (0.0, 0.0) and t[-1] == (1.0, 0.0)),
+           (4, "minimum", lambda t: min(t, key=lambda r: r[1]) == (0.5, 1.0)),
+       ]},
+    "report/figures-three-points": Case(
+        "figures --points 3 --out-dir figs", stdout=FIGS_OUT,
+        after={"figs/fig3.csv": text(lambda s: s.count("\n") == 2)}),
+    "report/fig3-svg": Case(
+        "figures --which 3 --out-dir figs --format svg", stdout=b"figs/fig3.csv\nfigs/fig3.svg\n",
+        after={"figs/fig3.svg": text(
+            lambda s: s.startswith("<svg") and "polyline" in s and "Eff_q" in s)}),
 }
 
 
@@ -416,6 +784,8 @@ def check_path(path: Path, expected) -> None:
         assert os.readlink(path) == expected.target, path
     elif isinstance(expected, list):
         assert sorted(p.name for p in path.iterdir()) == sorted(expected), path
+    elif callable(expected):
+        expected(path.read_bytes())
     else:
         assert path.read_text(encoding="utf-8") == expected, path
 
@@ -510,6 +880,20 @@ def test_in_process(case_id, tmp_path, capsys, monkeypatch):
 @pytest.mark.parametrize("case_id", CASES)
 def test_console(case_id, tmp_path):
     run_case(CASES[case_id], console, tmp_path)
+
+
+def test_after_checks_a_file_with_a_callable(tmp_path, capsys, monkeypatch):
+    # A check on a file's bytes runs, and a failing one fails the case.
+    def case(check):
+        return Case("figures --points 3 --out-dir figs", stdout=FIGS_OUT,
+                    after={"figs/fig1.csv": check})
+
+    transport = main_transport(capsys, monkeypatch)
+    run_case(case(figure(lambda t: t == [(0.0, 0.0), (0.5, 1.0), (1.0, 0.0)])), transport,
+             tmp_path / "holds")
+    for n, check in enumerate([figure(lambda t: False), sha256("0" * 64)]):
+        with pytest.raises(AssertionError):
+            run_case(case(check), transport, tmp_path / str(n))
 
 
 def test_console_step_runs_this_module():
