@@ -60,9 +60,10 @@ class Case:
     `files` maps a path to its bytes, to [] for an empty directory or to a
     Symlink. `stdout` is the exact bytes, or a check that takes them.
     `after` maps a path to what it must be: None for absent, a list of the
-    names a directory holds, a file's text or a check that takes its bytes,
-    or a Symlink. A `rerun` case runs twice, in two fresh directories,
-    which must end up the same.
+    names a directory holds, a file's exact text (its UTF-8 bytes, line
+    ends included) or a check that takes its bytes, or a Symlink. A
+    `rerun` case runs twice, in two fresh directories, which must end up
+    the same.
     """
 
     argv: str
@@ -787,7 +788,7 @@ def check_path(path: Path, expected) -> None:
     elif callable(expected):
         expected(path.read_bytes())
     else:
-        assert path.read_text(encoding="utf-8") == expected, path
+        assert path.read_bytes() == expected.encode("utf-8"), path
 
 
 def run_case(case: Case, transport, tmp: Path) -> None:
