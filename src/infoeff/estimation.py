@@ -17,9 +17,12 @@ Uncertainty comes from a seeded 95% percentile bootstrap (default 1000
 resamples). Resampling records with replacement is performed as one
 multinomial draw over the empirical cell counts per resample — the
 bootstrap statistic depends on the records only through the contingency
-table, so the two are distributionally identical. One RNG stream, seeded
-by `seed`, draws the resamples in order, a block per `multinomial` call; a
-sized call draws its rows in sequence, so no resample depends on the block.
+table, so the two are distributionally identical. Resample r is drawn
+from stream r // STREAM_RESAMPLES, the PCG64 generator seeded by `seed` and
+jumped ahead that many times; stream 0 is `default_rng(seed)` itself. Each
+stream draws its resamples in order, a block per `multinomial` call; a
+sized call draws its rows in sequence, so no resample depends on the block,
+and none on the threads that share out the streams.
 One function, `efficiency._fields`, scores every report and every
 resample: it returns one column per report field over a whole stack of
 tables, so each resample's Eff and Eff_q are what `efficiency_with_quotes`
@@ -40,8 +43,10 @@ from __future__ import annotations
 
 import itertools
 import math
+import os
 import re
 import sys
+import threading
 import warnings
 from collections import Counter
 from collections.abc import Iterable, Iterator, Sequence
@@ -66,6 +71,9 @@ DEFAULT_SMOOTHING = 0.5
 DEFAULT_RESAMPLES = 1000
 BLOCK_CELLS = 2**16  # per bootstrap block; bounds the draw, not the 16 B kept per resample
 CHUNK_LINES = 2**16  # lines tallied at a time; bounds parse memory whatever the records
+STREAM_RESAMPLES = 1000  # resamples per jump-ahead stream of the bootstrap
+# Threads that draw the streams: the usable CPUs. No output bit depends on it.
+WORKERS = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
 
 HEADER = ("signal", "outcome")
 
@@ -285,20 +293,58 @@ def estimate_joint(samples: SampleSet, smoothing: float = DEFAULT_SMOOTHING) -> 
 def _bootstrap(
     counts: np.ndarray, smoothing: float, q: np.ndarray | None, resamples: int, seed: int
 ) -> tuple[np.ndarray, np.ndarray | None]:
-    """Eff (and Eff_q) of each resample, scored by the reports' own _fields; NaN where 0/0."""
+    """Eff (and Eff_q) of each resample, scored by the reports' own _fields; NaN where 0/0.
+
+    Stream s = r // STREAM_RESAMPLES draws resample r. The streams are shared
+    out among min(streams, WORKERS) threads, the caller's included, each
+    drawing blocks of BLOCK_CELLS // (cells * threads) resamples at most, so
+    no more than BLOCK_CELLS cells are drawn at once. The first exception in
+    any thread, or in starting or joining one, stops every thread from
+    starting a stream and is raised here once all have ended.
+    """
     n = int(counts.sum())
     p_flat = (counts / n).reshape(-1)
-    per_block = max(1, BLOCK_CELLS // counts.size)
+    starts = range(0, resamples, STREAM_RESAMPLES)
+    workers = min(len(starts), WORKERS)
+    per_block = max(1, BLOCK_CELLS // (counts.size * workers))
     effs, effs_q = np.empty(resamples), None if q is None else np.empty(resamples)
-    rng = np.random.default_rng(seed)
-    for start in range(0, resamples, per_block):
-        block = slice(start, min(start + per_block, resamples))
-        draws = rng.multinomial(n, p_flat, size=block.stop - block.start)
-        joints = _smoothed_joint(draws.reshape(-1, *counts.shape).astype(float), smoothing)
-        fields = _fields(joints, q)
-        effs[block] = fields["eff"]
-        if effs_q is not None:
-            effs_q[block] = fields["eff_q"]
+    pending, lock, errors = iter(starts), threading.Lock(), []
+
+    def next_start() -> int | None:
+        with lock:  # after a failure no thread starts a stream
+            return None if errors else next(pending, None)
+
+    def work() -> None:
+        try:
+            for start in iter(next_start, None):
+                rng = np.random.Generator(np.random.PCG64(seed).jumped(start // STREAM_RESAMPLES))
+                end = min(start + STREAM_RESAMPLES, resamples)
+                for first in range(start, end, per_block):
+                    block = slice(first, min(first + per_block, end))
+                    draws = rng.multinomial(n, p_flat, size=block.stop - block.start)
+                    tables = draws.reshape(-1, *counts.shape).astype(float)
+                    fields = _fields(_smoothed_joint(tables, smoothing), q)
+                    effs[block] = fields["eff"]
+                    if effs_q is not None:
+                        effs_q[block] = fields["eff_q"]
+        except BaseException as exc:  # raised in the caller, KeyboardInterrupt included
+            errors.append(exc)
+
+    threads = [threading.Thread(target=work) for _ in range(workers - 1)]
+    try:
+        for thread in threads:
+            thread.start()
+        work()
+    except BaseException as exc:  # a thread that cannot start
+        errors.append(exc)
+    for thread in threads:
+        while thread.is_alive():  # joined even when interrupted, so none outlives the call
+            try:
+                thread.join()
+            except BaseException as exc:
+                errors.append(exc)
+    if errors:
+        raise errors[0]
     return effs, effs_q
 
 

@@ -278,6 +278,25 @@ GOLDEN_MEASURE_CSV = (
     "seed,3\n"
     "small_sample,False\n"
 )
+# `measure` on the same records with 2500 resamples: three bootstrap streams,
+# the last one partial. Its interval equals the percentiles of the Eff of
+# `Generator(PCG64(3).jumped(s))` draws for s = 0, 1, 2 (1000, 1000, 500).
+GOLDEN_MEASURE_MULTI_STREAM = (
+    '{\n'
+    '  "eff": 0.6320024945128028,\n'
+    '  "h_x": 3.317978054139107,\n'
+    '  "h_x_given_y": 2.096970406954651,\n'
+    '  "g_max": 1.221007647184456,\n'
+    '  "predictability_gap": 1.221007647184456,\n'
+    '  "ci_low": 0.6240592528469386,\n'
+    '  "ci_high": 0.634665830020219,\n'
+    '  "n_samples": 1200,\n'
+    '  "smoothing": 0.5,\n'
+    '  "resamples": 2500,\n'
+    '  "seed": 3,\n'
+    '  "small_sample": false\n'
+    '}\n'
+)
 
 # `coin` on the fair-coin, worthless-signal slice, where every closed form
 # applies; on the fair coin with a predictive signal, where all but Eff_q's
@@ -362,8 +381,8 @@ GOLDEN_FIGURES_SVG_SHA256 = {
 }
 
 
-# The 1200 records of GOLDEN_MEASURE_JSON and GOLDEN_MEASURE_CSV, and the
-# rows of the former's quote sidecar.
+# The 1200 records of the GOLDEN_MEASURE_* outputs, and the rows of
+# GOLDEN_MEASURE_JSON's quote sidecar.
 WIDE = lines("# signals: " + ",".join(f"s{j}" for j in range(9)), "signal,outcome",
              *[f"s{(x + (i // 10) % 3) % 8},x{x}"
                for i in range(1200) for x in [(i * 7 + i // 13) % 10]])
@@ -397,6 +416,9 @@ GOLDEN_STDOUT = {
     "measure-csv": Case(
         "measure --in wide.csv --smoothing 0 --resamples 200 --seed 3 --format csv",
         stdout=GOLDEN_MEASURE_CSV.encode(), files={"wide.csv": WIDE}),
+    "measure-multi-stream": Case("measure --in wide.csv --resamples 2500 --seed 3",
+                                 stdout=GOLDEN_MEASURE_MULTI_STREAM.encode(),
+                                 files={"wide.csv": WIDE}),
     "coin-fair-worthless-json": Case("coin --p-tail 0.5 --accuracy 0.5 --q-tail 0.3",
                                      stdout=GOLDEN_COIN_FAIR_WORTHLESS_JSON.encode()),
     "coin-fair-predictive-json": Case("coin --p-tail 0.5 --accuracy 0.9 --q-tail 0.4",

@@ -2,6 +2,8 @@ import importlib
 import io
 import random
 import re
+import sys
+import threading
 import warnings
 
 import numpy as np
@@ -16,6 +18,7 @@ from infoeff import (
     DomainViolation,
     EmptyInput,
     LabelMismatch,
+    NumericalInconsistency,
     ParseError,
     ResamplesBelowMinimum,
     SampleSet,
@@ -432,3 +435,145 @@ class TestEstimateEfficiency:
             if report.ci_low <= oracles.binary_entropy(0.9) <= report.ci_high:
                 covered += 1
         assert covered >= 16
+
+
+class TestBootstrapStreams:
+    """Resample r comes from the PCG64 stream jumped r // STREAM_RESAMPLES times."""
+
+    COUNTS = draw_records(FAIR_PRIOR, ACC_09, 2000, seed=4).counts()
+    Q = np.array([0.3, 0.7])
+
+    def run(self, resamples):
+        return estimation._bootstrap(self.COUNTS, 0.5, self.Q, resamples, 9)
+
+    @pytest.mark.parametrize("block_cells", [1, 7 * 4, 2**16])
+    @pytest.mark.parametrize("workers", [1, 2, 5])
+    def test_independent_of_threads_and_block_size(self, monkeypatch, workers, block_cells):
+        # 2500 resamples: three streams, the last one partial.
+        whole = self.run(2500)
+        monkeypatch.setattr(estimation, "WORKERS", workers)
+        monkeypatch.setattr(estimation, "BLOCK_CELLS", block_cells)
+        for a, b in zip(self.run(2500), whole):
+            assert a.tobytes() == b.tobytes()
+
+    @pytest.mark.parametrize("resamples, workers, started",
+                             [(1000, 2, 0), (1001, 5, 1), (2500, 2, 1), (2500, 5, 2)])
+    def test_one_thread_per_stream_at_most(self, monkeypatch, resamples, workers, started):
+        # The caller's thread draws too, so min(streams, WORKERS) - 1 start.
+        class Counted(threading.Thread):
+            def start(self):
+                threads.append(self)
+                super().start()
+
+        threads = []
+        monkeypatch.setattr(threading, "Thread", Counted)
+        monkeypatch.setattr(estimation, "WORKERS", workers)
+        self.run(resamples)
+        assert len(threads) == started
+
+    def test_every_stream_drawn_under_fast_thread_switching(self, monkeypatch):
+        # 300 streams of 7 resamples on 8 threads, switching every 1 µs: a
+        # stream that no thread drew would leave its rows as np.empty left them.
+        monkeypatch.setattr(estimation, "STREAM_RESAMPLES", 7)
+        monkeypatch.setattr(estimation, "WORKERS", 1)
+        whole = self.run(2100)
+        monkeypatch.setattr(estimation, "WORKERS", 8)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            shared = self.run(2100)
+        finally:
+            sys.setswitchinterval(interval)
+        for a, b in zip(shared, whole):
+            assert a.tobytes() == b.tobytes()
+
+    def test_prefix_of_a_longer_run(self):
+        for a, b in zip(self.run(1500), self.run(2500)):
+            assert a.tobytes() == b[:1500].tobytes()
+
+    @pytest.mark.parametrize("stream, size", [(0, 1000), (1, 1000), (2, 500)])
+    def test_each_stream_is_its_jumped_generator(self, stream, size):
+        n, shape = int(self.COUNTS.sum()), self.COUNTS.shape
+        rng = np.random.Generator(np.random.PCG64(9).jumped(stream))
+        draws = rng.multinomial(n, (self.COUNTS / n).ravel(), size=size).astype(float)
+        fields = estimation._fields(estimation._smoothed_joint(draws.reshape(-1, *shape), 0.5),
+                                    self.Q)
+        rows = slice(1000 * stream, 1000 * stream + size)
+        effs, effs_q = self.run(2500)
+        assert effs[rows].tobytes() == fields["eff"].tobytes()
+        assert effs_q[rows].tobytes() == fields["eff_q"].tobytes()
+
+    def test_a_failing_stream_reaches_the_caller(self, monkeypatch):
+        # One block per stream, so the only 500-row block is stream 2's.
+        def fields(joints, q):
+            if len(joints) == 500:
+                raise NumericalInconsistency("stream 2")
+            return scored(joints, q)
+
+        scored = estimation._fields
+        monkeypatch.setattr(estimation, "_fields", fields)
+        monkeypatch.setattr(estimation, "WORKERS", 2)
+        samples = SampleSet(self.COUNTS, ("a", "b"), ("h", "t"))
+        threads = threading.active_count()
+        with pytest.raises(NumericalInconsistency, match="stream 2"):
+            estimate_efficiency(samples, resamples=2500, seed=9)
+        assert threading.active_count() == threads
+
+    def test_an_interrupt_stops_every_stream(self, monkeypatch):
+        # The caller's thread is interrupted in its first block, once the
+        # other thread holds a stream; that thread ends its block and starts
+        # no other stream.
+        def fields(joints, q):
+            if threading.current_thread() is threading.main_thread():
+                drawing.wait(10)
+                interrupted.set()
+                raise KeyboardInterrupt
+            drawing.set()
+            interrupted.wait(10)
+            blocks.append(len(joints))
+            return scored(joints, q)
+
+        scored, blocks = estimation._fields, []
+        drawing, interrupted = threading.Event(), threading.Event()
+        monkeypatch.setattr(estimation, "_fields", fields)
+        monkeypatch.setattr(estimation, "WORKERS", 2)
+        threads = threading.active_count()
+        with pytest.raises(KeyboardInterrupt):
+            self.run(5000)
+        assert threading.active_count() == threads
+        assert blocks == [1000]
+
+    @pytest.mark.parametrize("method", ["start", "join"])
+    def test_a_thread_that_cannot_start_or_join_is_still_joined(self, monkeypatch, method):
+        # The other thread is still drawing when the caller first joins it,
+        # and the failure reaches the caller only once that thread has ended.
+        class Failing(threading.Thread):
+            def start(self):
+                super().start()
+                if method == "start":
+                    raise RuntimeError(method)
+
+            def join(self, timeout=None):
+                if not joined.is_set():
+                    joined.set()
+                    if method == "join":
+                        raise RuntimeError(method)
+                super().join(timeout)
+
+        def fields(joints, q):
+            if threading.current_thread() is threading.main_thread():
+                drawing.wait(10)
+            else:
+                drawing.set()
+                joined.wait(10)
+            return scored(joints, q)
+
+        scored, drawing, joined = estimation._fields, threading.Event(), threading.Event()
+        monkeypatch.setattr(threading, "Thread", Failing)
+        monkeypatch.setattr(estimation, "_fields", fields)
+        monkeypatch.setattr(estimation, "WORKERS", 2)
+        threads = threading.active_count()
+        with pytest.raises(RuntimeError, match=method):
+            self.run(2500)
+        assert joined.is_set()
+        assert threading.active_count() == threads
