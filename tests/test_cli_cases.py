@@ -9,8 +9,10 @@ too (`golden/...`), as are the same runs written by `--out`
 (`out-file/...`) and the looser checks of a report's values
 (`report/...`).
 
-Each transport is one test parametrized over `CASES`, so a new case is one
-new row of the table and runs through both:
+A second check of one invocation is an entry of its row, never a second
+row; `test_each_row_is_its_own_invocation` refuses two rows with the same
+parsed argv, files and environment. Each transport is one test
+parametrized over `CASES`, so a new row runs through both:
 
 - In-process: `test_in_process` runs each case through `cli.main`.
   `tests/test_cli.py::TestMeasure` still runs its cases a second time
@@ -26,7 +28,6 @@ starting `error: `, and an exit code that `cli.EXIT_CODES` documents.
 
 from __future__ import annotations
 
-import csv
 import hashlib
 import io
 import json
@@ -55,7 +56,7 @@ class Symlink(NamedTuple):
 
 @dataclass(frozen=True)
 class Case:
-    """One invocation and what must hold after it.
+    """One invocation and every check of it, never split over two rows.
 
     `files` maps a path to its bytes, to [] for an empty directory or to a
     Symlink. `stdout` is the exact bytes, or a check that takes them.
@@ -94,16 +95,6 @@ def strict_json(check=lambda report: True):
     def parse(out: bytes):
         report = json.loads(out.decode("utf-8"), parse_constant=refuse)
         assert check(report), report
-
-    return parse
-
-
-def csv_fields(n: int):
-    """Stdout is CSV with at least one row, each of `n` fields."""
-
-    def parse(out: bytes):
-        rows = list(csv.reader(io.StringIO(out.decode("utf-8"))))
-        assert rows and all(len(row) == n for row in rows), rows
 
     return parse
 
@@ -591,10 +582,6 @@ CASES = {
     "measure-rerun": Case("measure --in samples.csv --resamples 100 --seed 5", stderr=SMALL_WARNING,
                           stdout=strict_json(), files={"samples.csv": SMALL_SAMPLES}, rerun=True),
     # coin
-    "coin-report/json": Case("coin --p-tail 0.5 --accuracy 0.9 --q-tail 0.4", stdout=strict_json()),
-    "coin-report/csv-weak": Case(
-        "coin --p-tail 0.3 --accuracy 0.8 --q-tail 0.45 --format csv",
-        stdout=csv_fields(2)),
     # H(q) falls below H(X) here by rounding only.
     "eff-q-is-eff": Case(
         "coin --p-tail 1e-06 --accuracy 0.9 --q-tail 1e-06",
@@ -642,14 +629,6 @@ CASES = {
            ("csv", "r2.csv", "r2.csv", " --format csv"),
        ]},
     # figures
-    "figures-rerun": Case("figures --which all --out-dir figs",
-                          stdout="".join(f"figs/{name}\n" for name in FIGS).encode(), rerun=True),
-    "figures-svg": Case("figures --which all --format svg --out-dir figs",
-                        stdout=b"".join(f"figs/fig{n}.{ext}\n".encode()
-                                        for n in (1, 2, 3, 4) for ext in ("csv", "svg"))),
-    "figures-one": Case("figures --which 3 --format svg --out-dir figs",
-                        stdout=b"figs/fig3.csv\nfigs/fig3.svg\n",
-                        after={"figs": ["fig3.csv", "fig3.svg"]}),
     **{f"open-domain/{fmt}": fails(
         f"figures --points 2 --format {fmt} --out-dir figs", 3,
         "DomainViolation: eff_vs_q grid needs at least 3 points, got 2",
@@ -781,7 +760,7 @@ CASES = {
         after={"trajectory.csv": text(
             lambda s: s.startswith("round,log2_wealth\n") and s.count("\n") == 21)}),
     "report/figures-all-csv": Case("figures --which all --out-dir figs",
-                                   stdout=FIGS_OUT, after={"figs": FIGS}),
+                                   stdout=FIGS_OUT, after={"figs": FIGS}, rerun=True),
     **{f"report/fig{n}-{name}": Case(f"figures --which {n} --out-dir figs",
                                      stdout=f"figs/fig{n}.csv\n".encode(),
                                      after={f"figs/fig{n}.csv": figure(check)})
@@ -795,7 +774,7 @@ CASES = {
         after={"figs/fig3.csv": text(lambda s: s.count("\n") == 2)}),
     "report/fig3-svg": Case(
         "figures --which 3 --out-dir figs --format svg", stdout=b"figs/fig3.csv\nfigs/fig3.svg\n",
-        after={"figs/fig3.svg": text(
+        after={"figs": ["fig3.csv", "fig3.svg"], "figs/fig3.svg": text(
             lambda s: s.startswith("<svg") and "polyline" in s and "Eff_q" in s)}),
 }
 
@@ -903,6 +882,16 @@ def test_in_process(case_id, tmp_path, capsys, monkeypatch):
 @pytest.mark.parametrize("case_id", CASES)
 def test_console(case_id, tmp_path):
     run_case(CASES[case_id], console, tmp_path)
+
+
+def test_each_row_is_its_own_invocation():
+    # Parsed argv, files and env; `repr` keeps -0 apart from 0.
+    rows = {}
+    for case_id, case in CASES.items():
+        args = vars(cli.build_parser().parse_args(shlex.split(case.argv)))
+        rows.setdefault(repr((args, case.files, case.env)), []).append(case_id)
+    repeats = [ids for ids in rows.values() if len(ids) > 1]
+    assert not repeats, repeats
 
 
 def test_after_checks_a_file_with_a_callable(tmp_path, capsys, monkeypatch):

@@ -1,7 +1,9 @@
 import importlib
 import io
+import os
 import random
 import re
+import subprocess
 import sys
 import threading
 import warnings
@@ -577,3 +579,11 @@ class TestBootstrapStreams:
             self.run(2500)
         assert joined.is_set()
         assert threading.active_count() == threads
+
+    @pytest.mark.parametrize("cpus, workers", [(3, 3), (None, 1)])
+    def test_workers_without_sched_getaffinity(self, cpus, workers):
+        # As on macOS and Windows, where os has no sched_getaffinity.
+        code = (f"import os; vars(os).pop('sched_getaffinity', None); os.cpu_count = lambda: {cpus}\n"
+                f"from infoeff import estimation; assert estimation.WORKERS == {workers}")
+        src = os.path.dirname(os.path.dirname(estimation.__file__))
+        subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=src), check=True)
