@@ -22,7 +22,7 @@ from stream r // STREAM_RESAMPLES, the PCG64 generator seeded by `seed` and
 jumped ahead that many times; stream 0 is `default_rng(seed)` itself. Each
 stream draws its resamples in order, a block per `multinomial` call; a
 sized call draws its rows in sequence, so no resample depends on the block,
-and none on the threads that share out the streams.
+and none on the thread that draws its stream.
 One function, `efficiency._fields`, scores every report and every
 resample: it returns one column per report field over a whole stack of
 tables, so each resample's Eff and Eff_q are what `efficiency_with_quotes`
@@ -295,12 +295,12 @@ def _bootstrap(
 ) -> tuple[np.ndarray, np.ndarray | None]:
     """Eff (and Eff_q) of each resample, scored by the reports' own _fields; NaN where 0/0.
 
-    Stream s = r // STREAM_RESAMPLES draws resample r. The streams are shared
-    out among min(streams, WORKERS) threads, the caller's included, each
-    drawing blocks of BLOCK_CELLS // (cells * threads) resamples at most, so
-    no more than BLOCK_CELLS cells are drawn at once. The first exception in
-    any thread, or in starting or joining one, stops every thread from
-    starting a stream and is raised here once all have ended.
+    Stream s = r // STREAM_RESAMPLES draws resample r. Thread k of the
+    W = min(streams, WORKERS) threads draws streams k, k + W, ..., and the
+    caller is thread 0. Each draws blocks of BLOCK_CELLS // (cells * W)
+    resamples at most, so no more than BLOCK_CELLS cells are drawn at once.
+    The first exception in any thread, or in starting or joining one, stops
+    every thread from starting a stream and is raised here once all have ended.
     """
     n = int(counts.sum())
     p_flat = (counts / n).reshape(-1)
@@ -308,19 +308,17 @@ def _bootstrap(
     workers = min(len(starts), WORKERS)
     per_block = max(1, BLOCK_CELLS // (counts.size * workers))
     effs, effs_q = np.empty(resamples), None if q is None else np.empty(resamples)
-    pending, lock, errors = iter(starts), threading.Lock(), []
+    errors = []
 
-    def next_start() -> int | None:
-        with lock:  # after a failure no thread starts a stream
-            return None if errors else next(pending, None)
-
-    def work() -> None:
+    def work(k: int) -> None:
         try:
-            for start in iter(next_start, None):
+            for start in starts[k::workers]:
+                if errors:  # after a failure no thread starts a stream
+                    return
                 rng = np.random.Generator(np.random.PCG64(seed).jumped(start // STREAM_RESAMPLES))
                 end = min(start + STREAM_RESAMPLES, resamples)
-                for first in range(start, end, per_block):
-                    block = slice(first, min(first + per_block, end))
+                for row in range(start, end, per_block):
+                    block = slice(row, min(row + per_block, end))
                     draws = rng.multinomial(n, p_flat, size=block.stop - block.start)
                     tables = draws.reshape(-1, *counts.shape).astype(float)
                     fields = _fields(_smoothed_joint(tables, smoothing), q)
@@ -330,11 +328,11 @@ def _bootstrap(
         except BaseException as exc:  # raised in the caller, KeyboardInterrupt included
             errors.append(exc)
 
-    threads = [threading.Thread(target=work) for _ in range(workers - 1)]
+    threads = [threading.Thread(target=work, args=(k,)) for k in range(1, workers)]
     try:
         for thread in threads:
             thread.start()
-        work()
+        work(0)
     except BaseException as exc:  # a thread that cannot start
         errors.append(exc)
     for thread in threads:

@@ -24,15 +24,9 @@ def samples_csv(tmp_path):
 
 
 class TestMeasure:
-    test_empty_input_exit_2 = in_process("empty-input")
-    test_degenerate_exit_3 = in_process("degenerate")
     test_single_outcome_at_smoothing_0_exit_3 = in_process("single-outcome")
     test_degenerate_with_quotes_exit_3 = in_process("degenerate-with-quotes")
-    test_missing_file_exit_4 = in_process("missing-file")
     test_bad_quote_sum_exit_3 = in_process("quote-sum")
-    test_quote_values_checked_after_the_run_options = in_process(
-        "after-options/resamples", "after-options/seed", "after-options/smoothing"
-    )
     test_bad_quote_values_exit_3 = in_process("quote-values/")
     test_non_finite_quote_exit_3 = in_process("non-finite-quote/")
     test_bad_quote_sidecar = in_process("quote-sidecar/")
@@ -47,9 +41,6 @@ class TestMeasure:
     test_undecodable_samples_exit_2 = in_process("undecodable-samples")
     test_undecodable_byte_reported_at_its_line = in_process("undecodable-late")
     test_undecodable_byte_reported_in_its_field = in_process("undecodable-field")
-    test_undecodable_quote_sidecar_exit_2 = in_process(
-        "undecodable-sidecar", "undecodable-sidecar-first-row"
-    )
     test_first_bad_line_reported_undecodable_or_not = in_process("first-bad-line/")
     test_small_sample_warning_is_one_line = in_process("small-sample")
     test_failed_run_prints_no_warning = in_process("small-sample-failed-out")

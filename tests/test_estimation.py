@@ -521,6 +521,30 @@ class TestBootstrapStreams:
             estimate_efficiency(samples, resamples=2500, seed=9)
         assert threading.active_count() == threads
 
+    def test_a_failing_stream_in_another_thread_reaches_the_caller(self, monkeypatch):
+        # The other thread fails its stream; the caller's thread scores a block
+        # only once that thread has ended, so it starts no later stream. It may
+        # see the failure before its first stream and draw none.
+        def fields(joints, q):
+            nonlocal failing
+            if threading.current_thread() is threading.main_thread():
+                failed.wait(10)
+                failing.join(10)
+                blocks.append(len(joints))
+                return scored(joints, q)
+            failing = threading.current_thread()
+            failed.set()
+            raise NumericalInconsistency("other thread")
+
+        scored, blocks, failing, failed = estimation._fields, [], None, threading.Event()
+        monkeypatch.setattr(estimation, "_fields", fields)
+        monkeypatch.setattr(estimation, "WORKERS", 2)
+        threads = threading.active_count()
+        with pytest.raises(NumericalInconsistency, match="other thread"):
+            self.run(2500)
+        assert threading.active_count() == threads
+        assert blocks in ([], [1000])
+
     def test_an_interrupt_stops_every_stream(self, monkeypatch):
         # The caller's thread is interrupted in its first block, once the
         # other thread holds a stream; that thread ends its block and starts
