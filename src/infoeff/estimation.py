@@ -46,7 +46,6 @@ import math
 import os
 import re
 import sys
-import threading
 import warnings
 from collections import Counter
 from collections.abc import Iterable, Iterator, Sequence
@@ -295,12 +294,17 @@ def _bootstrap(
 ) -> tuple[np.ndarray, np.ndarray | None]:
     """Eff (and Eff_q) of each resample, scored by the reports' own _fields; NaN where 0/0.
 
-    Stream s = r // STREAM_RESAMPLES draws resample r. Thread k of the
-    W = min(streams, WORKERS) threads draws streams k, k + W, ..., and the
-    caller is thread 0. Each draws blocks of BLOCK_CELLS // (cells * W)
-    resamples at most, so no more than BLOCK_CELLS cells are drawn at once.
-    The first exception in any thread, or in starting or joining one, stops
-    every thread from starting a stream and is raised here once all have ended.
+    Stream s = r // STREAM_RESAMPLES draws resample r. A pool of
+    W = min(streams, WORKERS) threads takes the streams in order, and each
+    stream draws blocks of BLOCK_CELLS // (cells * W) resamples at most, so
+    no more than BLOCK_CELLS cells are drawn at once. With W = 1 (one stream,
+    or one CPU) the caller draws every stream itself and starts no thread.
+    The error raised is that of the first failing stream in stream order.
+    Once the caller stops waiting, on an error or an interrupt, streams not
+    yet started are cancelled, running ones finish, and every pool thread is
+    joined before the exception leaves. One gap: after an interrupt inside the
+    pool's own thread start, a thread it had not yet registered ends its
+    current stream after the call returns.
     """
     n = int(counts.sum())
     p_flat = (counts / n).reshape(-1)
@@ -308,41 +312,32 @@ def _bootstrap(
     workers = min(len(starts), WORKERS)
     per_block = max(1, BLOCK_CELLS // (counts.size * workers))
     effs, effs_q = np.empty(resamples), None if q is None else np.empty(resamples)
-    errors = []
 
-    def work(k: int) -> None:
+    def draw(start: int) -> None:
+        rng = np.random.Generator(np.random.PCG64(seed).jumped(start // STREAM_RESAMPLES))
+        end = min(start + STREAM_RESAMPLES, resamples)
+        for row in range(start, end, per_block):
+            block = slice(row, min(row + per_block, end))
+            draws = rng.multinomial(n, p_flat, size=block.stop - block.start)
+            tables = draws.reshape(-1, *counts.shape).astype(float)
+            fields = _fields(_smoothed_joint(tables, smoothing), q)
+            effs[block] = fields["eff"]
+            if effs_q is not None:
+                effs_q[block] = fields["eff_q"]
+
+    if workers == 1:
+        for start in starts:
+            draw(start)
+    else:
+        # Imported here: it loads logging (~7 ms, 0.6 MB), and most runs draw one stream.
+        from concurrent.futures import ThreadPoolExecutor
+
+        pool = ThreadPoolExecutor(workers)
         try:
-            for start in starts[k::workers]:
-                if errors:  # after a failure no thread starts a stream
-                    return
-                rng = np.random.Generator(np.random.PCG64(seed).jumped(start // STREAM_RESAMPLES))
-                end = min(start + STREAM_RESAMPLES, resamples)
-                for row in range(start, end, per_block):
-                    block = slice(row, min(row + per_block, end))
-                    draws = rng.multinomial(n, p_flat, size=block.stop - block.start)
-                    tables = draws.reshape(-1, *counts.shape).astype(float)
-                    fields = _fields(_smoothed_joint(tables, smoothing), q)
-                    effs[block] = fields["eff"]
-                    if effs_q is not None:
-                        effs_q[block] = fields["eff_q"]
-        except BaseException as exc:  # raised in the caller, KeyboardInterrupt included
-            errors.append(exc)
-
-    threads = [threading.Thread(target=work, args=(k,)) for k in range(1, workers)]
-    try:
-        for thread in threads:
-            thread.start()
-        work(0)
-    except BaseException as exc:  # a thread that cannot start
-        errors.append(exc)
-    for thread in threads:
-        while thread.is_alive():  # joined even when interrupted, so none outlives the call
-            try:
-                thread.join()
-            except BaseException as exc:
-                errors.append(exc)
-    if errors:
-        raise errors[0]
+            for _ in pool.map(draw, starts):
+                pass
+        finally:
+            pool.shutdown(cancel_futures=True)
     return effs, effs_q
 
 

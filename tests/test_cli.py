@@ -24,9 +24,6 @@ def samples_csv(tmp_path):
 
 
 class TestMeasure:
-    test_single_outcome_at_smoothing_0_exit_3 = in_process("single-outcome")
-    test_degenerate_with_quotes_exit_3 = in_process("degenerate-with-quotes")
-    test_bad_quote_sum_exit_3 = in_process("quote-sum")
     test_bad_quote_values_exit_3 = in_process("quote-values/")
     test_non_finite_quote_exit_3 = in_process("non-finite-quote/")
     test_bad_quote_sidecar = in_process("quote-sidecar/")
@@ -46,7 +43,6 @@ class TestMeasure:
     test_failed_run_prints_no_warning = in_process("small-sample-failed-out")
     test_byte_identical_reruns = in_process("measure-rerun")
     test_non_finite_smoothing_exit_3 = in_process("non-finite-smoothing/")
-    test_smoothing_that_overflows_exit_3 = in_process("smoothing-overflow")
 
     def test_memory_error_exit_5(self, samples_csv, monkeypatch, capsys):
         def exhausted(config):

@@ -7,6 +7,7 @@ import subprocess
 import sys
 import threading
 import warnings
+from concurrent import futures
 
 import numpy as np
 import pytest
@@ -459,16 +460,26 @@ class TestBootstrapStreams:
             assert a.tobytes() == b.tobytes()
 
     @pytest.mark.parametrize("resamples, workers, started",
-                             [(1000, 2, 0), (1001, 5, 1), (2500, 2, 1), (2500, 5, 2)])
+                             [(1000, 2, 0), (1001, 5, 2), (2500, 1, 0), (2500, 2, 2), (2500, 5, 3)])
     def test_one_thread_per_stream_at_most(self, monkeypatch, resamples, workers, started):
-        # The caller's thread draws too, so min(streams, WORKERS) - 1 start.
+        # A pool of min(streams, WORKERS) threads, none for one worker. Each
+        # thread's first block waits until all of them run, so no idle thread
+        # is reused for a later stream before every one has started.
         class Counted(threading.Thread):
             def start(self):
                 threads.append(self)
                 super().start()
 
-        threads = []
+        def fields(joints, q):
+            if started and threading.get_ident() not in waited:
+                waited.add(threading.get_ident())
+                barrier.wait()
+            return scored(joints, q)
+
+        scored, threads, waited = estimation._fields, [], set()
+        barrier = threading.Barrier(max(started, 1), timeout=10)
         monkeypatch.setattr(threading, "Thread", Counted)
+        monkeypatch.setattr(estimation, "_fields", fields)
         monkeypatch.setattr(estimation, "WORKERS", workers)
         self.run(resamples)
         assert len(threads) == started
@@ -521,87 +532,80 @@ class TestBootstrapStreams:
             estimate_efficiency(samples, resamples=2500, seed=9)
         assert threading.active_count() == threads
 
-    def test_a_failing_stream_in_another_thread_reaches_the_caller(self, monkeypatch):
-        # The other thread fails its stream; the caller's thread scores a block
-        # only once that thread has ended, so it starts no later stream. It may
-        # see the failure before its first stream and draw none.
+    def test_the_first_failing_stream_in_order_is_raised(self, monkeypatch):
+        # Three threads, one stream each. Stream 2, the only 500-row block,
+        # fails first; streams 0 and 1 fail after it, and stream 0's error wins.
         def fields(joints, q):
-            nonlocal failing
-            if threading.current_thread() is threading.main_thread():
-                failed.wait(10)
-                failing.join(10)
-                blocks.append(len(joints))
-                return scored(joints, q)
-            failing = threading.current_thread()
-            failed.set()
-            raise NumericalInconsistency("other thread")
+            if len(joints) == 500:
+                failed.set()
+                raise NumericalInconsistency("stream 2")
+            failed.wait(10)
+            raise NumericalInconsistency("a 1000-row stream")
 
-        scored, blocks, failing, failed = estimation._fields, [], None, threading.Event()
+        failed = threading.Event()
         monkeypatch.setattr(estimation, "_fields", fields)
-        monkeypatch.setattr(estimation, "WORKERS", 2)
+        monkeypatch.setattr(estimation, "WORKERS", 3)
         threads = threading.active_count()
-        with pytest.raises(NumericalInconsistency, match="other thread"):
+        with pytest.raises(NumericalInconsistency, match="a 1000-row stream"):
             self.run(2500)
         assert threading.active_count() == threads
-        assert blocks in ([], [1000])
 
     def test_an_interrupt_stops_every_stream(self, monkeypatch):
-        # The caller's thread is interrupted in its first block, once the
-        # other thread holds a stream; that thread ends its block and starts
-        # no other stream.
+        # The caller is interrupted before its first result, with 1000 streams
+        # of one block each queued on two threads. Those threads end the
+        # streams they hold once the queue is cancelled, and start no other.
+        class Interrupted(futures.ThreadPoolExecutor):
+            def map(self, fn, *iterables, **kwargs):
+                super().map(fn, *iterables, **kwargs)
+
+                def results():
+                    raise KeyboardInterrupt
+                    yield
+
+                return results()
+
+            def shutdown(self, wait=True, *, cancel_futures=False):
+                super().shutdown(wait=False, cancel_futures=cancel_futures)
+                stopped.set()
+                super().shutdown(wait=wait)
+
         def fields(joints, q):
-            if threading.current_thread() is threading.main_thread():
-                drawing.wait(10)
-                interrupted.set()
-                raise KeyboardInterrupt
-            drawing.set()
-            interrupted.wait(10)
+            stopped.wait(10)
             blocks.append(len(joints))
             return scored(joints, q)
 
-        scored, blocks = estimation._fields, []
-        drawing, interrupted = threading.Event(), threading.Event()
+        scored, blocks, stopped = estimation._fields, [], threading.Event()
+        monkeypatch.setattr(futures, "ThreadPoolExecutor", Interrupted)
         monkeypatch.setattr(estimation, "_fields", fields)
+        monkeypatch.setattr(estimation, "STREAM_RESAMPLES", 7)
         monkeypatch.setattr(estimation, "WORKERS", 2)
         threads = threading.active_count()
         with pytest.raises(KeyboardInterrupt):
-            self.run(5000)
+            self.run(7000)
         assert threading.active_count() == threads
-        assert blocks == [1000]
+        assert len(blocks) <= 2
 
-    @pytest.mark.parametrize("method", ["start", "join"])
-    def test_a_thread_that_cannot_start_or_join_is_still_joined(self, monkeypatch, method):
-        # The other thread is still drawing when the caller first joins it,
-        # and the failure reaches the caller only once that thread has ended.
-        class Failing(threading.Thread):
-            def start(self):
-                super().start()
-                if method == "start":
-                    raise RuntimeError(method)
-
-            def join(self, timeout=None):
-                if not joined.is_set():
-                    joined.set()
-                    if method == "join":
-                        raise RuntimeError(method)
-                super().join(timeout)
+    def test_a_thread_that_cannot_start_fails_the_run(self, monkeypatch):
+        # The pool's second thread cannot start while its first draws a stream;
+        # the error reaches the caller once that thread has ended.
+        def start(thread):
+            if started:
+                failed.set()
+                raise RuntimeError("cannot start")
+            started.append(thread)
+            original(thread)
 
         def fields(joints, q):
-            if threading.current_thread() is threading.main_thread():
-                drawing.wait(10)
-            else:
-                drawing.set()
-                joined.wait(10)
+            failed.wait(10)
             return scored(joints, q)
 
-        scored, drawing, joined = estimation._fields, threading.Event(), threading.Event()
-        monkeypatch.setattr(threading, "Thread", Failing)
+        original, scored, started, failed = threading.Thread.start, estimation._fields, [], threading.Event()
+        monkeypatch.setattr(threading.Thread, "start", start)
         monkeypatch.setattr(estimation, "_fields", fields)
         monkeypatch.setattr(estimation, "WORKERS", 2)
         threads = threading.active_count()
-        with pytest.raises(RuntimeError, match=method):
+        with pytest.raises(RuntimeError, match="cannot start"):
             self.run(2500)
-        assert joined.is_set()
         assert threading.active_count() == threads
 
     @pytest.mark.parametrize("cpus, workers", [(3, 3), (None, 1)])

@@ -10,8 +10,8 @@ swaps one operator in one target function (+ and -, * and /, < and <=,
 tier-1 runs on it with `-x --hypothesis-seed=0`. A run that fails, errors,
 or outlasts ten times the unmutated run (at least 60 s) kills its mutant.
 Each run starts without a Hypothesis example database or bytecode cache, so
-a run depends on its own mutant only. Tier-1 took 36 s unmutated on a
-shared 2-vCPU machine, and one full check of 97 mutants 923 s (about 15
+a run depends on its own mutant only. Tier-1 took 34 s unmutated on a
+shared 2-vCPU machine, and one full check of 97 mutants 849 s (about 14
 minutes); its summary line gives the mutant count and the total wall time.
 
 Each run's verdict is printed as it ends, with its wall time, and the total
